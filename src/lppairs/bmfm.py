@@ -7,10 +7,11 @@ the row or column admitting the fewest completions.  Branch vectors are
 generated in colexicographic rank order, so the enumeration order is
 deterministic and independent of platform.
 
-`enumerate_with_spectrum` additionally maintains the two-dimensional DFT of
-the partial matrix; each committed row or column adds a rank-one update, so
-the full spectrum is available at every leaf for the cost of one outer
-product per assignment.
+Every leaf is an integer mask: each committed row or column ORs in the
+precomputed bits of its cells.  `enumerate_masks` hands out the mask
+itself; with CRT cell bits that mask is the binary vector of the CRT
+reshape (bit g holds v_g), which is what the search keys on.
+`enumerate_matrices` decodes row-major masks into `BinaryMatrix` leaves.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .compress import BinaryMatrix
-from .spectral import _dft_matrix
+from .spectral import two_dim_dft
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,30 @@ def _well_formed(inst: MarginalInstance) -> bool:
 
 
 def _gale_ryser(q, p, n_cols: int, n_rows: int) -> bool:
-    """Existence of a binary matrix with row sums q and column sums p."""
-    if any(not 0 <= r <= n_cols for r in q):
-        return False
-    if any(not 0 <= c <= n_rows for c in p):
-        return False
+    """Existence of a binary matrix with row sums q and column sums p.
+
+    The k-th Gale-Ryser inequality compares the k largest column sums with
+    sum(min(x, k) for x in q), which grows by the number of rows with x >= k.
+    Past k = max(q) that bound is sum(q) and always holds.
+    """
     if sum(q) != sum(p):
         return False
+    if q and (min(q) < 0 or max(q) > n_cols):
+        return False
+    if p and (min(p) < 0 or max(p) > n_rows):
+        return False
+    top = max(q, default=0)
+    rows_at = [0] * (top + 1)
+    for x in q:
+        rows_at[x] += 1
     p_desc = sorted(p, reverse=True)
-    prefix = 0
-    for k in range(1, len(p_desc) + 1):
-        prefix += p_desc[k - 1]
-        if prefix > sum(min(x, k) for x in q):
+    lhs = rhs = 0
+    rows_at_least = len(q)
+    for k in range(1, min(top, len(p_desc)) + 1):
+        rows_at_least -= rows_at[k - 1]
+        lhs += p_desc[k - 1]
+        rhs += rows_at_least
+        if lhs > rhs:
             return False
     return True
 
@@ -127,52 +138,33 @@ def count(inst: MarginalInstance) -> int:
 
 
 class _Engine:
-    """Shared enumeration core; visits leaves through a raw callback.
+    """Shared enumeration core; visits each leaf as an integer mask.
 
-    The callback receives the grid (list of lists, caller must copy) and the
-    current spectrum array (or None).  Returning False stops the search.
+    `bits[i][j]` is the bit that cell (i, j) contributes; a leaf's mask is
+    `base` OR-ed with the bits of its 1-cells.  The callback receives that
+    int; returning False stops the search.
     """
 
-    def __init__(self, inst: MarginalInstance, leaf, with_spectrum: bool):
-        self.m = inst.n_rows
-        self.n = inst.n_cols
+    def __init__(self, inst: MarginalInstance, bits, leaf):
         self.inst = inst
+        self.bits = bits
         self.leaf = leaf
-        self.grid = [[0] * self.n for _ in range(self.m)]
         self.visited = 0
         self.stopped = False
-        if with_spectrum:
-            self.w_rows = _dft_matrix(self.m)
-            self.w_cols = _dft_matrix(self.n)
-        else:
-            self.w_rows = self.w_cols = None
 
-    def run(self) -> int:
+    def run(self, base: int = 0) -> int:
         if not _well_formed(self.inst):
             return 0
-        spec = (
-            np.zeros((self.m, self.n), dtype=complex)
-            if self.w_rows is not None
-            else None
-        )
         self._rec(
-            list(range(self.m)),
-            list(range(self.n)),
+            list(range(self.inst.n_rows)),
+            list(range(self.inst.n_cols)),
             list(self.inst.row_sums),
             list(self.inst.col_sums),
-            spec,
+            base,
         )
         return self.visited
 
-    def _row_update(self, spec, i, cols):
-        if spec is not None and cols:
-            spec += np.outer(self.w_rows[:, i], self.w_cols[list(cols)].sum(axis=0))
-
-    def _col_update(self, spec, j, rows):
-        if spec is not None and rows:
-            spec += np.outer(self.w_rows[:, list(rows)].sum(axis=1), self.w_cols[j])
-
-    def _rec(self, arows, acols, rneed, cneed, spec):
+    def _rec(self, arows, acols, rneed, cneed, mask):
         if self.stopped:
             return
         if not _gale_ryser(
@@ -186,14 +178,11 @@ class _Engine:
         acols = list(acols)
         rneed = list(rneed)
         cneed = list(cneed)
-        if spec is not None:
-            spec = spec.copy()
-        journal: list[tuple[int, int]] = []
+        bits = self.bits
 
         # Propagate forced rows/columns (all zeros or all ones) to a fixed point.
         changed = True
-        dead = False
-        while changed and not dead:
+        while changed:
             changed = False
             for i in list(arows):
                 need = rneed[i]
@@ -202,17 +191,13 @@ class _Engine:
                     changed = True
                 elif need == len(acols):
                     for j in acols:
-                        self.grid[i][j] = 1
-                        journal.append((i, j))
+                        mask |= bits[i][j]
                         cneed[j] -= 1
                         if cneed[j] < 0:
-                            dead = True
-                    self._row_update(spec, i, acols)
+                            return
                     rneed[i] = 0
                     arows.remove(i)
                     changed = True
-            if dead:
-                break
             for j in list(acols):
                 need = cneed[j]
                 if need == 0:
@@ -220,28 +205,22 @@ class _Engine:
                     changed = True
                 elif need == len(arows):
                     for i in arows:
-                        self.grid[i][j] = 1
-                        journal.append((i, j))
+                        mask |= bits[i][j]
                         rneed[i] -= 1
                         if rneed[i] < 0:
-                            dead = True
-                    self._col_update(spec, j, arows)
+                            return
                     cneed[j] = 0
                     acols.remove(j)
                     changed = True
 
-        if not dead:
-            if not arows and not acols:
-                self.visited += 1
-                if self.leaf(self.grid, spec) is False:
-                    self.stopped = True
-            elif arows or acols:
-                self._branch(arows, acols, rneed, cneed, spec)
+        if not arows and not acols:
+            self.visited += 1
+            if self.leaf(mask) is False:
+                self.stopped = True
+        else:
+            self._branch(arows, acols, rneed, cneed, mask)
 
-        for i, j in journal:
-            self.grid[i][j] = 0
-
-    def _branch(self, arows, acols, rneed, cneed, spec):
+    def _branch(self, arows, acols, rneed, cneed, mask):
         # Fewest admissible completions first; rows win ties, then lowest index.
         best = None
         for i in arows:
@@ -256,18 +235,15 @@ class _Engine:
 
         if kind == 0:
             child_rows = [r for r in arows if r != idx]
+            row_bits = self.bits[idx]
             for subset in _colex_subsets(len(acols), rneed[idx]):
                 cols = [acols[t] for t in subset]
+                child = mask
                 for j in cols:
-                    self.grid[idx][j] = 1
+                    child |= row_bits[j]
                     cneed[j] -= 1
-                child_spec = spec
-                if spec is not None:
-                    child_spec = spec.copy()
-                    self._row_update(child_spec, idx, cols)
-                self._rec(child_rows, acols, rneed, cneed, child_spec)
+                self._rec(child_rows, acols, rneed, cneed, child)
                 for j in cols:
-                    self.grid[idx][j] = 0
                     cneed[j] += 1
                 if self.stopped:
                     return
@@ -275,23 +251,31 @@ class _Engine:
             child_cols = [c for c in acols if c != idx]
             for subset in _colex_subsets(len(arows), cneed[idx]):
                 rows = [arows[t] for t in subset]
+                child = mask
                 for i in rows:
-                    self.grid[i][idx] = 1
+                    child |= self.bits[i][idx]
                     rneed[i] -= 1
-                child_spec = spec
-                if spec is not None:
-                    child_spec = spec.copy()
-                    self._col_update(child_spec, idx, rows)
-                self._rec(arows, child_cols, rneed, cneed, child_spec)
+                self._rec(arows, child_cols, rneed, cneed, child)
                 for i in rows:
-                    self.grid[i][idx] = 0
                     rneed[i] += 1
                 if self.stopped:
                     return
 
 
-def _freeze(grid) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in grid)
+def enumerate_masks(inst: MarginalInstance, bits, visitor, base: int = 0) -> int:
+    """Visit every solution as an int; returns the number visited.
+
+    The int is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), so
+    with CRT cell bits (`CrtContext.cell_bits`) it is the reshaped binary
+    vector itself, bit g holding v_g.  The visitor may return False to
+    stop early.  Leaves come in the same order as `enumerate_matrices`.
+    """
+    return _Engine(inst, bits, visitor).run(base)
+
+
+@lru_cache(maxsize=None)
+def _row_major_bits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 << (i * n + j) for j in range(n)) for i in range(m))
 
 
 def enumerate_matrices(inst: MarginalInstance, visitor=None) -> int:
@@ -301,21 +285,29 @@ def enumerate_matrices(inst: MarginalInstance, visitor=None) -> int:
     solutions are only counted (by full traversal; see `count` for the
     closed recursion).
     """
+    m, n = inst.n_rows, inst.n_cols
     if visitor is None:
-        leaf = lambda grid, spec: None
+        leaf = lambda mask: None
     else:
-        leaf = lambda grid, spec: visitor(BinaryMatrix(_freeze(grid)))
-    return _Engine(inst, leaf, with_spectrum=False).run()
+        def leaf(mask):
+            rows = tuple(
+                tuple((mask >> (i * n + j)) & 1 for j in range(n)) for i in range(m)
+            )
+            return visitor(BinaryMatrix(rows))
+    return enumerate_masks(inst, _row_major_bits(m, n), leaf)
 
 
 def enumerate_with_spectrum(inst: MarginalInstance, visitor) -> int:
     """Like enumerate_matrices, but the visitor also receives the 2-D DFT.
 
-    The spectrum equals `two_dim_dft(matrix, n_rows, n_cols)` and is built
-    incrementally from rank-one updates as rows and columns are committed.
+    The spectrum is `two_dim_dft(matrix, n_rows, n_cols)`, computed per
+    leaf.  The search no longer uses it; the benchmark's layer pass still
+    times it.
     """
-    leaf = lambda grid, spec: visitor(BinaryMatrix(_freeze(grid)), spec.copy())
-    return _Engine(inst, leaf, with_spectrum=True).run()
+    m, n = inst.n_rows, inst.n_cols
+    return enumerate_matrices(
+        inst, lambda mat: visitor(mat, two_dim_dft(mat.rows, m, n))
+    )
 
 
 def solutions(inst: MarginalInstance) -> list[BinaryMatrix]:

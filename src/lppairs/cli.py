@@ -134,10 +134,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--factors takes exactly two values, got {args.factors!r}")
     config = SearchConfig(
         threads=args.threads,
-        tolerance=args.tolerance,
-        bucket_precision=args.bucket_precision,
         max_bucket_memory=args.max_bucket_memory,
-        exhaustive_match=args.exhaustive_match,
         stop_after=args.stop_after,
         checkpoint_path=args.checkpoint,
         archive_path=args.out,
@@ -238,15 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--factors", required=True, help="coprime factor pair, e.g. 7,11")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--bucket-precision", type=int, default=6)
-    p.add_argument("--max-bucket-memory", type=int, default=2_000_000)
-    p.add_argument("--exhaustive-match", action="store_true",
-                   help="cross-join instance solutions instead of PSD bucketing")
+    p.add_argument("--max-bucket-memory", type=int, default=2_000_000,
+                   help="most matrices held at once; larger sides are split by first row")
     p.add_argument("--stop-after", type=int, default=None,
                    help="stop once this many records have been collected")
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--resume", action="store_true")
+    p.add_argument("--resume", action="store_true",
+                   help="continue from --checkpoint instead of starting over")
     p.add_argument("--out", default=None, help="archive path (default: print records)")
     p.set_defaults(func=cmd_search)
 

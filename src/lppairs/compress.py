@@ -71,6 +71,13 @@ class CrtContext:
         return pow(self.z, -1, self.ell) if self.ell > 1 else 0
 
     @cached_property
+    def cell_bits(self) -> tuple[tuple[int, ...], ...]:
+        """cell_bits[i][j] = 1 << psi_inv(i, j): cell (i, j)'s bit in a vector mask."""
+        return tuple(
+            tuple(1 << self.psi_inv(i, j) for j in range(self.d2)) for i in range(self.d1)
+        )
+
+    @cached_property
     def index_pairs(self) -> tuple[tuple[int, int], ...]:
         """psi(g) for g = 0..l-1, in index order."""
         return tuple(self.psi(g) for g in range(self.ell))

@@ -2,13 +2,15 @@
 
 The pipeline: generate compressed complementary pairs for both factors,
 combine every delta1-pair with every delta2-pair into a task carrying four
-marginal instances, enumerate each instance's binary matrices, match the two
-sides of each cross-matching on the unit-index power spectral density, and
-confirm every match with the exact integer autocorrelation test.  Matching
-is asymmetric: the side with fewer matrices is held in memory (bucketed by
-rounded PSD), the other side streams past and probes; the bucket is purely
-an optimization and every hit is re-verified, so false bucket collisions
-cost time, never correctness.
+marginal instances, enumerate each instance's binary matrices straight into
+integer masks of the reshaped vectors, and join the two sides of each
+cross-matching on exact integer keys.  The join is match-by-sorting
+(Fletcher, Gysin and Seberry) made exact: the side with fewer matrices is
+held in a dict keyed by lam - PAF(u, g) over the half lags
+g = 1..(l-1)/2, and the other side streams past and looks up its own
+PAF(v, g).  By PAF symmetry a hit is exactly a complementary pair, so no
+float and no neighbour probe is involved; every hit is still confirmed by
+the exact test before it becomes a record.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
 forms and sorted, which makes the final archive independent of worker count
@@ -23,11 +25,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from math import gcd
-from pathlib import Path
 
 from . import seqio
-from .bmfm import MarginalInstance, _colex_subsets, count, enumerate_matrices, enumerate_with_spectrum
-from .compress import BinaryMatrix, CrtContext, theta_inv
+from .bmfm import MarginalInstance, _colex_subsets, count, enumerate_masks
+from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
+from .compress import CrtContext
 from .cyclic import CyclicVector, decimation_canon
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
@@ -36,23 +38,24 @@ from .spectral import exact_complementary, paf
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Run options.  None of them changes the records a completed task
+    produces, so a run may be resumed with any of them changed."""
+
     threads: int = 1
-    tolerance: float = 1e-6
-    bucket_precision: int = 6
     max_bucket_memory: int = 2_000_000
-    exhaustive_match: bool = False
     stop_after: int | None = None
     checkpoint_path: str | None = None
     archive_path: str | None = None
 
-    def result_fields(self) -> tuple:
-        """Everything that can change the result set.
-
-        Worker count, memory cap, and the early-stop hook affect scheduling
-        and truncation but never the records a completed task produces, so
-        they are excluded; a run may be resumed with any of them changed.
-        """
-        return (self.tolerance, self.bucket_precision, self.exhaustive_match)
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.max_bucket_memory < 1:
+            raise ValueError(
+                f"max_bucket_memory must be at least 1, got {self.max_bucket_memory}"
+            )
+        if self.stop_after is not None and self.stop_after < 1:
+            raise ValueError(f"stop_after must be None or at least 1, got {self.stop_after}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,8 @@ def compressed_census(length: int, delta: int, tolerance: float = 1e-6):
     Returns (candidates, pairs, expanded).
     """
     _validate_length(length)
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     if length % delta != 0:
         raise ValueError(f"{delta} does not divide {length}")
     delta2 = length // delta
@@ -157,132 +162,85 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-def _psd_weights(ctx: CrtContext, zi: tuple[int, int]):
-    import numpy as np
+def half_paf(x: int, ell: int) -> tuple[int, ...]:
+    """PAF(v, g) for g = 1..(ell-1)/2 of the vector whose bit g is v_g.
 
-    i1, i2 = zi
-    w1 = np.exp(2j * np.pi * i1 * np.arange(ctx.d1) / ctx.d1)
-    w2 = np.exp(2j * np.pi * i2 * np.arange(ctx.d2) / ctx.d2)
-    return w1, w2
+    PAF(v, g) = PAF(v, ell - g), so these lags determine the whole PAF.
+    """
+    doubled = x | (x << ell)
+    return tuple([(x & (doubled >> g)).bit_count() for g in range(1, (ell + 1) // 2)])
 
 
-def _bucket_chunks(inst: MarginalInstance, ctx: CrtContext, zi, config: SearchConfig):
-    """Yield {rounded-psd: [vector, ...]} maps covering all solutions.
+def _vector(x: int, ell: int) -> tuple[int, ...]:
+    return tuple((x >> g) & 1 for g in range(ell))
+
+
+def _held_tables(inst: MarginalInstance, bits, ell: int, lam: int, cap: int, base: int = 0):
+    """Yield {lam - half_paf: [mask, ...]} tables covering all solutions.
 
     When the solution count exceeds the memory cap, the enumeration is
-    partitioned by fixing leading rows to each of their possible contents
-    (first-row prefix splitting) and each partition is yielded separately;
-    nothing is ever dropped.
+    partitioned by fixing the first row to each of its possible contents
+    (prefix splitting, recursively) and each partition is yielded
+    separately; nothing is ever dropped.
     """
-    cap = max(1, config.max_bucket_memory)
-    scale = 10 ** config.bucket_precision
-    weights = _psd_weights(ctx, zi)
-    yield from _chunks_rec((), inst.row_sums, inst.col_sums, ctx, zi, scale, cap, weights)
-
-
-def _chunks_rec(prefix, rows, cols, ctx, zi, scale, cap, weights):
-    inst = MarginalInstance(rows, cols)
     n = count(inst)
     if n == 0:
         return
-    if n <= cap or len(rows) == 1:
-        i1, i2 = zi
-        buckets: dict[int, list] = {}
-        if prefix:
-            w1, w2 = weights
-            base = sum(
-                w1[r] * (sum(row[c] * w2[c] for c in range(len(row))))
-                for r, row in enumerate(prefix)
-            )
-            offset = len(prefix)
+    if n <= cap or inst.n_rows == 1:
+        table: dict[tuple[int, ...], list[int]] = {}
 
-            def visit(mat):
-                mu = base + sum(
-                    w1[offset + r] * sum(row[c] * w2[c] for c in range(len(row)))
-                    for r, row in enumerate(mat.rows)
-                )
-                key = int(round((mu.real * mu.real + mu.imag * mu.imag) * scale))
-                full = BinaryMatrix(prefix + mat.rows)
-                buckets.setdefault(key, []).append(tuple(theta_inv(full, ctx)))
+        def hold(x):
+            key = tuple([lam - p for p in half_paf(x, ell)])
+            table.setdefault(key, []).append(x)
 
-            enumerate_matrices(inst, visit)
-        else:
-            def visit(mat, spec):
-                mu = spec[i1, i2]
-                key = int(round((mu.real * mu.real + mu.imag * mu.imag) * scale))
-                buckets.setdefault(key, []).append(tuple(theta_inv(mat, ctx)))
-
-            enumerate_with_spectrum(inst, visit)
-        if buckets:
-            yield buckets
+        enumerate_masks(inst, bits, hold, base)
+        yield table
         return
+    rows, cols = inst.row_sums, inst.col_sums
     for subset in _colex_subsets(len(cols), rows[0]):
-        row = tuple(1 if c in subset else 0 for c in range(len(cols)))
-        reduced = tuple(cols[c] - row[c] for c in range(len(cols)))
-        if min(reduced) < 0:
-            continue
-        yield from _chunks_rec(prefix + (row,), rows[1:], reduced, ctx, zi, scale, cap, weights)
+        reduced = list(cols)
+        row_mask = base
+        for c in subset:
+            reduced[c] -= 1
+            row_mask |= bits[0][c]
+        if min(reduced) >= 0:
+            yield from _held_tables(
+                MarginalInstance(rows[1:], reduced), bits[1:], ell, lam, cap, row_mask
+            )
 
 
 def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[LegendrePairRecord]:
     """All Legendre pairs discoverable from one pair combination.
 
     For each of the two cross-matchings, the instance with fewer solutions
-    is bucketed by PSD at the unit index; the other instance streams its
-    solutions and probes the target bucket and both rounding neighbors.
-    Every probe hit is confirmed with the exact integer test before a
-    record is emitted.
+    is held in tables keyed by lam - half_paf(u); the other instance
+    streams its solutions and looks up half_paf(v).  A hit satisfies
+    PAF(u, g) + PAF(v, g) = lam at every nonzero lag; canonicalize_lp
+    confirms it with the exact test before the record is kept.
     """
-    lam = (ctx.ell + 1) // 2
-    zi = ctx.psi(ctx.z)
-    scale = 10 ** config.bucket_precision
+    ell = ctx.ell
+    lam = (ell + 1) // 2
+    bits = ctx.cell_bits
     records: list[LegendrePairRecord] = []
 
     for matching in _MATCHINGS:
-        (i1, j1), (i2, j2) = matching
-        inst_u = task.instance(i1, j1)
-        inst_v = task.instance(i2, j2)
+        inst_u, inst_v = (task.instance(i, j) for i, j in matching)
         n_u = count(inst_u)
         n_v = count(inst_v)
         if n_u == 0 or n_v == 0:
             continue
-
-        def emit(u_vec, v_vec, matching=matching):
-            if exact_complementary(CyclicVector(u_vec), CyclicVector(v_vec), lam):
-                records.append(canonicalize_lp(
-                    u_vec, v_vec, lam, task=task.index, instances=matching))
-
-        if config.exhaustive_match:
-            us: list[tuple[int, ...]] = []
-            vs: list[tuple[int, ...]] = []
-            enumerate_matrices(inst_u, lambda m: us.append(tuple(theta_inv(m, ctx))))
-            enumerate_matrices(inst_v, lambda m: vs.append(tuple(theta_inv(m, ctx))))
-            for u_vec in us:
-                for v_vec in vs:
-                    emit(u_vec, v_vec)
-            continue
-
         swapped = n_v < n_u
         small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
-        for buckets in _bucket_chunks(small, ctx, zi, config):
-            def probe(mat, spec):
-                mu = spec[zi[0], zi[1]]
-                psd1 = mu.real * mu.real + mu.imag * mu.imag
-                base = int(round((lam - psd1) * scale))
-                probe_vec = None
-                for key in (base - 1, base, base + 1):
-                    hits = buckets.get(key)
-                    if not hits:
-                        continue
-                    if probe_vec is None:
-                        probe_vec = tuple(theta_inv(mat, ctx))
-                    for held in hits:
-                        if swapped:
-                            emit(probe_vec, held)
-                        else:
-                            emit(held, probe_vec)
+        for table in _held_tables(small, bits, ell, lam, config.max_bucket_memory):
+            def probe(x):
+                hits = table.get(half_paf(x, ell))
+                for held in hits or ():
+                    u, v = (x, held) if swapped else (held, x)
+                    records.append(canonicalize_lp(
+                        _vector(u, ell), _vector(v, ell), lam,
+                        task=task.index, instances=matching))
 
-            enumerate_with_spectrum(large, probe)
+            enumerate_masks(large, bits, probe)
     return records
 
 
@@ -301,11 +259,10 @@ def _validate_factors(length: int, d1: int, d2: int) -> None:
         raise ValueError("factors must both exceed 1")
 
 
-def _fingerprint(length, d1, d2, config: SearchConfig, expanded1, expanded2) -> str:
+def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
     doc = {
         "length": length,
         "factors": [d1, d2],
-        "config": list(config.result_fields()),
         "pairs1": [list(m) for p in expanded1 for m in p.members],
         "pairs2": [list(m) for p in expanded2 for m in p.members],
     }
@@ -328,17 +285,8 @@ def _record_from_doc(doc) -> LegendrePairRecord:
     )
 
 
-def _worker(payload):
-    length, d1, d2, cfg, index, members1, members2 = payload
-    ctx = CrtContext(d1, d2)
-    config = SearchConfig(
-        tolerance=cfg[0],
-        bucket_precision=cfg[1],
-        max_bucket_memory=cfg[2],
-        exhaustive_match=cfg[3],
-    )
-    task = SearchTask(index=index, members1=members1, members2=members2)
-    return index, run_task(task, ctx, config)
+def _worker(task: SearchTask, ctx: CrtContext, config: SearchConfig):
+    return task.index, run_task(task, ctx, config)
 
 
 class _Progress:
@@ -352,8 +300,18 @@ class _Progress:
         self.records: list[LegendrePairRecord] = []
         self._records_path = str(path) + ".records" if path else None
 
-    def resume(self) -> None:
-        if not self.path or not os.path.exists(self.path):
+    def start(self, resume: bool) -> None:
+        """Load the checkpoint when resuming one; otherwise start clean.
+
+        A fresh run removes any old checkpoint and empties the records
+        sidecar, so records of an earlier run can never be read back.
+        """
+        if not self.path:
+            return
+        if not (resume and os.path.exists(self.path)):
+            if os.path.exists(self.path):
+                os.remove(self.path)
+            open(self._records_path, "w").close()
             return
         cp = seqio.load_checkpoint(self.path)
         if cp.fingerprint != self.fingerprint:
@@ -363,7 +321,7 @@ class _Progress:
         if cp.n_tasks != self.n_tasks:
             raise ValueError("checkpoint task count mismatch; refusing to resume")
         self.completed = set(cp.completed)
-        if self._records_path and os.path.exists(self._records_path):
+        if os.path.exists(self._records_path):
             with open(self._records_path, "r+") as fh:
                 data = fh.read(cp.partial_offset)
                 fh.truncate(cp.partial_offset)
@@ -414,33 +372,28 @@ def run_search(length: int, d1: int, d2: int,
 
     Returns (records, summary).  The record list is sorted by canonical
     key and is identical for any worker count.  With a checkpoint path,
-    an interrupted run restarts from the last completed task; resuming
-    under a different configuration is refused.
+    a run with resume=True restarts from the last completed task and
+    refuses a checkpoint of different inputs (length, factor order or
+    compressed pairs); a run without resume starts from scratch.
     """
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
     lam = (length + 1) // 2
-    _, _, expanded1 = compressed_census(length, d1, config.tolerance)
-    _, _, expanded2 = compressed_census(length, d2, config.tolerance)
+    _, _, expanded1 = compressed_census(length, d1)
+    _, _, expanded2 = compressed_census(length, d2)
     tasks = build_tasks(expanded1, expanded2)
-    fingerprint = _fingerprint(length, d1, d2, config, expanded1, expanded2)
+    fingerprint = _fingerprint(length, d1, d2, expanded1, expanded2)
 
     progress = _Progress(fingerprint, len(tasks), config.checkpoint_path)
-    if resume:
-        progress.resume()
+    progress.start(resume)
     pending = [t for t in tasks if t.index not in progress.completed]
 
     def stop() -> bool:
         return config.stop_after is not None and len(progress.records) >= config.stop_after
 
     if config.threads > 1 and pending:
-        cfg = (config.tolerance, config.bucket_precision,
-               config.max_bucket_memory, config.exhaustive_match)
-        payloads = [
-            (length, d1, d2, cfg, t.index, t.members1, t.members2) for t in pending
-        ]
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(_worker, p) for p in payloads]
+            futures = [pool.submit(_worker, t, ctx, config) for t in pending]
             for future in as_completed(futures):
                 index, new_records = future.result()
                 progress.mark(index, new_records)

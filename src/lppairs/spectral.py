@@ -2,9 +2,10 @@
 
 The DFT is evaluated directly against precomputed root tables (lengths are
 small and never powers of two, so an FFT buys nothing).  Autocorrelations are
-exact integers; spectra are float and always guarded by a tolerance.  The
-screening discipline throughout the package is: cheap float PSD tests first,
-exact integer PAF confirmation second.
+exact integers; spectra are float and always guarded by a tolerance.  Float
+PSD tests only screen compressed candidates in the census; the search joins
+lifted vectors on exact integer PAF keys and confirms every hit with
+`exact_complementary`, so no result is ever accepted on a float.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from lppairs.bmfm import (
     MarginalInstance,
     count,
+    enumerate_masks,
     enumerate_matrices,
     enumerate_with_spectrum,
     feasible,
@@ -85,6 +86,31 @@ def test_enumerate_visits_each_solution_once():
     for rows in seen:
         assert tuple(sum(r) for r in rows) == inst.row_sums
         assert tuple(sum(c) for c in zip(*rows)) == inst.col_sums
+
+
+def test_visitor_returning_false_stops_enumeration():
+    inst = MarginalInstance([2, 2, 1, 2], [2, 1, 2, 2])
+    everything = solutions(inst)
+    seen = []
+
+    def visit(mat):
+        seen.append(mat)
+        return len(seen) < 3
+
+    assert enumerate_matrices(inst, visit) == 3
+    assert seen == everything[:3] and len(everything) > 3
+
+
+def test_masks_or_cell_bits_into_base():
+    inst = MarginalInstance([1, 2], [1, 1, 1])
+    bits = ((1, 2, 4), (8, 16, 32))
+    masks = []
+    assert enumerate_masks(inst, bits, masks.append, base=64) == count(inst)
+    expected = [
+        64 | sum(bits[i][j] for i in range(2) for j in range(3) if mat.rows[i][j])
+        for mat in solutions(inst)
+    ]
+    assert masks == expected
 
 
 def test_enumerate_with_spectrum_matches_direct_dft():

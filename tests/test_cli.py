@@ -1,18 +1,27 @@
 """Command-line behavior: output, file handling, exit codes."""
 
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
 from lppairs import seqio
-from lppairs.cli import main
+from lppairs.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _bundled_path() -> str:
+    from importlib import resources
+
+    return str(resources.files("lppairs.data") / "lp77.txt")
 
 
 def _fixture_pair():
-    from importlib import resources
-
-    path = resources.files("lppairs.data") / "lp77.txt"
-    return seqio.read_sequences(str(path))
+    return seqio.read_sequences(_bundled_path())
 
 
 def test_verify_bundled_fixture(capsys):
@@ -124,3 +133,66 @@ def test_oracle_subcommands(capsys):
 def test_oracle_caps_surface_as_usage_errors(capsys):
     assert main(["oracle", "lp", "--length", "23"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--length", "15", "--factors", "3,5", "--threads", "0"],
+    ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "-5"],
+    ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "0"],
+    ["search", "--length", "15", "--factors", "3,5", "--stop-after", "0"],
+    ["pairs", "--length", "15", "--delta", "5", "--tolerance", "-1"],
+])
+def test_out_of_range_options_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--tolerance", "1e-6"], ["--bucket-precision", "6"], ["--exhaustive-match"],
+])
+def test_search_has_no_float_matching_options(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--length", "15", "--factors", "3,5", *flag])
+    assert exc.value.code == 2
+
+
+# README examples too slow for the suite; they are parsed but not run.
+README_SLOW = {
+    "lp pairs --length 55 --delta 11 --expanded",
+    "lp search --length 55 --factors 5,11 --out lp55.jsonl --checkpoint lp55.ckpt",
+    "lp search --length 55 --factors 5,11 --out lp55.jsonl --checkpoint lp55.ckpt --resume",
+}
+# README examples whose documented outcome is a verified negative (exit 1).
+README_NEGATIVE = {"lp oracle feasible --rows 2,2 --cols 3,1"}
+
+
+def _readme_commands() -> list[list[str]]:
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            if line.startswith("lp "):
+                commands.append(shlex.split(line, comments=True))
+    return commands
+
+
+def test_readme_commands_parse_and_cheap_ones_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    joined = {" ".join(argv) for argv in commands}
+    assert len(commands) >= 15
+    assert README_SLOW <= joined and README_NEGATIVE <= joined
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
+
+    # run in README order, so `lp stats records.jsonl` reads the archive
+    # that the search example before it wrote
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(_bundled_path(), "pair.txt")
+    for argv in commands:
+        line = " ".join(argv)
+        if line not in README_SLOW:
+            assert main(argv[1:]) == (1 if line in README_NEGATIVE else 0), line
+    capsys.readouterr()
