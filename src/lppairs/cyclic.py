@@ -146,7 +146,8 @@ def multiplier_group(v) -> MultiplierGroup:
     members = []
     witnesses = []
     for g in units(n):
-        dv = tuple(decimate(v, g))
+        ginv = pow(g, -1, n)
+        dv = tuple([target[(ginv * i) % n] for i in range(n)])
         doubled = dv + dv
         for j in range(n):
             if doubled[n - j: 2 * n - j] == target:

@@ -9,7 +9,7 @@ inputs beyond its design size instead of silently taking hours.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, gcd
+from math import comb, cos, gcd, pi
 
 import numpy as np
 
@@ -17,6 +17,7 @@ MAX_LP_CHOOSE = 1_000_000
 MAX_BMFM_CELLS = 20
 MAX_FEASIBLE_DIMS = 24
 MAX_ORBIT_LENGTH = 35
+MAX_COMPOSITIONS = 1_000_000
 
 
 def _oracle_rotations(v: tuple[int, ...]):
@@ -105,6 +106,71 @@ def oracle_lp(ell: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
             for cb in canons_b:
                 keys.add((ca, cb) if ca <= cb else (cb, ca))
     return keys
+
+
+def _oracle_paf(v: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(v)
+    return tuple(sum(v[i] * v[(i + g) % n] for i in range(n)) for g in range(n))
+
+
+def oracle_candidates(delta: int, delta2: int, kappa: int, gamma: float,
+                      tolerance: float = 1e-6) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vector, PAF) of every compressed candidate class representative.
+
+    Enumerates all compositions of kappa into delta parts, keeps those with
+    parts at most delta2 whose PSD, summed directly from the PAF, stays
+    below gamma + tolerance at every nonzero frequency, and keeps each
+    survivor that is the smallest member of its shift+decimation orbit.
+    Sorted by vector.
+    """
+    if comb(kappa + delta - 1, delta - 1) > MAX_COMPOSITIONS:
+        raise ValueError(
+            f"oracle_candidates refuses {kappa} into {delta} parts: more than "
+            f"{MAX_COMPOSITIONS} compositions"
+        )
+    cosines = [
+        [cos(2 * pi * g * k / delta) for g in range(delta)] for k in range(1, delta)
+    ]
+    out = []
+    for bars in combinations(range(kappa + delta - 1), delta - 1):
+        edges = (-1,) + bars + (kappa + delta - 1,)
+        v = tuple(edges[i + 1] - edges[i] - 1 for i in range(delta))
+        if max(v) > delta2:
+            continue
+        paf = _oracle_paf(v)
+        if all(
+            sum(x * c for x, c in zip(paf, row)) < gamma + tolerance for row in cosines
+        ) and v == _oracle_canon(v):
+            out.append((v, paf))
+    return sorted(out)
+
+
+def relative_match_audit(candidates, lam: int, delta2: int) -> list[tuple]:
+    """Candidate pairs complementary only after decimating one member.
+
+    Returns (q, p, valid_decimations) triples where some decimation r makes
+    PAF(d_r(p)) the exact complement of PAF(q) but r = 1 does not.  An empty
+    audit means the representative-level join loses nothing.
+    """
+    cands = list(candidates)
+    if not cands:
+        return []
+    target = delta2 * lam
+    n = len(cands[0].paf)
+    unit_list = [r for r in range(n) if gcd(r, n) == 1]
+    out = []
+    for i, a in enumerate(cands):
+        complement = tuple(target - x for x in a.paf)
+        for b in cands[i:]:
+            # decimating a vector by r moves its PAF value at lag g to lag r*g
+            valid = [
+                r
+                for r in unit_list
+                if _oracle_decimate(b.paf, r)[1:] == complement[1:]
+            ]
+            if valid and 1 not in valid:
+                out.append((a, b, tuple(valid)))
+    return out
 
 
 def oracle_bmfm(row_sums, col_sums):

@@ -9,11 +9,17 @@ then expanded by the PSD-preserving decimations of its second member, which
 is what downstream simultaneous decompression needs in order not to miss
 solutions.
 
-The composition walk prunes on two necessary conditions: every later entry is
-at least the first (true of any lexicographically minimal rotation), and the
-partial sum of squares cannot exceed the ceiling implied by the PSD bound
-(delta * sum q^2 = kappa^2 + sum of off-peak PSD values < kappa^2 +
-(delta-1) * gamma).
+Candidates come from a walk over compositions in three stages.  A Python
+prefix walk fixes all but the last few entries and prunes on two necessary
+conditions: every later entry is at least the first (true of any
+lexicographically minimal rotation), and the sum of squares cannot exceed
+the ceiling implied by the PSD bound (delta * sum q^2 = kappa^2 + sum of
+off-peak PSD values < kappa^2 + (delta-1) * gamma).  Each prefix is completed
+from a cached tail table, all tails grouped by sum and sorted by sum of
+squares, so one binary search yields exactly the tails within the ceiling.
+The complete vectors are screened in numpy batches: rotation minimality,
+the half-lag PAF, the PSD bound, and finally minimality within the
+decimation class.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ from math import cos, floor, pi
 
 import numpy as np
 
-from .cyclic import CyclicVector, MultiplierGroup, _min_rotation, multiplier_group, units
+from .cyclic import CyclicVector, MultiplierGroup, multiplier_group, units
 from .errors import InvariantViolation
 from .spectral import paf_psd
+
+_TAIL = 5      # trailing entries taken from a tail table instead of walked
+_BATCH = 4096  # most vectors screened together
 
 
 @dataclass(frozen=True)
@@ -41,10 +50,6 @@ class CompressedCandidate:
     @property
     def delta(self) -> int:
         return len(self.vector)
-
-    @property
-    def paf_offpeak(self) -> tuple[int, ...]:
-        return self.paf[1:]
 
     @property
     def psd(self) -> np.ndarray:
@@ -97,12 +102,59 @@ def _full_paf(ssq: int, half: tuple[int, ...], delta: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cos_table(delta: int) -> tuple[tuple[float, ...], ...]:
+def _cos_table(delta: int) -> np.ndarray:
+    """Row k, column g - 1: 2 cos(2 pi g k / delta), for k, g in 1..(delta-1)/2."""
     half = (delta - 1) // 2
-    return tuple(
-        tuple(2.0 * cos(2.0 * pi * g * k / delta) for g in range(1, half + 1))
+    return np.array([
+        [2.0 * cos(2.0 * pi * g * k / delta) for g in range(1, half + 1)]
         for k in range(1, half + 1)
-    )
+    ], dtype=np.float64).reshape(half, half)
+
+
+def _tail_table(t: int, low: int, delta2: int):
+    """Every length-t tail with entries in low..delta2, grouped by sum.
+
+    Returns (tails, ssq, starts): the tails summing to s are
+    tails[starts[s - t*low] : starts[s - t*low + 1]], in ascending order of
+    their sums of squares ssq.
+    """
+    width = delta2 - low + 1
+    codes = np.arange(width ** t, dtype=np.int64)
+    tails = np.empty((width ** t, t), dtype=np.int64)
+    for i in range(t - 1, -1, -1):
+        codes, tails[:, i] = np.divmod(codes, width)
+    tails += low
+    sums = tails.sum(axis=1)
+    ssq = (tails * tails).sum(axis=1)
+    order = np.argsort(sums * (t * delta2 * delta2 + 1) + ssq, kind="stable")
+    starts = np.searchsorted(sums[order], np.arange(t * low, t * delta2 + 2))
+    return tails[order], ssq[order], starts.tolist()
+
+
+def _rotation_below(rows: np.ndarray, ref: np.ndarray, base: int) -> np.ndarray:
+    """Per row: is some rotation of rows[i] lexicographically below ref[i]?
+
+    Entries lie in 0..base-1.  Rows compare as base-`base` int64 numbers when
+    those fit, else column by column at the first difference.
+    """
+    delta = rows.shape[1]
+    below = np.zeros(len(rows), dtype=bool)
+    if base ** delta < 2 ** 63:
+        powers = base ** np.arange(delta - 1, -1, -1, dtype=np.int64)
+        code, ref_code = rows @ powers, ref @ powers
+        for t in range(delta):
+            head, rotated = np.divmod(code, base ** (delta - t))
+            rotated *= base ** t
+            rotated += head
+            below |= rotated < ref_code
+        return below
+    index = np.arange(len(rows))
+    for t in range(delta):
+        rotated = np.roll(rows, -t, axis=1)
+        differs = rotated != ref
+        first = differs.argmax(axis=1)
+        below |= differs[index, first] & (rotated[index, first] < ref[index, first])
+    return below
 
 
 def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
@@ -112,6 +164,14 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
     Yields one CompressedCandidate per decimation class of vectors with
     entries in 0..delta2 and sum kappa that pass the off-peak PSD test
     against gamma.
+
+    The prefix walk fixes entries 0..delta-t-1 (t = min(_TAIL, delta-1));
+    the tail table supplies every completion with entries at least the
+    first and sum of squares within the PSD ceiling.  The resulting vectors
+    are screened in batches of at most _BATCH rows: minimal rotation,
+    half-lag PAF, PSD below gamma + tolerance (summed lag by lag in float64,
+    the order of the scalar formula), then class minimality under
+    decimation, so only class representatives are ever held.
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"candidate length must be odd, got {delta}")
@@ -124,70 +184,80 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
     ssq_max = floor((kappa * kappa + (delta - 1) * (gamma + tolerance)) / delta)
     ctable = _cos_table(delta)
     gamma_cut = gamma + tolerance
+    radix = delta2 + 1
+    t = min(_TAIL, delta - 1)
+    stop = delta - t
+    decimations = np.array([
+        [(pow(k, -1, delta) * g) % delta for g in range(delta)]
+        for k in units(delta) if k != 1 % delta
+    ], dtype=np.intp).reshape(-1, delta)
 
-    survivors: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    prefix = [0] * delta
+    tables: dict[int, tuple] = {}  # tail tables by lowest entry
+    reps: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+    batch = np.empty((_BATCH, delta), dtype=np.int64)
+    filled = 0
+    prefix = [0] * stop
+
+    def screen(rows: np.ndarray):
+        rows = rows[~_rotation_below(rows, rows, radix)]
+        ssq = (rows * rows).sum(axis=1)
+        pafs = np.empty((len(rows), half), dtype=np.int64)
+        for g in range(1, half + 1):
+            pafs[:, g - 1] = (rows * np.roll(rows, -g, axis=1)).sum(axis=1)
+        values = np.empty((len(rows), half), dtype=np.float64)
+        values[:] = ssq[:, None]
+        for g in range(half):
+            values += pafs[:, g, None] * ctable[:, g]
+        keep = (values < gamma_cut).all(axis=1)
+        rows, ssq, pafs = rows[keep], ssq[keep], pafs[keep]
+        images = rows[:, decimations].reshape(-1, delta)
+        outside = _rotation_below(images, np.repeat(rows, len(decimations), axis=0), radix)
+        keep = ~outside.reshape(len(rows), len(decimations)).any(axis=1)
+        reps.extend(zip(
+            map(tuple, rows[keep].tolist()),
+            ssq[keep].tolist(),
+            map(tuple, pafs[keep].tolist()),
+        ))
+
+    def complete(remaining: int, ssq: int, low: int):
+        nonlocal filled
+        if not t * low <= remaining <= t * delta2:
+            return
+        if low not in tables:
+            tables[low] = _tail_table(t, low, delta2)
+        tails, tail_ssq, starts = tables[low]
+        a, b = starts[remaining - t * low], starts[remaining - t * low + 1]
+        b = a + int(np.searchsorted(tail_ssq[a:b], ssq_max - ssq, side="right"))
+        while a < b:
+            k = min(b - a, _BATCH - filled)
+            batch[filled:filled + k, :stop] = prefix
+            batch[filled:filled + k, stop:] = tails[a:a + k]
+            filled += k
+            a += k
+            if filled == _BATCH:
+                screen(batch)
+                filled = 0
 
     def descend(pos: int, remaining: int, ssq: int, low: int):
-        slots = delta - pos
-        if slots == 0:
-            if remaining == 0:
-                _leaf(tuple(prefix), ssq)
+        if pos == stop:
+            complete(remaining, ssq, low)
             return
+        slots = delta - pos
         if not slots * low <= remaining <= slots * delta2:
             return
         base, extra = divmod(remaining, slots)
         if ssq + (slots - extra) * base * base + extra * (base + 1) ** 2 > ssq_max:
-            return
-        if slots == 1:
-            prefix[pos] = remaining
-            _leaf(tuple(prefix), ssq + remaining * remaining)
             return
         hi = min(delta2, remaining - (slots - 1) * low)
         for x in range(low, hi + 1):
             prefix[pos] = x
             descend(pos + 1, remaining - x, ssq + x * x, low)
 
-    def _leaf(vec: tuple[int, ...], ssq: int):
-        low = vec[0]
-        doubled = vec + vec
-        for t in range(1, delta):
-            if doubled[t] == low and doubled[t: t + delta] < vec:
-                return
-        half_paf = tuple(
-            sum(vec[i] * doubled[i + g] for i in range(delta))
-            for g in range(1, half + 1)
-        )
-        for row in ctable:
-            value = ssq
-            for c, pval in zip(row, half_paf):
-                value += c * pval
-            if value >= gamma_cut:
-                return
-        survivors.append((vec, ssq, half_paf))
-
     for q0 in range(0, min(delta2, kappa // delta) + 1):
         prefix[0] = q0
         descend(1, kappa - q0, q0 * q0, q0)
+    screen(batch[:filled])
 
-    unit_list = units(delta)
-    inverses = {k: pow(k, -1, delta) for k in unit_list if delta > 1}
-
-    def is_class_canon(vec: tuple[int, ...]) -> bool:
-        for k in unit_list:
-            if k == 1 % delta:
-                continue
-            kinv = inverses[k]
-            dv = tuple(vec[(kinv * g) % delta] for g in range(delta))
-            if _min_rotation(dv)[0] < vec:
-                return False
-        return True
-
-    reps = [
-        (vec, ssq, half_paf)
-        for vec, ssq, half_paf in survivors
-        if is_class_canon(vec)
-    ]
     reps.sort()
     for vec, ssq, half_paf in reps:
         yield CompressedCandidate(
@@ -198,23 +268,25 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
         )
 
 
+@lru_cache(maxsize=None)
+def _lag_order(n: int, s_inv: int) -> tuple[int, ...]:
+    return tuple((s_inv * g) % n for g in range(n))
+
+
 def _permuted_paf(paf: tuple[int, ...], s_inv: int) -> tuple[int, ...]:
     """The autocorrelation of the s-decimated vector: lag g reads lag s^-1*g."""
-    n = len(paf)
-    return tuple(paf[(s_inv * g) % n] for g in range(n))
+    return tuple(map(paf.__getitem__, _lag_order(len(paf), s_inv)))
 
 
 def psd_equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
     """Non-multiplier decimations that leave the PSD (hence PAF) unchanged."""
     delta = candidate.delta
+    paf = candidate.paf
+    preserving = [s for s in units(delta) if _permuted_paf(paf, pow(s, -1, delta)) == paf]
+    if len(preserving) == 1:
+        return ()  # the identity alone, which is always a multiplier
     members = candidate.multipliers.members
-    out = []
-    for s in units(delta):
-        if s in members:
-            continue
-        if _permuted_paf(candidate.paf, pow(s, -1, delta)) == candidate.paf:
-            out.append(s)
-    return tuple(out)
+    return tuple(s for s in preserving if s not in members)
 
 
 def match_pairs(candidates, lam: int, delta2: int, gamma: float,
@@ -241,6 +313,16 @@ def match_pairs(candidates, lam: int, delta2: int, gamma: float,
 
     def paf_class_key(paf: tuple[int, ...]) -> tuple[int, ...]:
         return min(_permuted_paf(paf, r)[1:] for r in unit_list)
+
+    equiv: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def equiv_of(c: CompressedCandidate) -> tuple[int, ...]:
+        # PAF-preserving and multiplier decimations are the same sets for
+        # every member of a class, so the representative's answer serves p too
+        key = tuple(c.vector)
+        if key not in equiv:
+            equiv[key] = psd_equiv_decimations(c)
+        return equiv[key]
 
     buckets: dict[tuple[int, ...], list[CompressedCandidate]] = {}
     for c in cands:
@@ -276,7 +358,9 @@ def match_pairs(candidates, lam: int, delta2: int, gamma: float,
                     "bucket join produced a pair with no aligning decimation"
                 )
             r = min(valid)
-            pairs.append(_build_pair(q, other, r, lam, gamma, tolerance))
+            pairs.append(_build_pair(
+                q, other, r, lam, gamma, tolerance, equiv_of(q), equiv_of(other)
+            ))
     pairs.sort(key=lambda pr: pr.key)
     return pairs
 
@@ -295,7 +379,7 @@ def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
     )
 
 
-def _build_pair(q, p_class, r, lam, gamma, tolerance) -> CompressedPair:
+def _build_pair(q, p_class, r, lam, gamma, tolerance, s_q, s_p) -> CompressedPair:
     delta = q.delta
     delta2 = q.delta2
     if p_class.delta != delta or p_class.delta2 != delta2 or p_class.kappa != q.kappa:
@@ -325,8 +409,8 @@ def _build_pair(q, p_class, r, lam, gamma, tolerance) -> CompressedPair:
         r=r,
         lam=lam,
         gamma=gamma,
-        s_q=psd_equiv_decimations(q),
-        s_p=psd_equiv_decimations(p),
+        s_q=s_q,
+        s_p=s_p,
     )
 
 
@@ -349,32 +433,4 @@ def expand_pairs(pairs) -> list[CompressedPair]:
                     p=_decimated_candidate(pair.p, s),
                     r=(s * pair.r) % delta,
                 ))
-    return out
-
-
-def relative_match_audit(candidates, lam: int, delta2: int) -> list[tuple]:
-    """Candidate pairs complementary only after decimating one member.
-
-    Returns (q, p, valid_decimations) triples where some decimation r makes
-    PAF(d_r(p)) the exact complement of PAF(q) but r = 1 does not.  An empty
-    audit means the representative-level join loses nothing.
-    """
-    cands = list(candidates)
-    if not cands:
-        return []
-    delta = cands[0].delta
-    target = delta2 * lam
-    unit_list = units(delta)
-    inverses = {r: pow(r, -1, delta) for r in unit_list}
-    out = []
-    for i, a in enumerate(cands):
-        complement = tuple(target - x for x in a.paf)
-        for b in cands[i:]:
-            valid = [
-                r
-                for r in unit_list
-                if _permuted_paf(b.paf, inverses[r])[1:] == complement[1:]
-            ]
-            if valid and 1 not in valid:
-                out.append((a, b, tuple(valid)))
     return out
