@@ -1,17 +1,21 @@
 """Binary matrices with fixed marginals: feasibility, counting, enumeration.
 
-An instance is a pair of marginal vectors (row sums, column sums).  The
-solver fathoms subproblems with the Gale-Ryser condition, propagates forced
-all-zero / all-one rows and columns to a fixed point, and then branches on
-the row or column admitting the fewest completions.  Branch vectors are
-generated in colexicographic rank order, so the enumeration order is
-deterministic and independent of platform.
+An instance is a pair of marginal vectors (row sums, column sums).
+Feasibility is the Gale-Ryser condition; `count` peels rows in a memoized
+recursion over the sorted marginals.
 
-Every leaf is an integer mask: each committed row or column ORs in the
-precomputed bits of its cells.  `enumerate_masks` hands out the mask
-itself; with CRT cell bits that mask is the binary vector of the CRT
-reshape (bit g holds v_g), which is what the search keys on.
-`enumerate_matrices` decodes row-major masks into `BinaryMatrix` leaves.
+Enumeration fills whole arrays of partial matrices one line at a time.  The
+lines are the rows or the columns, whichever are more numerous, so a 3 x 11
+instance is filled as 11 lines of 3 cells.  A frontier holds each partial
+matrix's mask words and the unsigned sums its line positions still need;
+committing a line of sum r subtracts all its r-subsets at once, `need - T`,
+and keeps the children whose needs stay within 0..lines left.  The last
+line is forced.  Frontiers are expanded depth first in slices, so memory
+is bounded, and leaves come in the lexicographic order of the line choices.
+
+A leaf's mask ORs together the bits of its 1-cells; with CRT cell bits it
+is the reshaped binary vector itself (bit g holds v_g), which is what the
+search keys on.  `enumerate_matrices` decodes row-major masks instead.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .compress import BinaryMatrix
 from .spectral import two_dim_dft
@@ -95,14 +101,6 @@ def feasible(inst: MarginalInstance) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _colex_subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """k-subsets of {0..n-1} in colexicographic rank order."""
-    return tuple(
-        sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
-    )
-
-
-@lru_cache(maxsize=None)
 def _count_sorted(q: tuple[int, ...], p: tuple[int, ...]) -> int:
     # q, p sorted descending; counts depend only on the marginal multisets.
     if not q:
@@ -137,129 +135,79 @@ def count(inst: MarginalInstance) -> int:
     return _count_sorted(q, p)
 
 
-class _Engine:
-    """Shared enumeration core; visits each leaf as an integer mask.
+_CHUNK = 1 << 14  # the most partial matrices one expansion step builds
+_WORD = (1 << 64) - 1
 
-    `bits[i][j]` is the bit that cell (i, j) contributes; a leaf's mask is
-    `base` OR-ed with the bits of its 1-cells.  The callback receives that
-    int; returning False stops the search.
+
+@lru_cache(maxsize=None)
+def _subset_table(n: int, r: int) -> np.ndarray:
+    """0/1 indicator rows of the r-subsets of {0..n-1}, in lexicographic order."""
+    table = np.zeros((comb(n, r), n), dtype=np.uint8)
+    for s, subset in enumerate(itertools.combinations(range(n), r)):
+        table[s, list(subset)] = 1
+    return table
+
+
+def _words(x: int, width: int) -> list[int]:
+    return [(x >> (64 * k)) & _WORD for k in range(width)]
+
+
+def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
+    """Yield the masks of all solutions as (N, W) uint64 arrays.
+
+    A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
+    W little-endian 64-bit words.  Memory is bounded by `_CHUNK` partial
+    matrices per line, whatever the instance.
     """
+    if not feasible(inst):
+        return
+    m, n = inst.n_rows, inst.n_cols
+    if m >= n:
+        sums, needs = inst.row_sums, inst.col_sums
+        lines = [tuple(bits[i][j] for j in range(n)) for i in range(m)]
+    else:
+        sums, needs = inst.col_sums, inst.row_sums
+        lines = [tuple(bits[i][j] for i in range(m)) for j in range(n)]
+    top = max([base] + [b for line in lines for b in line]).bit_length()
+    width = max(1, -(-top // 64))
+    steps = [_line_step(line, r, width) for line, r in zip(lines[:-1], sums[:-1])]
+    mask = np.array([_words(base, width)], dtype=np.uint64)
+    need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
+    yield from _expand(steps, _cell_words(lines[-1], width), mask, need)
 
-    def __init__(self, inst: MarginalInstance, bits, leaf):
-        self.inst = inst
-        self.bits = bits
-        self.leaf = leaf
-        self.visited = 0
-        self.stopped = False
 
-    def run(self, base: int = 0) -> int:
-        if not _well_formed(self.inst):
-            return 0
-        self._rec(
-            list(range(self.inst.n_rows)),
-            list(range(self.inst.n_cols)),
-            list(self.inst.row_sums),
-            list(self.inst.col_sums),
-            base,
-        )
-        return self.visited
+@lru_cache(maxsize=None)
+def _cell_words(line: tuple[int, ...], width: int) -> np.ndarray:
+    return np.array([_words(b, width) for b in line], dtype=np.uint64)
 
-    def _rec(self, arows, acols, rneed, cneed, mask):
-        if self.stopped:
-            return
-        if not _gale_ryser(
-            [rneed[i] for i in arows],
-            [cneed[j] for j in acols],
-            len(acols),
-            len(arows),
-        ):
-            return
-        arows = list(arows)
-        acols = list(acols)
-        rneed = list(rneed)
-        cneed = list(cneed)
-        bits = self.bits
 
-        # Propagate forced rows/columns (all zeros or all ones) to a fixed point.
-        changed = True
-        while changed:
-            changed = False
-            for i in list(arows):
-                need = rneed[i]
-                if need == 0:
-                    arows.remove(i)
-                    changed = True
-                elif need == len(acols):
-                    for j in acols:
-                        mask |= bits[i][j]
-                        cneed[j] -= 1
-                        if cneed[j] < 0:
-                            return
-                    rneed[i] = 0
-                    arows.remove(i)
-                    changed = True
-            for j in list(acols):
-                need = cneed[j]
-                if need == 0:
-                    acols.remove(j)
-                    changed = True
-                elif need == len(arows):
-                    for i in arows:
-                        mask |= bits[i][j]
-                        rneed[i] -= 1
-                        if rneed[i] < 0:
-                            return
-                    cneed[j] = 0
-                    acols.remove(j)
-                    changed = True
+@lru_cache(maxsize=None)
+def _line_step(line: tuple[int, ...], r: int, width: int):
+    """For a line of sum r: its r-subsets as (position, 1, subset) 0/1
+    entries, and the mask words of each subset."""
+    table = _subset_table(len(line), r)
+    words = np.bitwise_or.reduce(np.where(table[:, :, None] == 1, _cell_words(line, width), 0), axis=1)
+    return np.ascontiguousarray(table.T[:, None, :]), words
 
-        if not arows and not acols:
-            self.visited += 1
-            if self.leaf(mask) is False:
-                self.stopped = True
-        else:
-            self._branch(arows, acols, rneed, cneed, mask)
 
-    def _branch(self, arows, acols, rneed, cneed, mask):
-        # Fewest admissible completions first; rows win ties, then lowest index.
-        best = None
-        for i in arows:
-            key = (comb(len(acols), rneed[i]), 0, i)
-            if best is None or key < best:
-                best = key
-        for j in acols:
-            key = (comb(len(arows), cneed[j]), 1, j)
-            if best is None or key < best:
-                best = key
-        _, kind, idx = best
-
-        if kind == 0:
-            child_rows = [r for r in arows if r != idx]
-            row_bits = self.bits[idx]
-            for subset in _colex_subsets(len(acols), rneed[idx]):
-                cols = [acols[t] for t in subset]
-                child = mask
-                for j in cols:
-                    child |= row_bits[j]
-                    cneed[j] -= 1
-                self._rec(child_rows, acols, rneed, cneed, child)
-                for j in cols:
-                    cneed[j] += 1
-                if self.stopped:
-                    return
-        else:
-            child_cols = [c for c in acols if c != idx]
-            for subset in _colex_subsets(len(arows), cneed[idx]):
-                rows = [arows[t] for t in subset]
-                child = mask
-                for i in rows:
-                    child |= self.bits[i][idx]
-                    rneed[i] -= 1
-                self._rec(arows, child_cols, rneed, cneed, child)
-                for i in rows:
-                    rneed[i] += 1
-                if self.stopped:
-                    return
+def _expand(steps, last, mask, need):
+    """Commit the next line for every partial matrix (mask rows, need
+    columns), a slice of parents at a time, and recurse; the last line
+    takes exactly the positions still owing 1."""
+    if not steps:
+        for cell, owed in zip(last, need):
+            mask |= np.where(owed[:, None] == 1, cell, 0)
+        yield mask
+        return
+    (table, words), rest = steps[0], steps[1:]
+    left = len(rest) + 1
+    per = max(1, _CHUNK // table.shape[2])
+    for lo in range(0, len(mask), per):
+        # needs are unsigned: one that would go negative wraps past every bound
+        child = need[:, lo:lo + per, None] - table
+        parent, pick = np.nonzero(child.max(axis=0) <= left)
+        if len(parent):
+            yield from _expand(rest, last, mask[lo + parent] | words[pick], child[:, parent, pick])
 
 
 def enumerate_masks(inst: MarginalInstance, bits, visitor, base: int = 0) -> int:
@@ -268,9 +216,16 @@ def enumerate_masks(inst: MarginalInstance, bits, visitor, base: int = 0) -> int
     The int is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), so
     with CRT cell bits (`CrtContext.cell_bits`) it is the reshaped binary
     vector itself, bit g holding v_g.  The visitor may return False to
-    stop early.  Leaves come in the same order as `enumerate_matrices`.
+    stop early.  Leaves come in the same order as `enumerate_matrices`:
+    the order depends on the instance, never on the bits.
     """
-    return _Engine(inst, bits, visitor).run(base)
+    visited = 0
+    for chunk in _leaf_chunks(inst, bits, base):
+        for row in chunk.astype("<u8"):
+            visited += 1
+            if visitor(int.from_bytes(row.tobytes(), "little")) is False:
+                return visited
+    return visited
 
 
 @lru_cache(maxsize=None)

@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", required=True, help="coprime factor pair, e.g. 7,11")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--max-bucket-memory", type=int, default=2_000_000,
-                   help="most matrices held at once; larger sides are split by first row")
+                   help="most matrices held at once; larger sides are held in slices")
     p.add_argument("--stop-after", type=int, default=None,
                    help="stop once this many records have been collected")
     p.add_argument("--checkpoint", default=None)

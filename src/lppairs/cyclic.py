@@ -14,6 +14,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
+import numpy as np
+
 
 class CyclicVector(tuple):
     """An integer vector indexed by Z_n.  Immutable, hashable, compares as a tuple."""
@@ -97,6 +99,17 @@ def necklace_canon(v) -> tuple[CyclicVector, int]:
     return CyclicVector(best), j
 
 
+@lru_cache(maxsize=None)
+def _orbit_table(n: int) -> np.ndarray:
+    """Row (k, j), in (unit, shift) order: the positions of v that
+    shift(decimate(v, k), j) reads, entry g being v_{k^-1 (g - j)}."""
+    rows = []
+    for k in units(n):
+        kinv = pow(k, -1, n)
+        rows += [[(kinv * (g - j)) % n for g in range(n)] for j in range(n)]
+    return np.array(rows, dtype=np.intp)
+
+
 def decimation_canon(v) -> tuple[CyclicVector, tuple[int, int]]:
     """Lexicographically smallest member of the shift+decimation orbit of v.
 
@@ -105,15 +118,17 @@ def decimation_canon(v) -> tuple[CyclicVector, tuple[int, int]]:
     """
     v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
-    best = None
-    witness = (0, 1)
-    for k in units(n):
-        dv = tuple(decimate(v, k))
-        cand, j = _min_rotation(dv)
-        if best is None or cand < best:
-            best = cand
-            witness = (j, k)
-    return CyclicVector(best), witness
+    orbit = np.asarray(v)[_orbit_table(n)]
+    # keep the rows holding the smallest entry, column by column; the
+    # survivors stay in (unit, shift) order
+    alive = np.arange(len(orbit))
+    for g in range(n):
+        column = orbit[alive, g]
+        alive = alive[column == column.min()]
+        if len(alive) == 1:
+            break
+    first = int(alive[0])
+    return CyclicVector(orbit[first].tolist()), (first % n, units(n)[first // n])
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,15 @@
 
 The pipeline: generate compressed complementary pairs for both factors,
 combine every delta1-pair with every delta2-pair into a task carrying four
-marginal instances, enumerate each instance's binary matrices straight into
-integer masks of the reshaped vectors, and join the two sides of each
-cross-matching on exact integer keys.  The join is match-by-sorting
-(Fletcher, Gysin and Seberry) made exact: the side with fewer matrices is
-held in a dict keyed by lam - PAF(u, g) over the half lags
-g = 1..(l-1)/2, and the other side streams past and looks up its own
-PAF(v, g).  By PAF symmetry a hit is exactly a complementary pair, so no
-float and no neighbour probe is involved; every hit is still confirmed by
-the exact test before it becomes a record.
+marginal instances, enumerate each instance's binary matrices as arrays of
+uint64 mask words (bit g is v_g of the reshaped vector), and join the two
+sides of each cross-matching by sorting (Fletcher, Gysin and Seberry),
+kept exact.  The held side's keys lam - PAF(u, g) over the half lags
+g = 1..(l-1)/2 are sorted once by a uint64 print; the streamed side's
+PAF(v, g) prints are located by binary search, and a hit counts only when
+the full keys agree.  By PAF symmetry a hit is exactly a complementary
+pair; every hit is still confirmed by the exact test before it becomes a
+record.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
 forms and sorted, which makes the final archive independent of worker count
@@ -26,8 +26,10 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from . import seqio
-from .bmfm import MarginalInstance, _colex_subsets, count, enumerate_masks
+from .bmfm import MarginalInstance, _leaf_chunks, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
 from .compress import CrtContext
 from .cyclic import CyclicVector, decimation_canon
@@ -94,6 +96,7 @@ class LegendrePairRecord:
 
 # the two cross-matchings of the four instances: (u-instance, v-instance)
 _MATCHINGS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+_PRINT_BASE = 0x9E3779B97F4A7C15  # odd, so every key weight is odd
 
 
 def correlation_energy(v) -> int:
@@ -162,61 +165,93 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-def half_paf(x: int, ell: int) -> tuple[int, ...]:
-    """PAF(v, g) for g = 1..(ell-1)/2 of the vector whose bit g is v_g.
+def _rotation(d: np.ndarray, g: int, w: int) -> np.ndarray:
+    """The low w words of d >> g.  With d = x | x << ell (plus a spare top
+    word), that is x rotated by g: bit i holds bit i + g mod ell of x, and
+    bits at or above ell are junk."""
+    q, r = divmod(g, 64)
+    return (d[:, q:q + w] >> r) | ((d[:, q + 1:q + 1 + w] << 1) << (63 - r))
 
-    PAF(v, g) = PAF(v, ell - g), so these lags determine the whole PAF.
+
+def _paf_keys(x: np.ndarray, ell: int) -> np.ndarray:
+    """(N, (ell-1)/2) uint8: PAF(v, g) for g = 1..(ell-1)/2 of each row's vector.
+
+    Row i of x holds the uint64 words of a vector whose bit g is v_g.
+    PAF(v, g) is popcount(x & rot(x, g)), summed over the words; since
+    PAF(v, g) = PAF(v, ell - g), these lags determine the whole PAF.
     """
-    doubled = x | (x << ell)
-    return tuple([(x & (doubled >> g)).bit_count() for g in range(1, (ell + 1) // 2)])
+    n, w = x.shape
+    q, r = divmod(ell, 64)
+    d = np.zeros((n, q + 1 + w), dtype=np.uint64)
+    d[:, :w] = x
+    d[:, q:q + w] |= x << r
+    d[:, q + 1:q + 1 + w] |= (x >> 1) >> (63 - r)
+    counts = np.empty(((ell - 1) // 2, n, w), dtype=np.uint8)
+    for g in range(1, (ell + 1) // 2):
+        np.bitwise_count(x & _rotation(d, g, w), out=counts[g - 1])
+    return counts.sum(axis=2, dtype=np.uint8).T
 
 
-def _vector(x: int, ell: int) -> tuple[int, ...]:
-    return tuple((x >> g) & 1 for g in range(ell))
+def _key_prints(keys: np.ndarray) -> np.ndarray:
+    """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints."""
+    weights = np.full(keys.shape[1], _PRINT_BASE, dtype=np.uint64).cumprod()
+    return keys.astype(np.uint64) @ weights
 
 
-def _held_tables(inst: MarginalInstance, bits, ell: int, lam: int, cap: int, base: int = 0):
-    """Yield {lam - half_paf: [mask, ...]} tables covering all solutions.
+def _join(held: np.ndarray, streamed, ell: int, lam: int):
+    """Yield (u, v) word rows, u from held and v from the streamed chunks,
+    with PAF(u, g) + PAF(v, g) = lam at every lag g != 0.
 
-    When the solution count exceeds the memory cap, the enumeration is
-    partitioned by fixing the first row to each of its possible contents
-    (prefix splitting, recursively) and each partition is yielded
-    separately; nothing is ever dropped.
+    The held keys lam - PAF(u) are sorted once by print and each chunk's
+    prints are located with searchsorted; a hit counts only when the full
+    keys agree, so a collision costs time and never makes or loses a pair.
     """
-    n = count(inst)
-    if n == 0:
-        return
-    if n <= cap or inst.n_rows == 1:
-        table: dict[tuple[int, ...], list[int]] = {}
+    want = lam - _paf_keys(held, ell)
+    prints = _key_prints(want)
+    order = np.argsort(prints, kind="stable")
+    prints = prints[order]
+    for chunk in streamed:
+        keys = _paf_keys(chunk, ell)
+        probe = _key_prints(keys)
+        lo = np.searchsorted(prints, probe, "left")
+        hi = np.searchsorted(prints, probe, "right")
+        for s in np.flatnonzero(lo < hi):
+            for h in order[lo[s]:hi[s]]:
+                if np.array_equal(want[h], keys[s]):
+                    yield held[h], chunk[s]
 
-        def hold(x):
-            key = tuple([lam - p for p in half_paf(x, ell)])
-            table.setdefault(key, []).append(x)
 
-        enumerate_masks(inst, bits, hold, base)
-        yield table
-        return
-    rows, cols = inst.row_sums, inst.col_sums
-    for subset in _colex_subsets(len(cols), rows[0]):
-        reduced = list(cols)
-        row_mask = base
-        for c in subset:
-            reduced[c] -= 1
-            row_mask |= bits[0][c]
-        if min(reduced) >= 0:
-            yield from _held_tables(
-                MarginalInstance(rows[1:], reduced), bits[1:], ell, lam, cap, row_mask
-            )
+def _held_slices(inst: MarginalInstance, bits, cap: int):
+    """The instance's leaves as mask arrays of at most cap rows each."""
+    pending, size = [], 0
+    for chunk in _leaf_chunks(inst, bits):
+        while len(chunk):
+            take = cap - size
+            pending.append(chunk[:take])
+            size, chunk = size + len(pending[-1]), chunk[take:]
+            if size == cap:
+                yield np.concatenate(pending)
+                pending, size = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _vector(words: np.ndarray, ell: int) -> tuple[int, ...]:
+    """The 0/1 entries v_0..v_{ell-1} of one row of mask words."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return tuple(bits[:ell].tolist())
 
 
 def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[LegendrePairRecord]:
     """All Legendre pairs discoverable from one pair combination.
 
     For each of the two cross-matchings, the instance with fewer solutions
-    is held in tables keyed by lam - half_paf(u); the other instance
-    streams its solutions and looks up half_paf(v).  A hit satisfies
-    PAF(u, g) + PAF(v, g) = lam at every nonzero lag; canonicalize_lp
-    confirms it with the exact test before the record is kept.
+    is held, in slices of at most `max_bucket_memory` masks, keyed by
+    lam - PAF(u, g) over the half lags; the other instance streams its
+    masks past each slice in chunks and is matched by sorting (see
+    `_join`).  A hit satisfies PAF(u, g) + PAF(v, g) = lam at every
+    nonzero lag; canonicalize_lp confirms it with the exact test before
+    the record is kept.
     """
     ell = ctx.ell
     lam = (ell + 1) // 2
@@ -231,16 +266,12 @@ def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[Le
             continue
         swapped = n_v < n_u
         small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
-        for table in _held_tables(small, bits, ell, lam, config.max_bucket_memory):
-            def probe(x):
-                hits = table.get(half_paf(x, ell))
-                for held in hits or ():
-                    u, v = (x, held) if swapped else (held, x)
-                    records.append(canonicalize_lp(
-                        _vector(u, ell), _vector(v, ell), lam,
-                        task=task.index, instances=matching))
-
-            enumerate_masks(large, bits, probe)
+        for held in _held_slices(small, bits, config.max_bucket_memory):
+            for x, y in _join(held, _leaf_chunks(large, bits), ell, lam):
+                u, v = (y, x) if swapped else (x, y)
+                records.append(canonicalize_lp(
+                    _vector(u, ell), _vector(v, ell), lam,
+                    task=task.index, instances=matching))
     return records
 
 

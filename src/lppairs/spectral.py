@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -62,9 +63,7 @@ def paf(v) -> PafVector:
     entries = tuple(int(x) for x in v)
     n = len(entries)
     doubled = entries + entries
-    values = tuple(
-        sum(entries[j] * doubled[j + g] for j in range(n)) for g in range(n)
-    )
+    values = tuple(sum(map(mul, entries, doubled[g:g + n])) for g in range(n))
     return PafVector(n, values)
 
 

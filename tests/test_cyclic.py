@@ -120,6 +120,26 @@ def test_decimation_canon_is_orbit_minimum():
         assert tuple(canon) == min(orbit)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 33, 77])
+def test_decimation_canon_equals_brute_minimum_with_first_witness(n):
+    # brute force: the smallest shift(decimate(v, k), j), ties to the
+    # smallest k, then the smallest j; binary, non-binary and symmetric inputs
+    rng = random.Random(107 + n)
+    cases = [random_vector(rng, n, 0, 1) for _ in range(4)]
+    cases += [random_vector(rng, n, -2, 3) for _ in range(2)]
+    cases += [(1,) * n, tuple(int(g % 3 == 0) for g in range(n))]
+    for v in cases:
+        best = None
+        for k in units(n):
+            for j in range(n):
+                cand = tuple(shift(decimate(v, k), j))
+                if best is None or cand < best[0]:
+                    best = (cand, (j, k))
+        canon, witness = decimation_canon(v)
+        assert (tuple(canon), witness) == best
+        assert isinstance(canon, CyclicVector) and all(type(x) is int for x in canon)
+
+
 def test_multiplier_group_witnesses():
     rng = random.Random(107)
     for _ in range(15):

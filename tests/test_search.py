@@ -1,12 +1,24 @@
 """The assembled search pipeline: tasks, matching, dedup, checkpointing."""
 
 import filecmp
+import hashlib
+import importlib
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from lppairs.bmfm import count, enumerate_masks, enumerate_matrices, solutions
-from lppairs.compress import CrtContext, theta_inv
+from lppairs import search
+from lppairs.bmfm import (
+    MarginalInstance,
+    _leaf_chunks,
+    count,
+    enumerate_masks,
+    enumerate_matrices,
+    solutions,
+)
+from lppairs.compress import CrtContext, theta, theta_inv
 from lppairs.cyclic import CyclicVector, decimate, shift
 from lppairs.oracle import oracle_lp
 from lppairs.search import (
@@ -15,7 +27,6 @@ from lppairs.search import (
     canonicalize_lp,
     compressed_census,
     correlation_energy,
-    half_paf,
     run_search,
     run_task,
 )
@@ -142,8 +153,9 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
         assert enumerate_masks(inst, ctx.cell_bits, masks.append) == len(expected)
         got = [tuple((x >> g) & 1 for g in range(length)) for x in masks]
         assert got == expected
-        for x, v in zip(masks, expected):
-            assert half_paf(x, length) == paf(v).values[1:(length + 1) // 2]
+        keys = search._paf_keys(np.array(masks, dtype=np.uint64)[:, None], length)
+        for key, v in zip(keys.tolist(), expected):
+            assert tuple(key) == paf(v).values[1:(length + 1) // 2]
         seen += len(expected)
     assert seen > 0
 
@@ -270,3 +282,97 @@ def test_run_task_finds_self_paired_solutions():
     for task in build_tasks(e1, e2):
         hits.extend(run_task(task, ctx, SearchConfig()))
     assert any(r.u == r.v for r in hits)
+
+
+def _key_digest(records) -> str:
+    # sha256 over the sorted canonical keys, one "u,v" bit-string line each
+    lines = sorted(
+        "".join(map(str, a)) + "," + "".join(map(str, b)) for a, b in (r.key for r in records)
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("factors,threads", [((3, 11), 1), ((11, 3), 2)])
+def test_length_33_search_is_pinned_in_both_factor_orders(tmp_path, factors, threads):
+    cp = tmp_path / "cp.json"
+    records, summary = run_search(33, *factors, SearchConfig(threads=threads, checkpoint_path=str(cp)))
+    with open(str(cp) + ".records") as fh:
+        raw = sum(1 for line in fh if line.strip())
+    assert summary["tasks"] == summary["completed"] == 432
+    assert (raw, len(records)) == (778, 284)
+    assert _key_digest(records) == "0ddfec1a5c637031499da8a03f1eca4fe984d47ae9045487b9ad0aa3a4913f4b"
+
+
+def _masks(ints, ell):
+    width = -(-ell // 64)
+    return np.array([[(x >> (64 * k)) & (2**64 - 1) for k in range(width)] for x in ints], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("ell", [15, 33, 63, 64, 65, 77, 129])
+def test_word_keys_equal_exact_paf(ell):
+    rng = random.Random(ell)
+    ints = [rng.getrandbits(ell) for _ in range(40)] + [0, 2**ell - 1, 1, 1 << (ell - 1)]
+    keys = search._paf_keys(_masks(ints, ell), ell)
+    for x, key in zip(ints, keys.tolist()):
+        v = tuple((x >> g) & 1 for g in range(ell))
+        assert tuple(key) == paf(v).values[1:(ell + 1) // 2]
+        assert search._vector(_masks([x], ell)[0], ell) == v
+
+
+def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):
+    # The pair's own marginals in CrtContext(7, 11): the engine fills those
+    # 7 x 11 instances as 11 columns of 7 cells.  Fixing each member's first
+    # columns as base bits leaves a few thousand leaves per side, all with
+    # two-word masks; the join must pair u with v.
+    u, v = (tuple(x) for x in lp77)
+    ell, lam = 77, 39
+    ctx = CrtContext(7, 11)
+
+    def guided(x, k):
+        rows = theta(x, ctx).rows
+        base = sum(ctx.cell_bits[i][j] for i in range(7) for j in range(k) if rows[i][j])
+        inst = MarginalInstance(
+            [sum(row[k:]) for row in rows], [sum(col) for col in zip(*rows)][k:]
+        )
+        bits = tuple(row[k:] for row in ctx.cell_bits)
+        return inst, bits, base
+
+    inst_u, bits_u, base_u = guided(u, 4)
+    inst_v, bits_v, base_v = guided(v, 6)
+    assert (count(inst_u), count(inst_v)) == (17_604, 21_346)
+    held = np.concatenate(list(_leaf_chunks(inst_u, bits_u, base_u)))
+    assert held.shape == (17_604, 2)
+    hits = [
+        (search._vector(a, ell), search._vector(b, ell))
+        for a, b in search._join(held, _leaf_chunks(inst_v, bits_v, base_v), ell, lam)
+    ]
+    assert (u, v) in hits
+    assert all(exact_complementary(a, b, lam) for a, b in hits)
+
+
+def test_run_task_looks_up_traced_names_at_call_time(monkeypatch):
+    # bench/tracing.py wraps these module attributes by name; the package
+    # re-exports a function `compress`, which hides the submodule of that name
+    for module, names in (
+        ("search", ("count", "enumerate_with_spectrum", "exact_complementary",
+                    "canonicalize_lp", "run_task")),
+        ("bmfm", ("enumerate_matrices", "enumerate_with_spectrum")),
+        ("compress", ("theta_inv",)),
+    ):
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"lppairs.{module}"), name)), name
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("count", "canonicalize_lp", "exact_complementary"):
+        monkeypatch.setattr(search, name, counted(name))
+    records = [r for t in _tasks(15, 3, 5) for r in run_task(t, CrtContext(3, 5), SearchConfig())]
+    assert calls["count"] > 0
+    assert calls["canonicalize_lp"] == calls["exact_complementary"] == len(records) > 0
