@@ -149,3 +149,23 @@ def test_memoized_count_is_stable():
     first = count(inst)
     assert first == count(inst)
     assert first == count(MarginalInstance([2, 2, 3], [1, 2, 2, 2]))
+
+
+def test_leaf_order_and_chunk_bound_do_not_depend_on_chunk_size(monkeypatch):
+    from lppairs import bmfm
+
+    rng = random.Random(404)
+    for _ in range(20):
+        rows, cols = random_marginals(rng, rng.randint(1, 4), rng.randint(2, 7))
+        inst = MarginalInstance(rows, cols)
+        bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
+        whole = []
+        enumerate_masks(inst, bits, whole.append)
+        monkeypatch.setattr(bmfm, "_CHUNK", 4)
+        chunks = list(bmfm._leaf_chunks(inst, bits))
+        monkeypatch.undo()
+        # every line here has at most C(4, 2) = 6 subsets, so a step's slice
+        # holds at most max(4, 6) children
+        assert all(len(c) <= 6 for c in chunks)
+        assert [int(x) for c in chunks for x in c[:, 0]] == whole
+        assert len(whole) == count(inst)
