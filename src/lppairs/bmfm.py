@@ -135,7 +135,7 @@ def count(inst: MarginalInstance) -> int:
     return _count_sorted(q, p)
 
 
-_CHUNK = 1 << 14  # the most partial matrices one expansion step builds
+_CHUNK = 1 << 14  # children one expansion step builds, unless one parent has more
 _WORD = (1 << 64) - 1
 
 
