@@ -14,7 +14,7 @@ oracles used by the test suite.
 
 from .bmfm import MarginalInstance, count, enumerate_matrices, feasible, solutions
 from .compress import BinaryMatrix, CrtContext, compress, theta, theta_inv
-from .cyclic import CyclicVector, decimation_canon, multiplier_group, necklace_canon
+from .cyclic import CyclicVector, decimation_canon, multiplier_group
 from .errors import InvariantViolation
 from .pairgen import CompressedCandidate, CompressedPair, enum_candidates, expand_pairs, match_pairs
 from .search import (
@@ -28,7 +28,7 @@ from .search import (
     run_search,
     run_task,
 )
-from .spectral import dft, divisor_psd_check, exact_complementary, paf, psd, psd_test
+from .spectral import dft, divisor_psd_check, exact_complementary, paf, psd
 
 __version__ = "0.1.0"
 
@@ -59,10 +59,8 @@ __all__ = [
     "feasible",
     "match_pairs",
     "multiplier_group",
-    "necklace_canon",
     "paf",
     "psd",
-    "psd_test",
     "run_search",
     "run_task",
     "solutions",

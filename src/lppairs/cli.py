@@ -65,7 +65,7 @@ def cmd_verify(args) -> int:
     print(f"length: {ell}")
     print(f"kappa: u={sum(u)} v={sum(v)}")
 
-    sums = [a + b for a, b in zip(paf(u).values, paf(v).values)]
+    sums = [a + b for a, b in zip(paf(u), paf(v))]
     lam = Counter(sums[1:]).most_common(1)[0][0]
     print(f"lambda: {lam}")
     failure = first_failing_lag(u, v, lam)
@@ -75,7 +75,7 @@ def cmd_verify(args) -> int:
         return 1
     print(f"paf check: ok at all {ell - 1} nonzero lags")
 
-    psd_sum = [a + b for a, b in zip(psd(u).values, psd(v).values)]
+    psd_sum = psd(u) + psd(v)
     for d in proper_divisors(ell):
         print(f"psd sum at divisor index {d}: {psd_sum[d]:.6f}")
     print(f"rho: u={correlation_energy(u)} v={correlation_energy(v)}")
@@ -96,7 +96,7 @@ def _pair_doc(pair) -> dict:
 
 
 def cmd_pairs(args) -> int:
-    cands, pairs, expanded = compressed_census(args.length, args.delta, args.tolerance)
+    cands, pairs, expanded = compressed_census(args.length, args.delta)
     lines = [json.dumps(_pair_doc(p), separators=(",", ":"))
              for p in (expanded if args.expanded else pairs)]
     summary = json.dumps({"summary": {
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pairs", help="compressed complementary pair census for one factor")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--delta", type=int, required=True, help="compression factor")
-    p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--expanded", action="store_true",
                    help="list decimation-expanded pairs instead of class pairs")
     p.add_argument("--out", default=None)

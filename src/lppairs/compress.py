@@ -48,12 +48,6 @@ class CrtContext:
         """The unique g in Z_l with g = i mod d1 and g = j mod d2."""
         return self._psi_inv_table[(i % self.d1, j % self.d2)]
 
-    def chi(self, g: int) -> tuple[int, int]:
-        """psi restricted to units; errors on non-units."""
-        if gcd(g, self.ell) != 1:
-            raise ValueError(f"{g} is not a unit modulo {self.ell}")
-        return self.psi(g)
-
     @cached_property
     def z(self) -> int:
         """The unit z with psi(z) = (d2^-1 mod d1, d1^-1 mod d2).

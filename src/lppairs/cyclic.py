@@ -31,10 +31,6 @@ class CyclicVector(tuple):
         return len(self)
 
     @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
     def density(self) -> int:
         return sum(self)
 
@@ -75,28 +71,6 @@ def decimate(v, k: int) -> CyclicVector:
         return v
     kinv = pow(k, -1, n)
     return CyclicVector(v[(kinv * g) % n] for g in range(n))
-
-
-def _min_rotation(entries: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Smallest rotation of a tuple and the shift j with shift(v, j) minimal."""
-    n = len(entries)
-    doubled = entries + entries
-    best = entries
-    best_j = 0
-    # shift(v, j) equals doubled[n-j : 2n-j]
-    for j in range(1, n):
-        cand = doubled[n - j: 2 * n - j]
-        if cand < best:
-            best = cand
-            best_j = j
-    return best, best_j
-
-
-def necklace_canon(v) -> tuple[CyclicVector, int]:
-    """Lexicographically smallest rotation of v, with the witnessing shift."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
-    best, j = _min_rotation(tuple(v))
-    return CyclicVector(best), j
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +119,6 @@ class MultiplierGroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def witness_shift(self, g: int) -> int:
-        for member, j in self.witnesses:
-            if member == g % self.modulus:
-                return j
-        raise KeyError(f"{g} is not a multiplier")
 
 
 def multiplier_group(v) -> MultiplierGroup:

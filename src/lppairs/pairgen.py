@@ -2,10 +2,12 @@
 
 Candidates are integer vectors of length delta with entries in 0..delta2 and
 fixed sum kappa whose off-peak PSD stays below gamma; one representative per
-decimation class is kept.  Two candidates form a pair when their
-autocorrelations sum to (delta2 * lambda) at every nonzero lag — an exact
-integer join up to the decimation action, no floating point.  Each pair is
-then expanded by the PSD-preserving decimations of its second member, which
+decimation class is kept.  The PSD test is the census's only float decision:
+it compares against gamma plus one fixed margin, _PSD_SLACK, and can only
+reject; whatever passes still has to pair on exact integers.  Two candidates
+form a pair when their autocorrelations sum to (delta2 * lambda) at every
+nonzero lag — an exact integer join up to the decimation action.  Each pair
+is then expanded by the PSD-preserving decimations of its second member, which
 is what downstream simultaneous decompression needs in order not to miss
 solutions.
 
@@ -36,6 +38,7 @@ from .spectral import paf_psd
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors screened together
+_PSD_SLACK = 1e-6  # float margin added to gamma by the PSD screen
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,6 @@ class CompressedPair:
     p_canon: tuple[int, ...]
     r: int
     lam: int
-    gamma: float
     s_q: tuple[int, ...]
     s_p: tuple[int, ...]
 
@@ -157,8 +159,7 @@ def _rotation_below(rows: np.ndarray, ref: np.ndarray, base: int) -> np.ndarray:
     return below
 
 
-def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
-                    tolerance: float = 1e-6):
+def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     """Candidate class representatives in ascending canonical order.
 
     Yields one CompressedCandidate per decimation class of vectors with
@@ -169,7 +170,7 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
     the tail table supplies every completion with entries at least the
     first and sum of squares within the PSD ceiling.  The resulting vectors
     are screened in batches of at most _BATCH rows: minimal rotation,
-    half-lag PAF, PSD below gamma + tolerance (summed lag by lag in float64,
+    half-lag PAF, PSD below gamma + _PSD_SLACK (summed lag by lag in float64,
     the order of the scalar formula), then class minimality under
     decimation, so only class representatives are ever held.
     """
@@ -181,9 +182,9 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float,
         raise ValueError(f"sum {kappa} unreachable with entries 0..{delta2}")
 
     half = (delta - 1) // 2
-    ssq_max = floor((kappa * kappa + (delta - 1) * (gamma + tolerance)) / delta)
+    gamma_cut = gamma + _PSD_SLACK
+    ssq_max = floor((kappa * kappa + (delta - 1) * gamma_cut) / delta)
     ctable = _cos_table(delta)
-    gamma_cut = gamma + tolerance
     radix = delta2 + 1
     t = min(_TAIL, delta - 1)
     stop = delta - t
@@ -289,8 +290,7 @@ def psd_equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
     return tuple(s for s in preserving if s not in members)
 
 
-def match_pairs(candidates, lam: int, delta2: int, gamma: float,
-                tolerance: float = 1e-9) -> list[CompressedPair]:
+def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
     """All unordered class pairs with off-peak PAF sums equal to delta2*lam.
 
     Candidates are class representatives, so the join has to work up to the
@@ -359,7 +359,7 @@ def match_pairs(candidates, lam: int, delta2: int, gamma: float,
                 )
             r = min(valid)
             pairs.append(_build_pair(
-                q, other, r, lam, gamma, tolerance, equiv_of(q), equiv_of(other)
+                q, other, r, lam, equiv_of(q), equiv_of(other)
             ))
     pairs.sort(key=lambda pr: pr.key)
     return pairs
@@ -379,7 +379,7 @@ def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
     )
 
 
-def _build_pair(q, p_class, r, lam, gamma, tolerance, s_q, s_p) -> CompressedPair:
+def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
     delta = q.delta
     delta2 = q.delta2
     if p_class.delta != delta or p_class.delta2 != delta2 or p_class.kappa != q.kappa:
@@ -398,9 +398,9 @@ def _build_pair(q, p_class, r, lam, gamma, tolerance, s_q, s_p) -> CompressedPai
             f"sum of squares {ssq_sum} != {expected} for pair {q.vector}, {p.vector}"
         )
     psd_sum = q.psd + p.psd
-    if np.abs(psd_sum[1:] - gamma).max() > max(tolerance, 1e-9):
+    if np.abs(psd_sum[1:] - lam).max() > 1e-9:
         raise InvariantViolation(
-            f"PSD sums stray from {gamma} for pair {q.vector}, {p.vector}"
+            f"PSD sums stray from {lam} for pair {q.vector}, {p.vector}"
         )
     return CompressedPair(
         q=q,
@@ -408,7 +408,6 @@ def _build_pair(q, p_class, r, lam, gamma, tolerance, s_q, s_p) -> CompressedPai
         p_canon=tuple(p_class.vector),
         r=r,
         lam=lam,
-        gamma=gamma,
         s_q=s_q,
         s_p=s_p,
     )

@@ -83,7 +83,6 @@ class LegendrePairRecord:
     canon_u: tuple[int, ...]
     canon_v: tuple[int, ...]
     lam: int
-    gamma: int
     rho_u: int
     rho_v: int
     task: int
@@ -103,7 +102,7 @@ def correlation_energy(v) -> int:
     """Sum of squared off-peak autocorrelations of the {-1,1} version of v,
     over the first half of the lags."""
     w = tuple(2 * int(x) - 1 for x in v)
-    values = paf(w).values
+    values = paf(w)
     return sum(values[j] ** 2 for j in range(1, (len(w) - 1) // 2 + 1))
 
 
@@ -124,7 +123,6 @@ def canonicalize_lp(u, v, lam: int, task: int = -1,
         canon_u=tuple(decimation_canon(u)[0]),
         canon_v=tuple(decimation_canon(v)[0]),
         lam=lam,
-        gamma=lam,
         rho_u=correlation_energy(u),
         rho_v=correlation_energy(v),
         task=task,
@@ -132,23 +130,20 @@ def canonicalize_lp(u, v, lam: int, task: int = -1,
     )
 
 
-def compressed_census(length: int, delta: int, tolerance: float = 1e-6):
+def compressed_census(length: int, delta: int):
     """Candidates, matched pairs, and expanded pairs for one factor.
 
     Returns (candidates, pairs, expanded).
     """
     _validate_length(length)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     if length % delta != 0:
         raise ValueError(f"{delta} does not divide {length}")
     delta2 = length // delta
     if gcd(delta, delta2) != 1:
         raise ValueError(f"cofactors {delta}, {delta2} are not coprime")
     lam = (length + 1) // 2
-    gamma = float(lam)
-    cands = list(enum_candidates(delta, delta2, lam, gamma, tolerance=tolerance))
-    pairs = match_pairs(cands, lam=lam, delta2=delta2, gamma=gamma)
+    cands = list(enum_candidates(delta, delta2, lam, float(lam)))
+    pairs = match_pairs(cands, lam=lam, delta2=delta2)
     return cands, pairs, expand_pairs(pairs)
 
 
@@ -308,7 +303,6 @@ def _record_from_doc(doc) -> LegendrePairRecord:
         canon_u=bits(doc["canon_u"]),
         canon_v=bits(doc["canon_v"]),
         lam=doc["lambda"],
-        gamma=doc["lambda"],
         rho_u=doc["rho_u"],
         rho_v=doc["rho_v"],
         task=doc["task"],

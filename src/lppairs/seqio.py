@@ -151,9 +151,6 @@ class Checkpoint:
     completed: frozenset
     partial_offset: int
 
-    def is_done(self, index: int) -> bool:
-        return index in self.completed
-
 
 def _bitmap_hex(completed, n_tasks: int) -> str:
     buf = bytearray((n_tasks + 7) // 8)

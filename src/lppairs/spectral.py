@@ -2,15 +2,15 @@
 
 The DFT is evaluated directly against precomputed root tables (lengths are
 small and never powers of two, so an FFT buys nothing).  Autocorrelations are
-exact integers; spectra are float and always guarded by a tolerance.  Float
-PSD tests only screen compressed candidates in the census; the search joins
-lifted vectors on exact integer PAF keys and confirms every hit with
-`exact_complementary`, so no result is ever accepted on a float.
+exact integers; spectra are float.  The only float decision in a search is
+the census screen of compressed candidates, which applies one fixed margin
+and can only reject; the search joins lifted vectors on exact integer PAF
+keys and confirms every hit with `exact_complementary`, so no result is ever
+accepted on a float.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -28,43 +28,23 @@ def _dft_matrix(n: int) -> np.ndarray:
     return roots[np.outer(np.arange(n), np.arange(n)) % n]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    length: int
-    values: np.ndarray  # complex, length entries
-
-
-@dataclass(frozen=True)
-class PsdVector:
-    length: int
-    values: np.ndarray  # real, length entries
-
-
-@dataclass(frozen=True)
-class PafVector:
-    length: int
-    values: tuple[int, ...]  # exact, all lags 0..length-1
-
-
-def dft(v) -> Spectrum:
-    """Discrete Fourier transform mu_k = sum_j v_j omega^(jk)."""
+def dft(v) -> np.ndarray:
+    """Discrete Fourier transform mu_k = sum_j v_j omega^(jk), complex."""
     arr = np.asarray(tuple(v), dtype=float)
-    return Spectrum(len(arr), _dft_matrix(len(arr)) @ arr)
+    return _dft_matrix(len(arr)) @ arr
 
 
-def psd(v) -> PsdVector:
-    """Power spectral density |dft(v)|^2."""
-    spec = dft(v)
-    return PsdVector(spec.length, np.abs(spec.values) ** 2)
+def psd(v) -> np.ndarray:
+    """Power spectral density |dft(v)|^2, real."""
+    return np.abs(dft(v)) ** 2
 
 
-def paf(v) -> PafVector:
-    """Periodic autocorrelation PAF(v, g) = sum_j v_j v_{j+g}, exact integers."""
+def paf(v) -> tuple[int, ...]:
+    """Exact periodic autocorrelation PAF(v, g) = sum_j v_j v_{j+g}, g = 0..n-1."""
     entries = tuple(int(x) for x in v)
     n = len(entries)
     doubled = entries + entries
-    values = tuple(sum(map(mul, entries, doubled[g:g + n])) for g in range(n))
-    return PafVector(n, values)
+    return tuple(sum(map(mul, entries, doubled[g:g + n])) for g in range(n))
 
 
 def paf_psd(paf_values) -> np.ndarray:
@@ -73,18 +53,10 @@ def paf_psd(paf_values) -> np.ndarray:
     return (_dft_matrix(len(arr)) @ arr).real
 
 
-def psd_test(v, gamma: float, tolerance: float = 1e-6) -> bool:
-    """True iff every off-peak PSD value is below gamma (within tolerance)."""
-    values = psd(v).values
-    if len(values) < 2:
-        return True
-    return bool(values[1:].max() < gamma + tolerance)
-
-
 def exact_complementary(u, v, lam: int) -> bool:
     """Exact integer check PAF(u, g) + PAF(v, g) == lam for every g != 0."""
-    pu = paf(u).values
-    pv = paf(v).values
+    pu = paf(u)
+    pv = paf(v)
     if len(pu) != len(pv):
         raise ValueError(f"length mismatch: {len(pu)} vs {len(pv)}")
     return all(pu[g] + pv[g] == lam for g in range(1, len(pu)))
@@ -92,8 +64,8 @@ def exact_complementary(u, v, lam: int) -> bool:
 
 def first_failing_lag(u, v, lam: int):
     """Smallest nonzero lag where the PAF sum misses lam, or None."""
-    pu = paf(u).values
-    pv = paf(v).values
+    pu = paf(u)
+    pv = paf(v)
     for g in range(1, len(pu)):
         if pu[g] + pv[g] != lam:
             return g, pu[g] + pv[g]
@@ -124,8 +96,8 @@ def divisor_psd_check(u, v, gamma: float, tolerance: float = 1e-6) -> bool:
             raise ValueError(f"{name} is not binary")
         if sum(seq) != want:
             raise ValueError(f"{name} has density {sum(seq)}, expected {want}")
-    psd_u = psd(uu).values
-    psd_v = psd(vv).values
+    psd_u = psd(uu)
+    psd_v = psd(vv)
     return all(
         abs(psd_u[d] + psd_v[d] - gamma) <= tolerance for d in proper_divisors(n)
     )
@@ -137,8 +109,3 @@ def two_dim_dft(a, d1: int, d2: int) -> np.ndarray:
     if arr.shape != (d1, d2):
         raise ValueError(f"expected shape ({d1}, {d2}), got {arr.shape}")
     return _dft_matrix(d1) @ arr @ _dft_matrix(d2)
-
-
-def spectrum_minor(m: np.ndarray) -> np.ndarray:
-    """The spectrum with its DC row and column removed."""
-    return m[1:, 1:]

@@ -206,9 +206,9 @@ def test_criterion_5_subsampling_identity():
     from lppairs.spectral import dft
 
     for v in _spectral_cases():
-        full = dft(v).values
+        full = dft(v)
         for d1, d2 in ((5, 7), (7, 5)):
-            small = dft(compress(v, d1)).values
+            small = dft(compress(v, d1))
             for k in range(d1):
                 assert abs(small[k] - full[(k * d2) % 35]) <= 1e-9
 
@@ -223,7 +223,7 @@ def test_criterion_5_two_dimensional_dft_conversion():
         assert ctx.z == 3
         for v in _spectral_cases():
             m = two_dim_dft(np.array(theta(CyclicVector(v), ctx).rows), d1, d2)
-            mu = dft(v).values
+            mu = dft(v)
             # the reshaped two-dimensional spectrum is the z-decimation of
             # the one-dimensional one: M[psi(g)] = mu_{g z^{-1}}
             for g in range(35):
@@ -322,7 +322,7 @@ def test_criterion_7_sum_of_squares_identity():
         delta2 = length // delta
         lam = (length + 1) // 2
         cands = list(enum_candidates(delta, delta2, lam, float(lam)))
-        for pair in match_pairs(cands, lam=lam, delta2=delta2, gamma=float(lam)):
+        for pair in match_pairs(cands, lam=lam, delta2=delta2):
             ssq = sum(x * x for x in pair.q.vector) + sum(
                 x * x for x in pair.p.vector
             )

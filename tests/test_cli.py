@@ -140,19 +140,26 @@ def test_oracle_caps_surface_as_usage_errors(capsys):
     ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "-5"],
     ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "0"],
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "0"],
-    ["pairs", "--length", "15", "--delta", "5", "--tolerance", "-1"],
 ])
 def test_out_of_range_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
 
 
+SEARCH_15 = ["search", "--length", "15", "--factors", "3,5"]
+
+
+# each case is a subcommand's argv ending in an option that only tuned float
+# matching; argparse must reject it as unknown
 @pytest.mark.parametrize("flag", [
-    ["--tolerance", "1e-6"], ["--bucket-precision", "6"], ["--exhaustive-match"],
+    [*SEARCH_15, "--tolerance", "1e-6"],
+    [*SEARCH_15, "--bucket-precision", "6"],
+    [*SEARCH_15, "--exhaustive-match"],
+    ["pairs", "--length", "15", "--delta", "5", "--tolerance", "1e-6"],
 ])
 def test_search_has_no_float_matching_options(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--length", "15", "--factors", "3,5", *flag])
+        main(flag)
     assert exc.value.code == 2
 
 

@@ -198,7 +198,7 @@ def test_sum_rule_partitions_decompressions():
 def test_decimation_multiplier_compatibility():
     # a decimation of v re-compresses to q (up to shift) iff its residue
     # is a multiplier of q
-    from lppairs.cyclic import multiplier_group, necklace_canon
+    from lppairs.cyclic import multiplier_group
 
     rng = random.Random(306)
     for _ in range(10):
@@ -207,5 +207,5 @@ def test_decimation_multiplier_compatibility():
         h = multiplier_group(q)
         for k in units(15):
             image = CyclicVector(compress(decimate(v, k), 3))
-            same_class = necklace_canon(image)[0] == necklace_canon(q)[0]
+            same_class = any(shift(image, j) == q for j in range(3))
             assert same_class == (k % 3 in h)

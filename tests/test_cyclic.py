@@ -11,7 +11,6 @@ from lppairs.cyclic import (
     decimation_canon,
     euler_phi,
     multiplier_group,
-    necklace_canon,
     shift,
     units,
 )
@@ -83,18 +82,6 @@ def test_decimation_shift_commutation():
         assert decimate(shift(v, j), k) == shift(decimate(v, k), k * j)
 
 
-def test_necklace_canon_is_shift_invariant():
-    rng = random.Random(104)
-    for _ in range(20):
-        n = rng.choice([6, 10, 15])
-        v = CyclicVector(random_vector(rng, n))
-        canon, j = necklace_canon(v)
-        assert shift(v, j) == canon
-        assert necklace_canon(shift(v, rng.randrange(n)))[0] == canon
-        # canonical form is minimal over all rotations
-        assert all(tuple(canon) <= tuple(shift(v, t)) for t in range(n))
-
-
 def test_decimation_canon_is_orbit_invariant():
     rng = random.Random(105)
     for _ in range(15):
@@ -147,8 +134,8 @@ def test_multiplier_group_witnesses():
         v = CyclicVector(random_binary(rng, n, rng.randint(1, n - 1)))
         g = multiplier_group(v)
         assert 1 in g
-        for member in g.members:
-            j = g.witness_shift(member)
+        assert [member for member, _ in g.witnesses] == list(g.members)
+        for member, j in g.witnesses:
             assert shift(decimate(v, member), j) == v
 
 

@@ -19,7 +19,7 @@ def _census(length, delta):
     delta2 = length // delta
     lam = (length + 1) // 2
     cands = list(enum_candidates(delta, delta2, lam, float(lam)))
-    pairs = match_pairs(cands, lam=lam, delta2=delta2, gamma=float(lam))
+    pairs = match_pairs(cands, lam=lam, delta2=delta2)
     return cands, pairs, expand_pairs(pairs)
 
 
@@ -30,7 +30,7 @@ def test_enum_candidates_are_canonical_and_in_range():
         assert sum(c.vector) == 8
         assert all(0 <= x <= 3 for x in c.vector)
         assert tuple(decimation_canon(c.vector)[0]) == tuple(c.vector)
-        assert c.paf == paf(c.vector).values
+        assert c.paf == paf(c.vector)
     vectors = [tuple(c.vector) for c in cands]
     assert vectors == sorted(vectors)
 
@@ -59,8 +59,8 @@ def test_pairs_are_exactly_complementary():
         lam = (length + 1) // 2
         _, pairs, expanded = _census(length, delta)
         for pr in pairs + expanded:
-            pq = paf(pr.q.vector).values
-            pp = paf(pr.p.vector).values
+            pq = paf(pr.q.vector)
+            pp = paf(pr.p.vector)
             assert all(pq[g] + pp[g] == delta2 * lam for g in range(1, delta))
 
 
@@ -112,8 +112,8 @@ def test_expansion_preserves_key_and_complementarity():
     base_keys = {pr.key for pr in pairs}
     for pr in expanded:
         assert pr.key in base_keys
-        pq = paf(pr.q.vector).values
-        pp = paf(pr.p.vector).values
+        pq = paf(pr.q.vector)
+        pp = paf(pr.p.vector)
         assert all(pq[g] + pp[g] == 3 * 11 for g in range(1, 7))
 
 
@@ -126,7 +126,7 @@ def test_psd_equiv_decimations_preserve_paf():
             from lppairs.cyclic import decimate
 
             image = decimate(c.vector, s)
-            assert paf(image).values == c.paf
+            assert paf(image) == c.paf
             found += 1
     assert found > 0
 

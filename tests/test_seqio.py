@@ -96,7 +96,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.n_tasks == cp.n_tasks
     assert back.completed == cp.completed
     assert back.partial_offset == cp.partial_offset
-    assert back.is_done(3) and not back.is_done(4)
+    assert 3 in back.completed and 4 not in back.completed
     seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, frozenset(range(11)), 0))
     assert seqio.load_checkpoint(path).completed == frozenset(range(11))
 
