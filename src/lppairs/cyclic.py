@@ -84,6 +84,12 @@ def _orbit_table(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+def decimations(v) -> np.ndarray:
+    """Row i: decimate(v, units(n)[i]), the shift-0 rows of the orbit table."""
+    n = len(v)
+    return np.asarray(v)[_orbit_table(n)[::n]]
+
+
 def decimation_canon(v) -> tuple[CyclicVector, tuple[int, int]]:
     """Lexicographically smallest member of the shift+decimation orbit of v.
 
@@ -125,16 +131,8 @@ def multiplier_group(v) -> MultiplierGroup:
     """Compute the multiplier group of v with a witness shift for each member."""
     v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
-    target = tuple(v)
-    members = []
-    witnesses = []
-    for g in units(n):
-        ginv = pow(g, -1, n)
-        dv = tuple([target[(ginv * i) % n] for i in range(n)])
-        doubled = dv + dv
-        for j in range(n):
-            if doubled[n - j: 2 * n - j] == target:
-                members.append(g)
-                witnesses.append((g, j))
-                break
-    return MultiplierGroup(n, tuple(members), tuple(witnesses))
+    target = np.asarray(v)
+    witnesses: dict[int, int] = {}  # rows come in (unit, shift) order: smallest shift first
+    for row in np.flatnonzero((target[_orbit_table(n)] == target).all(axis=1)).tolist():
+        witnesses.setdefault(units(n)[row // n], row % n)
+    return MultiplierGroup(n, tuple(witnesses), tuple(witnesses.items()))

@@ -6,7 +6,11 @@ decimation class is kept.  The PSD test is the census's only float decision:
 it compares against gamma plus one fixed margin, _PSD_SLACK, and can only
 reject; whatever passes still has to pair on exact integers.  Two candidates
 form a pair when their autocorrelations sum to (delta2 * lambda) at every
-nonzero lag — an exact integer join up to the decimation action.  Each pair
+nonzero lag — an exact integer join up to the decimation action.  Every
+candidate is keyed once by the least off-peak decimation of its PAF and
+bucketed by that key; each candidate's complement is keyed the same way and
+meets its partners in one bucket, and the aligning decimation follows from a
+coset of the partner's PAF stabiliser with no scan over units.  Each pair
 is then expanded by the PSD-preserving decimations of its second member, which
 is what downstream simultaneous decompression needs in order not to miss
 solutions.
@@ -27,12 +31,13 @@ decimation class.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import cos, floor, pi
 
 import numpy as np
 
-from .cyclic import CyclicVector, MultiplierGroup, multiplier_group, units
+from .cyclic import (CyclicVector, MultiplierGroup, _orbit_table, decimate, decimations,
+                     multiplier_group, units)
 from .errors import InvariantViolation
 from .spectral import paf_psd
 
@@ -188,10 +193,7 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     radix = delta2 + 1
     t = min(_TAIL, delta - 1)
     stop = delta - t
-    decimations = np.array([
-        [(pow(k, -1, delta) * g) % delta for g in range(delta)]
-        for k in units(delta) if k != 1 % delta
-    ], dtype=np.intp).reshape(-1, delta)
+    others = _orbit_table(delta)[delta::delta]  # decimations by every unit but the first
 
     tables: dict[int, tuple] = {}  # tail tables by lowest entry
     reps: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
@@ -211,9 +213,9 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
             values += pafs[:, g, None] * ctable[:, g]
         keep = (values < gamma_cut).all(axis=1)
         rows, ssq, pafs = rows[keep], ssq[keep], pafs[keep]
-        images = rows[:, decimations].reshape(-1, delta)
-        outside = _rotation_below(images, np.repeat(rows, len(decimations), axis=0), radix)
-        keep = ~outside.reshape(len(rows), len(decimations)).any(axis=1)
+        images = rows[:, others].reshape(-1, delta)
+        outside = _rotation_below(images, np.repeat(rows, len(others), axis=0), radix)
+        keep = ~outside.reshape(len(rows), len(others)).any(axis=1)
         reps.extend(zip(
             map(tuple, rows[keep].tolist()),
             ssq[keep].tolist(),
@@ -269,25 +271,24 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
         )
 
 
-@lru_cache(maxsize=None)
-def _lag_order(n: int, s_inv: int) -> tuple[int, ...]:
-    return tuple((s_inv * g) % n for g in range(n))
+def _paf_orbit(paf) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """(key, a, stab): the least off-peak part over all decimations of paf,
+    the least unit whose decimation reaches it, and the units that fix paf."""
+    units_ = units(len(paf))
+    images = decimations(paf)[:, 1:].tolist()
+    key = min(images)
+    stab = tuple(s for s, image in zip(units_, images) if image == images[0])
+    return tuple(key), units_[images.index(key)], stab
 
 
-def _permuted_paf(paf: tuple[int, ...], s_inv: int) -> tuple[int, ...]:
-    """The autocorrelation of the s-decimated vector: lag g reads lag s^-1*g."""
-    return tuple(map(paf.__getitem__, _lag_order(len(paf), s_inv)))
+def _equiv_decimations(candidate: CompressedCandidate, stab: tuple[int, ...]) -> tuple[int, ...]:
+    members = candidate.multipliers.members
+    return tuple(s for s in stab if s not in members)
 
 
 def psd_equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
     """Non-multiplier decimations that leave the PSD (hence PAF) unchanged."""
-    delta = candidate.delta
-    paf = candidate.paf
-    preserving = [s for s in units(delta) if _permuted_paf(paf, pow(s, -1, delta)) == paf]
-    if len(preserving) == 1:
-        return ()  # the identity alone, which is always a multiplier
-    members = candidate.multipliers.members
-    return tuple(s for s in preserving if s not in members)
+    return _equiv_decimations(candidate, _paf_orbit(candidate.paf)[2])
 
 
 def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
@@ -296,87 +297,45 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
     Candidates are class representatives, so the join has to work up to the
     decimation action: classes (a, b) pair up when PAF(a, g) + PAF(d_r(b), g)
     hits the target for every g != 0 and some unit r, not necessarily r = 1.
-    Grouping by the decimation-canonical form of the off-peak autocorrelation
-    finds exactly those classes; the smallest valid r is then recovered per
-    pair and the second member is stored concretely decimated by it.  A class
-    may pair with itself.  The join is exact-integer throughout, pairs are
-    ordered by canonical form, and each is validated against complementarity,
-    PSD-sum, and sum-of-squares identities.
+    Each candidate b is bucketed once by the key of its PAF orbit: the least
+    off-peak decimation image, reached first by the unit a_b, with stabiliser
+    Stab_b.  A candidate q pairs with exactly the b >= q in the bucket of its
+    complement W = delta2*lam - PAF(q), whose key is reached first by w; the
+    units aligning b are then the coset a_b * w^-1 * Stab_b, and r is its
+    least member.  Stab also gives each class's PSD-preserving decimations.
+    A class may pair with itself.  The join is exact-integer throughout,
+    pairs are ordered by canonical form, and each is validated against
+    complementarity, PSD-sum, and sum-of-squares identities.
     """
     cands = list(candidates)
     if not cands:
         return []
     delta = cands[0].delta
     target = delta2 * lam
-    unit_list = units(delta)
-    inverses = {r: pow(r, -1, delta) for r in unit_list}
-
-    def paf_class_key(paf: tuple[int, ...]) -> tuple[int, ...]:
-        return min(_permuted_paf(paf, r)[1:] for r in unit_list)
-
-    equiv: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def equiv_of(c: CompressedCandidate) -> tuple[int, ...]:
-        # PAF-preserving and multiplier decimations are the same sets for
-        # every member of a class, so the representative's answer serves p too
-        key = tuple(c.vector)
-        if key not in equiv:
-            equiv[key] = psd_equiv_decimations(c)
-        return equiv[key]
-
-    buckets: dict[tuple[int, ...], list[CompressedCandidate]] = {}
-    for c in cands:
-        buckets.setdefault(paf_class_key(c.paf), []).append(c)
+    orbits = [_paf_orbit(c.paf) for c in cands]
+    # a class shares its PAF stabiliser and multipliers: b's set serves d_r(b)
+    equiv = cache(lambda i: _equiv_decimations(cands[i], orbits[i][2]))
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for i, (key, _, _) in enumerate(orbits):
+        buckets.setdefault(key, []).append(i)
 
     pairs: list[CompressedPair] = []
-    for key in sorted(buckets):
-        group = buckets[key]
-        complement_paf = tuple(target - x for x in group[0].paf)
-        complement = paf_class_key(complement_paf)
-        if complement < key:
-            continue
-        if complement == key:
-            combos = [
-                (group[i], group[j])
-                for i in range(len(group))
-                for j in range(i, len(group))
-            ]
-        else:
-            other = buckets.get(complement)
-            if not other:
+    for i, q in enumerate(cands):
+        key_w, w, _ = _paf_orbit(tuple(target - x for x in q.paf))
+        w_inv = pow(w, -1, delta)
+        for j in buckets.get(key_w, ()):
+            b = cands[j]
+            if b.vector < q.vector:
                 continue
-            combos = [(a, b) for a in group for b in other]
-        for a, b in combos:
-            q, other = (a, b) if tuple(a.vector) <= tuple(b.vector) else (b, a)
-            want = tuple(target - x for x in q.paf)[1:]
-            valid = [
-                r for r in unit_list
-                if _permuted_paf(other.paf, inverses[r])[1:] == want
-            ]
-            if not valid:
-                raise InvariantViolation(
-                    "bucket join produced a pair with no aligning decimation"
-                )
-            r = min(valid)
-            pairs.append(_build_pair(
-                q, other, r, lam, equiv_of(q), equiv_of(other)
-            ))
+            _, a_b, stab_b = orbits[j]
+            r = min(a_b * w_inv * s % delta for s in stab_b)
+            pairs.append(_build_pair(q, b, r, lam, equiv(i), equiv(j)))
     pairs.sort(key=lambda pr: pr.key)
     return pairs
 
 
 def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
-    if r == 1:
-        return c
-    delta = c.delta
-    rinv = pow(r, -1, delta)
-    vec = tuple(c.vector[(rinv * g) % delta] for g in range(delta))
-    return CompressedCandidate(
-        vector=CyclicVector(vec),
-        delta2=c.delta2,
-        kappa=c.kappa,
-        paf=_permuted_paf(c.paf, rinv),
-    )
+    return replace(c, vector=decimate(c.vector, r), paf=tuple(decimate(c.paf, r)))
 
 
 def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:

@@ -128,15 +128,25 @@ def test_decimation_canon_equals_brute_minimum_with_first_witness(n):
 
 
 def test_multiplier_group_witnesses():
+    # brute force over units(n): g is a member when some shift of
+    # decimate(v, g) equals v, and its witness is the smallest such shift;
+    # binary, non-binary (as census candidates are) and periodic inputs
     rng = random.Random(107)
-    for _ in range(15):
-        n = rng.choice([7, 13, 15])
-        v = CyclicVector(random_binary(rng, n, rng.randint(1, n - 1)))
-        g = multiplier_group(v)
-        assert 1 in g
-        assert [member for member, _ in g.witnesses] == list(g.members)
-        for member, j in g.witnesses:
-            assert shift(decimate(v, member), j) == v
+    for n in (1, 7, 13, 15, 33):
+        cases = [random_binary(rng, n, rng.randint(0, n)) for _ in range(4)]
+        cases += [random_vector(rng, n, 0, 4) for _ in range(3)]
+        cases += [(2,) * n, tuple(g % 3 for g in range(n))]
+        cases.append(tuple((g - 1) ** 2 % n for g in range(n)))  # witness n - 2 for unit -1
+        for v in map(CyclicVector, cases):
+            g = multiplier_group(v)
+            brute = []
+            for k in units(n):
+                shifts = [j for j in range(n) if shift(decimate(v, k), j) == v]
+                if shifts:
+                    brute.append((k, shifts[0]))
+            assert g.witnesses == tuple(brute)
+            assert g.members == tuple(k for k, _ in brute)
+            assert 1 in g
 
 
 def test_multiplier_group_is_closed():
