@@ -14,7 +14,7 @@ oracles used by the test suite.
 
 from .bmfm import MarginalInstance, count, enumerate_matrices, feasible, solutions
 from .compress import BinaryMatrix, CrtContext, compress, theta, theta_inv
-from .cyclic import CyclicVector, decimation_canon, multiplier_group
+from .cyclic import decimation_canon, multiplier_group
 from .errors import InvariantViolation
 from .pairgen import CompressedCandidate, CompressedPair, enum_candidates, expand_pairs, match_pairs
 from .search import (
@@ -37,7 +37,6 @@ __all__ = [
     "CompressedCandidate",
     "CompressedPair",
     "CrtContext",
-    "CyclicVector",
     "InvariantViolation",
     "LegendrePairRecord",
     "MarginalInstance",

@@ -21,7 +21,6 @@ from importlib import resources
 
 from . import seqio
 from .bmfm import MarginalInstance, count, enumerate_matrices
-from .cyclic import CyclicVector
 from .errors import InvariantViolation
 from .oracle import oracle_bmfm, oracle_feasible_subsets, oracle_lp, oracle_orbit
 from .search import SearchConfig, compressed_census, correlation_energy, run_search

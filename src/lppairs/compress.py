@@ -5,7 +5,8 @@ entries of v along arithmetic progressions of stride d1.  The Chinese
 remainder map psi(g) = (g mod d1, g mod d2) reshapes v into a d1 x d2 matrix
 whose row sums are the d1-compression and whose column sums are the
 d2-compression; decompression is therefore the enumeration of binary matrices
-with those fixed marginals.
+with those fixed marginals.  Vectors go in as any integer sequence;
+compressions and theta_inv come out as plain tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, gcd, prod
 
-from .cyclic import CyclicVector, euler_phi, multiplier_group, units
+from .cyclic import euler_phi, multiplier_group, units
 from .errors import InvariantViolation
 
 
@@ -111,22 +112,19 @@ class BinaryMatrix:
         return tuple(sum(col) for col in zip(*self.rows))
 
 
-def compress(v, delta: int) -> CyclicVector:
+def compress(v, delta: int) -> tuple[int, ...]:
     """The delta-compression q_g = sum_j v_{g + j*delta} for g in Z_delta."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
     if delta < 1 or n % delta != 0:
         raise ValueError(f"compression size {delta} does not divide length {n}")
-    reps = n // delta
-    return CyclicVector(sum(v[g + j * delta] for j in range(reps)) for g in range(delta))
+    return tuple(sum(v[g::delta]) for g in range(delta))
 
 
 def theta(v, ctx: CrtContext) -> BinaryMatrix:
     """CRT reshape of a binary vector: cell (g mod d1, g mod d2) holds v_g."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     if len(v) != ctx.ell:
         raise ValueError(f"length {len(v)} does not match context ({ctx.ell})")
-    if not v.is_binary():
+    if any(x not in (0, 1) for x in v):
         raise ValueError("theta expects a binary vector")
     grid = [[0] * ctx.d2 for _ in range(ctx.d1)]
     for g, (i, j) in enumerate(ctx.index_pairs):
@@ -134,14 +132,14 @@ def theta(v, ctx: CrtContext) -> BinaryMatrix:
     return BinaryMatrix(tuple(tuple(row) for row in grid))
 
 
-def theta_inv(a: BinaryMatrix, ctx: CrtContext) -> CyclicVector:
+def theta_inv(a: BinaryMatrix, ctx: CrtContext) -> tuple[int, ...]:
     """Inverse CRT reshape."""
     if a.n_rows != ctx.d1 or a.n_cols != ctx.d2:
         raise ValueError(
             f"matrix shape {a.n_rows}x{a.n_cols} does not match context "
             f"{ctx.d1}x{ctx.d2}"
         )
-    return CyclicVector(a.rows[i][j] for (i, j) in ctx.index_pairs)
+    return tuple(a.rows[i][j] for (i, j) in ctx.index_pairs)
 
 
 def validate_simultaneous(v, qs) -> bool:
@@ -149,7 +147,6 @@ def validate_simultaneous(v, qs) -> bool:
 
     The lengths of the qs must be pairwise coprime with product len(v).
     """
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     targets = [tuple(int(x) for x in q) for q in qs]
     sizes = sorted(len(t) for t in targets)
     if prod(sizes) != len(v):
@@ -158,7 +155,7 @@ def validate_simultaneous(v, qs) -> bool:
         for b in sizes[i + 1:]:
             if gcd(a, b) != 1:
                 raise ValueError(f"sizes {a} and {b} are not coprime")
-    return all(tuple(compress(v, len(t))) == t for t in targets)
+    return all(compress(v, len(t)) == t for t in targets)
 
 
 def count_decompressions(q, delta2: int) -> int:
@@ -177,14 +174,11 @@ def class_overlap_count(v, q, ctx: CrtContext) -> int:
     The count is d2 * phi(d2) * |H| / |G| with H the multiplier group of q and
     G the multiplier group of v.
     """
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
-    if gcd(v.density, ctx.ell) != 1:
-        raise ValueError(
-            f"density {v.density} shares a factor with length {ctx.ell}"
-        )
-    if tuple(compress(v, ctx.d1)) != tuple(int(x) for x in q):
+    if gcd(sum(v), ctx.ell) != 1:
+        raise ValueError(f"density {sum(v)} shares a factor with length {ctx.ell}")
+    if compress(v, ctx.d1) != tuple(q):
         raise ValueError("q is not the d1-compression of v")
-    h = multiplier_group(CyclicVector(q))
+    h = multiplier_group(q)
     g = multiplier_group(v)
     numerator = ctx.d2 * euler_phi(ctx.d2) * h.order
     if numerator % g.order != 0:
@@ -199,11 +193,10 @@ def simul_overlap_count(v, qs) -> int:
 
     The count is prod |H_i| / |G| over the compressions' multiplier groups.
     """
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     if not validate_simultaneous(v, qs):
         raise ValueError("compressions do not match v")
     g = multiplier_group(v)
-    numerator = prod(multiplier_group(CyclicVector(q)).order for q in qs)
+    numerator = prod(multiplier_group(q).order for q in qs)
     if numerator % g.order != 0:
         raise InvariantViolation(
             f"overlap count {numerator}/{g.order} is not an integer"

@@ -1,10 +1,12 @@
 """Exact integer arithmetic on cyclic vectors: shifts, decimations, canonical forms.
 
-All vectors are indexed by Z_n with 0-based positions.  Shifting by j moves
-entry g to position g + j (mod n); decimating by a unit k sends position g to
-k*g (mod n), i.e. (d_k v)_g = v_{k^{-1} g}.  The decimation class of a vector
-is its orbit under the group generated by shifts and decimations; its
-canonical form is the lexicographically smallest orbit member.
+A cyclic vector is any integer sequence indexed by Z_n with 0-based
+positions; shifts, decimations and canonical forms come back as plain
+tuples.  Shifting by j moves entry g to position g + j (mod n); decimating
+by a unit k sends position g to k*g (mod n), i.e. (d_k v)_g = v_{k^{-1} g}.
+The decimation class of a vector is its orbit under the group generated by
+shifts and decimations; its canonical form is the lexicographically
+smallest orbit member.
 """
 
 from __future__ import annotations
@@ -12,30 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
 
 import numpy as np
-
-
-class CyclicVector(tuple):
-    """An integer vector indexed by Z_n.  Immutable, hashable, compares as a tuple."""
-
-    def __new__(cls, entries: Iterable[int]) -> "CyclicVector":
-        vec = super().__new__(cls, (int(x) for x in entries))
-        if len(vec) == 0:
-            raise ValueError("cyclic vector must have positive length")
-        return vec
-
-    @property
-    def length(self) -> int:
-        return len(self)
-
-    @property
-    def density(self) -> int:
-        return sum(self)
-
-    def is_binary(self) -> bool:
-        return all(x in (0, 1) for x in self)
 
 
 @lru_cache(maxsize=None)
@@ -50,27 +30,22 @@ def euler_phi(n: int) -> int:
     return len(units(n))
 
 
-def shift(v, j: int) -> CyclicVector:
+def shift(v, j: int) -> tuple[int, ...]:
     """Cyclic shift by j: entry g of the result is v_{g-j}."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
+    v = tuple(v)
     n = len(v)
     j %= n
-    if j == 0:
-        return v
-    return CyclicVector(v[n - j:] + v[:n - j])
+    return v[n - j:] + v[:n - j]
 
 
-def decimate(v, k: int) -> CyclicVector:
+def decimate(v, k: int) -> tuple[int, ...]:
     """Decimation by a unit k: entry g of the result is v_{k^{-1} g}."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
     k %= n
     if gcd(k, n) != 1:
         raise ValueError(f"decimation requires gcd(k, length) = 1, got k={k}, length={n}")
-    if k == 1:
-        return v
     kinv = pow(k, -1, n)
-    return CyclicVector(v[(kinv * g) % n] for g in range(n))
+    return tuple(v[(kinv * g) % n] for g in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -90,13 +65,12 @@ def decimations(v) -> np.ndarray:
     return np.asarray(v)[_orbit_table(n)[::n]]
 
 
-def decimation_canon(v) -> tuple[CyclicVector, tuple[int, int]]:
+def decimation_canon(v) -> tuple[tuple[int, ...], tuple[int, int]]:
     """Lexicographically smallest member of the shift+decimation orbit of v.
 
     Returns (canonical, (j, k)) such that shift(decimate(v, k), j) == canonical.
     Ties are broken toward the smallest decimation k, then the smallest shift j.
     """
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
     orbit = np.asarray(v)[_orbit_table(n)]
     # keep the rows holding the smallest entry, column by column; the
@@ -108,7 +82,7 @@ def decimation_canon(v) -> tuple[CyclicVector, tuple[int, int]]:
         if len(alive) == 1:
             break
     first = int(alive[0])
-    return CyclicVector(orbit[first].tolist()), (first % n, units(n)[first // n])
+    return tuple(orbit[first].tolist()), (first % n, units(n)[first // n])
 
 
 @dataclass(frozen=True)
@@ -129,7 +103,6 @@ class MultiplierGroup:
 
 def multiplier_group(v) -> MultiplierGroup:
     """Compute the multiplier group of v with a witness shift for each member."""
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     n = len(v)
     target = np.asarray(v)
     witnesses: dict[int, int] = {}  # rows come in (unit, shift) order: smallest shift first

@@ -36,8 +36,7 @@ from math import cos, floor, pi
 
 import numpy as np
 
-from .cyclic import (CyclicVector, MultiplierGroup, _orbit_table, decimate, decimations,
-                     multiplier_group, units)
+from .cyclic import MultiplierGroup, _orbit_table, decimate, decimations, multiplier_group, units
 from .errors import InvariantViolation
 from .spectral import paf_psd
 
@@ -50,7 +49,7 @@ _PSD_SLACK = 1e-6  # float margin added to gamma by the PSD screen
 class CompressedCandidate:
     """A decimation-class representative surviving the PSD screen."""
 
-    vector: CyclicVector
+    vector: tuple[int, ...]
     delta2: int
     kappa: int
     paf: tuple[int, ...]  # all lags 0..delta-1
@@ -97,11 +96,11 @@ class CompressedPair:
 
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(self.q.vector), self.p_canon)
+        return (self.q.vector, self.p_canon)
 
     @property
     def members(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (tuple(self.q.vector), tuple(self.p.vector))
+        return (self.q.vector, self.p.vector)
 
 
 def _full_paf(ssq: int, half: tuple[int, ...], delta: int) -> tuple[int, ...]:
@@ -264,7 +263,7 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     reps.sort()
     for vec, ssq, half_paf in reps:
         yield CompressedCandidate(
-            vector=CyclicVector(vec),
+            vector=vec,
             delta2=delta2,
             kappa=kappa,
             paf=_full_paf(ssq, half_paf, delta),
@@ -335,7 +334,7 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
 
 
 def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
-    return replace(c, vector=decimate(c.vector, r), paf=tuple(decimate(c.paf, r)))
+    return replace(c, vector=decimate(c.vector, r), paf=decimate(c.paf, r))
 
 
 def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
@@ -364,7 +363,7 @@ def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
     return CompressedPair(
         q=q,
         p=p,
-        p_canon=tuple(p_class.vector),
+        p_canon=p_class.vector,
         r=r,
         lam=lam,
         s_q=s_q,

@@ -32,7 +32,7 @@ from . import seqio
 from .bmfm import MarginalInstance, _leaf_chunks, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
 from .compress import CrtContext
-from .cyclic import CyclicVector, decimation_canon
+from .cyclic import decimation_canon
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
 from .spectral import exact_complementary, paf
@@ -113,15 +113,13 @@ def canonicalize_lp(u, v, lam: int, task: int = -1,
     The record key is the unordered pair of decimation-class canonical
     forms; equal keys identify equivalent pairs.
     """
-    u = u if isinstance(u, CyclicVector) else CyclicVector(u)
-    v = v if isinstance(v, CyclicVector) else CyclicVector(v)
     if not exact_complementary(u, v, lam):
         raise ValueError("not a complementary pair at the stated lambda")
     return LegendrePairRecord(
         u=tuple(u),
         v=tuple(v),
-        canon_u=tuple(decimation_canon(u)[0]),
-        canon_v=tuple(decimation_canon(v)[0]),
+        canon_u=decimation_canon(u)[0],
+        canon_v=decimation_canon(v)[0],
         lam=lam,
         rho_u=correlation_energy(u),
         rho_v=correlation_energy(v),
@@ -296,12 +294,11 @@ def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
 
 
 def _record_from_doc(doc) -> LegendrePairRecord:
-    bits = lambda s: tuple(int(c) for c in s)
     return LegendrePairRecord(
-        u=bits(doc["u"]),
-        v=bits(doc["v"]),
-        canon_u=bits(doc["canon_u"]),
-        canon_v=bits(doc["canon_v"]),
+        u=seqio._bits(doc["u"]),
+        v=seqio._bits(doc["v"]),
+        canon_u=seqio._bits(doc["canon_u"]),
+        canon_v=seqio._bits(doc["canon_v"]),
         lam=doc["lambda"],
         rho_u=doc["rho_u"],
         rho_v=doc["rho_v"],
@@ -383,9 +380,7 @@ def _finalize(progress: _Progress, lam: int) -> list[LegendrePairRecord]:
     for record in ordered:
         if final and final[-1].key == record.key:
             continue
-        if not exact_complementary(
-            CyclicVector(record.u), CyclicVector(record.v), lam
-        ):
+        if not exact_complementary(record.u, record.v, lam):
             raise InvariantViolation(f"archived record fails verification: {record}")
         final.append(record)
     return final

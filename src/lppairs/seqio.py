@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cyclic import CyclicVector
 from .spectral import exact_complementary
 
 SEQ_MAGIC = "# lp-seq v1"
@@ -128,7 +127,7 @@ def load_archive(path):
                 continue
             u = _bits(doc["u"])
             v = _bits(doc["v"])
-            if not exact_complementary(CyclicVector(u), CyclicVector(v), doc["lambda"]):
+            if not exact_complementary(u, v, doc["lambda"]):
                 raise _parse_error(path, lineno, "record fails the complementarity re-check")
             doc["u"] = u
             doc["v"] = v

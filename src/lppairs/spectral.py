@@ -55,17 +55,15 @@ def paf_psd(paf_values) -> np.ndarray:
 
 def exact_complementary(u, v, lam: int) -> bool:
     """Exact integer check PAF(u, g) + PAF(v, g) == lam for every g != 0."""
+    return first_failing_lag(u, v, lam) is None
+
+
+def first_failing_lag(u, v, lam: int):
+    """Smallest nonzero lag where the PAF sum misses lam, as (lag, sum), or None."""
     pu = paf(u)
     pv = paf(v)
     if len(pu) != len(pv):
         raise ValueError(f"length mismatch: {len(pu)} vs {len(pv)}")
-    return all(pu[g] + pv[g] == lam for g in range(1, len(pu)))
-
-
-def first_failing_lag(u, v, lam: int):
-    """Smallest nonzero lag where the PAF sum misses lam, or None."""
-    pu = paf(u)
-    pv = paf(v)
     for g in range(1, len(pu)):
         if pu[g] + pv[g] != lam:
             return g, pu[g] + pv[g]

@@ -215,14 +215,13 @@ def test_criterion_5_subsampling_identity():
 
 def test_criterion_5_two_dimensional_dft_conversion():
     from lppairs.compress import CrtContext, theta
-    from lppairs.cyclic import CyclicVector
     from lppairs.spectral import dft, two_dim_dft
 
     for d1, d2 in ((5, 7), (7, 5)):
         ctx = CrtContext(d1, d2)
         assert ctx.z == 3
         for v in _spectral_cases():
-            m = two_dim_dft(np.array(theta(CyclicVector(v), ctx).rows), d1, d2)
+            m = two_dim_dft(np.array(theta(v, ctx).rows), d1, d2)
             mu = dft(v)
             # the reshaped two-dimensional spectrum is the z-decimation of
             # the one-dimensional one: M[psi(g)] = mu_{g z^{-1}}
@@ -239,7 +238,6 @@ def _coprime_density(rng, n, choices):
 
 def test_criterion_6_class_overlap_formula():
     from lppairs.compress import CrtContext, class_overlap_count, compress
-    from lppairs.cyclic import CyclicVector
     from lppairs.oracle import oracle_orbit
 
     rng = random.Random(504)
@@ -248,8 +246,8 @@ def test_criterion_6_class_overlap_formula():
         (35, CrtContext(5, 7), (8, 9, 11, 12, 13, 16)),
     ):
         for _ in range(50):
-            v = CyclicVector(random_binary(rng, n, rng.choice(densities)))
-            q = CyclicVector(compress(v, ctx.d1))
+            v = random_binary(rng, n, rng.choice(densities))
+            q = compress(v, ctx.d1)
             brute = sum(
                 1
                 for _, tags in oracle_orbit(v, compression_sizes=(ctx.d1,))
@@ -260,7 +258,6 @@ def test_criterion_6_class_overlap_formula():
 
 def test_criterion_6_simultaneous_overlap_formula():
     from lppairs.compress import compress, simul_overlap_count
-    from lppairs.cyclic import CyclicVector
     from lppairs.oracle import oracle_orbit
 
     rng = random.Random(505)
@@ -269,7 +266,7 @@ def test_criterion_6_simultaneous_overlap_formula():
         (35, (5, 7), (8, 9, 11, 12, 13, 16)),
     ):
         for _ in range(50):
-            v = CyclicVector(random_binary(rng, n, rng.choice(densities)))
+            v = random_binary(rng, n, rng.choice(densities))
             qs = [tuple(compress(v, d1)), tuple(compress(v, d2))]
             brute = sum(
                 1
@@ -283,7 +280,7 @@ def test_criterion_6_sum_rule_at_15():
     from itertools import combinations
 
     from lppairs.compress import CrtContext, class_overlap_count, count_decompressions
-    from lppairs.cyclic import CyclicVector, decimation_canon
+    from lppairs.cyclic import decimation_canon
 
     ctx = CrtContext(3, 5)
     residues = [[g + j * 3 for j in range(5)] for g in range(3)]
@@ -294,12 +291,12 @@ def test_criterion_6_sum_rule_at_15():
             *[combinations(residues[g], q[g]) for g in range(3)]
         ):
             ones = {i for pick in picks for i in pick}
-            v = CyclicVector(1 if i in ones else 0 for i in range(15))
+            v = tuple(1 if i in ones else 0 for i in range(15))
             total += 1
             classes.setdefault(tuple(decimation_canon(v)[0]), v)
         assert total == count_decompressions(q, 5)
         summed = sum(
-            class_overlap_count(v, CyclicVector(q), ctx)
+            class_overlap_count(v, q, ctx)
             for v in classes.values()
         )
         assert summed == total

@@ -1,4 +1,4 @@
-"""Command-line behavior: output, file handling, exit codes."""
+"""Command-line behavior: output, file handling, exit codes; the public names."""
 
 import json
 import re
@@ -22,6 +22,15 @@ def _bundled_path() -> str:
 
 def _fixture_pair():
     return seqio.read_sequences(_bundled_path())
+
+
+def test_star_import_resolves_every_public_name():
+    import lppairs
+
+    namespace = {}
+    exec("from lppairs import *", namespace)
+    assert len(set(lppairs.__all__)) == len(lppairs.__all__)
+    assert set(lppairs.__all__) <= namespace.keys()
 
 
 def test_verify_bundled_fixture(capsys):

@@ -17,7 +17,7 @@ from lppairs.compress import (
     theta_inv,
     validate_simultaneous,
 )
-from lppairs.cyclic import CyclicVector, decimate, shift, units
+from lppairs.cyclic import decimate, shift, units
 from lppairs.errors import InvariantViolation
 from lppairs.oracle import oracle_orbit
 
@@ -48,7 +48,7 @@ def test_compress_shift_maps_to_short_shift():
         v = random_binary(rng, 15, 7)
         j = rng.randrange(15)
         left = tuple(compress(shift(v, j), 3))
-        right = tuple(shift(CyclicVector(compress(v, 3)), j % 3))
+        right = shift(compress(v, 3), j % 3)
         assert left == right
 
 
@@ -73,7 +73,7 @@ def test_crt_context_bijection_and_z():
 
 def test_theta_worked_example():
     ctx = CrtContext(7, 5)
-    a = theta(CyclicVector(V35), ctx)
+    a = theta(V35, ctx)
     assert a.rows == A35
     assert a.row_sums == Q1
     assert a.col_sums == Q2
@@ -83,7 +83,7 @@ def test_theta_roundtrip():
     rng = random.Random(303)
     ctx = CrtContext(3, 5)
     for _ in range(10):
-        v = CyclicVector(random_binary(rng, 15, 8))
+        v = random_binary(rng, 15, 8)
         assert theta_inv(theta(v, ctx), ctx) == v
 
 
@@ -93,13 +93,21 @@ def test_theta_inv_shape_check():
         theta_inv(BinaryMatrix(((1, 0), (0, 1))), ctx)
 
 
+def test_theta_checks_length_and_entries():
+    ctx = CrtContext(3, 5)
+    with pytest.raises(ValueError, match="binary"):
+        theta((2,) + (0,) * 14, ctx)
+    with pytest.raises(ValueError, match="length"):
+        theta((0,) * 14, ctx)
+
+
 def test_validate_simultaneous_worked_example():
-    assert validate_simultaneous(CyclicVector(V35), [Q1, Q2])
-    assert validate_simultaneous(CyclicVector(U35), [P1, P2])
+    assert validate_simultaneous(V35, [Q1, Q2])
+    assert validate_simultaneous(U35, [P1, P2])
     # swapping the first two differing entries changes a marginal
     w = list(V35)
     w[1], w[2] = w[2], w[1]
-    assert not validate_simultaneous(CyclicVector(w), [Q1, Q2])
+    assert not validate_simultaneous(w, [Q1, Q2])
 
 
 def test_count_decompressions():
@@ -129,8 +137,8 @@ def test_class_overlap_formula_matches_brute_force():
     ctx = CrtContext(3, 5)
     checked = 0
     while checked < 20:
-        v = CyclicVector(random_binary(rng, 15, rng.choice([4, 7, 8])))
-        q = CyclicVector(compress(v, 3))
+        v = random_binary(rng, 15, rng.choice([4, 7, 8]))
+        q = compress(v, 3)
         formula = class_overlap_count(v, q, ctx)
         members = oracle_orbit(v, compression_sizes=(3,))
         brute = sum(1 for _, tags in members if tags[3] == tuple(q))
@@ -140,15 +148,15 @@ def test_class_overlap_formula_matches_brute_force():
 
 def test_class_overlap_rejects_bad_density():
     ctx = CrtContext(3, 5)
-    v = CyclicVector([1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+    v = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        class_overlap_count(v, CyclicVector(compress(v, 3)), ctx)
+        class_overlap_count(v, compress(v, 3), ctx)
 
 
 def test_simul_overlap_formula_matches_brute_force():
     rng = random.Random(305)
     for _ in range(20):
-        v = CyclicVector(random_binary(rng, 15, rng.choice([4, 7, 8])))
+        v = random_binary(rng, 15, rng.choice([4, 7, 8]))
         qs = [tuple(compress(v, 3)), tuple(compress(v, 5))]
         formula = simul_overlap_count(v, qs)
         members = oracle_orbit(v, compression_sizes=(3, 5))
@@ -183,14 +191,14 @@ def test_sum_rule_partitions_decompressions():
     classes = {}
     for picks in iproduct(*[combinations(residues[g], q[g]) for g in range(3)]):
         ones = {i for pick in picks for i in pick}
-        v = CyclicVector(1 if i in ones else 0 for i in range(15))
+        v = tuple(1 if i in ones else 0 for i in range(15))
         total += 1
         from lppairs.cyclic import decimation_canon
 
         classes.setdefault(tuple(decimation_canon(v)[0]), v)
     assert total == count_decompressions(q, 5)
     summed = sum(
-        class_overlap_count(v, CyclicVector(q), ctx) for v in classes.values()
+        class_overlap_count(v, q, ctx) for v in classes.values()
     )
     assert summed == total
 
@@ -202,10 +210,10 @@ def test_decimation_multiplier_compatibility():
 
     rng = random.Random(306)
     for _ in range(10):
-        v = CyclicVector(random_binary(rng, 15, 8))
-        q = CyclicVector(compress(v, 3))
+        v = random_binary(rng, 15, 8)
+        q = compress(v, 3)
         h = multiplier_group(q)
         for k in units(15):
-            image = CyclicVector(compress(decimate(v, k), 3))
+            image = compress(decimate(v, k), 3)
             same_class = any(shift(image, j) == q for j in range(3))
             assert same_class == (k % 3 in h)

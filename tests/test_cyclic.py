@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from lppairs.cyclic import (
-    CyclicVector,
     decimate,
     decimation_canon,
     euler_phi,
@@ -18,14 +17,6 @@ from lppairs.cyclic import (
 from conftest import random_binary, random_vector
 
 
-def test_cyclic_vector_basics():
-    v = CyclicVector([0, 1, 1, 0, 1])
-    assert v.length == 5
-    assert v.density == 3
-    assert v.is_binary()
-    assert not CyclicVector([0, 2, 1]).is_binary()
-
-
 def test_units_are_coprime_and_match_phi():
     for n in (1, 2, 7, 12, 15, 35, 77):
         us = units(n)
@@ -35,7 +26,7 @@ def test_units_are_coprime_and_match_phi():
 
 
 def test_shift_moves_entries():
-    v = CyclicVector([1, 2, 3, 4, 5])
+    v = (1, 2, 3, 4, 5)
     # (c_j v)_g = v_{g-j}
     assert tuple(shift(v, 1)) == (5, 1, 2, 3, 4)
     assert tuple(shift(v, -1)) == (2, 3, 4, 5, 1)
@@ -43,7 +34,7 @@ def test_shift_moves_entries():
 
 
 def test_decimate_uses_inverse_index():
-    v = CyclicVector([0, 1, 2, 3, 4])
+    v = (0, 1, 2, 3, 4)
     # (d_k v)_g = v_{k^{-1} g}; for k=2 on Z_5, k^{-1}=3
     assert tuple(decimate(v, 2)) == (0, 3, 1, 4, 2)
     assert tuple(decimate(v, 1)) == tuple(v)
@@ -51,14 +42,14 @@ def test_decimate_uses_inverse_index():
 
 def test_decimate_rejects_non_units():
     with pytest.raises(ValueError):
-        decimate(CyclicVector([1, 0, 0, 1, 0, 0]), 2)
+        decimate((1, 0, 0, 1, 0, 0), 2)
 
 
 def test_shift_composition():
     rng = random.Random(101)
     for _ in range(20):
         n = rng.choice([5, 9, 15])
-        v = CyclicVector(random_vector(rng, n))
+        v = random_vector(rng, n)
         j, k = rng.randrange(n), rng.randrange(n)
         assert shift(shift(v, j), k) == shift(v, j + k)
 
@@ -67,7 +58,7 @@ def test_decimation_composition():
     rng = random.Random(102)
     for _ in range(20):
         n = rng.choice([5, 9, 15, 21])
-        v = CyclicVector(random_vector(rng, n))
+        v = random_vector(rng, n)
         a, b = rng.choice(units(n)), rng.choice(units(n))
         assert decimate(decimate(v, a), b) == decimate(v, (a * b) % n)
 
@@ -77,7 +68,7 @@ def test_decimation_shift_commutation():
     rng = random.Random(103)
     for _ in range(20):
         n = rng.choice([7, 15, 35])
-        v = CyclicVector(random_vector(rng, n))
+        v = random_vector(rng, n)
         j, k = rng.randrange(n), rng.choice(units(n))
         assert decimate(shift(v, j), k) == shift(decimate(v, k), k * j)
 
@@ -86,7 +77,7 @@ def test_decimation_canon_is_orbit_invariant():
     rng = random.Random(105)
     for _ in range(15):
         n = rng.choice([9, 15, 21])
-        v = CyclicVector(random_vector(rng, n, 0, 2))
+        v = random_vector(rng, n, 0, 2)
         canon, (j, k) = decimation_canon(v)
         assert shift(decimate(v, k), j) == canon
         moved = shift(decimate(v, rng.choice(units(n))), rng.randrange(n))
@@ -97,7 +88,7 @@ def test_decimation_canon_is_orbit_minimum():
     rng = random.Random(106)
     for _ in range(10):
         n = rng.choice([9, 15])
-        v = CyclicVector(random_vector(rng, n, 0, 1))
+        v = random_vector(rng, n, 0, 1)
         canon, _ = decimation_canon(v)
         orbit = {
             tuple(shift(decimate(v, k), j))
@@ -124,7 +115,7 @@ def test_decimation_canon_equals_brute_minimum_with_first_witness(n):
                     best = (cand, (j, k))
         canon, witness = decimation_canon(v)
         assert (tuple(canon), witness) == best
-        assert isinstance(canon, CyclicVector) and all(type(x) is int for x in canon)
+        assert type(canon) is tuple and all(type(x) is int for x in canon)
 
 
 def test_multiplier_group_witnesses():
@@ -137,7 +128,7 @@ def test_multiplier_group_witnesses():
         cases += [random_vector(rng, n, 0, 4) for _ in range(3)]
         cases += [(2,) * n, tuple(g % 3 for g in range(n))]
         cases.append(tuple((g - 1) ** 2 % n for g in range(n)))  # witness n - 2 for unit -1
-        for v in map(CyclicVector, cases):
+        for v in cases:
             g = multiplier_group(v)
             brute = []
             for k in units(n):
@@ -153,7 +144,7 @@ def test_multiplier_group_is_closed():
     rng = random.Random(108)
     for _ in range(15):
         n = rng.choice([7, 13, 15, 21])
-        v = CyclicVector(random_binary(rng, n, rng.randint(1, n - 1)))
+        v = random_binary(rng, n, rng.randint(1, n - 1))
         g = multiplier_group(v)
         members = set(g.members)
         for a in members:
@@ -165,7 +156,7 @@ def test_multiplier_group_is_closed():
 def test_quadratic_residue_multipliers():
     # the quadratic residue sequence of length 7 has the residues {1, 2, 4}
     # as multipliers
-    v = CyclicVector([0, 1, 1, 0, 1, 0, 0])
+    v = (0, 1, 1, 0, 1, 0, 0)
     assert multiplier_group(v).members == (1, 2, 4)
 
 
@@ -174,7 +165,7 @@ def test_orbit_size_divides_group_order():
     rng = random.Random(109)
     for _ in range(10):
         n = 15
-        v = CyclicVector(random_binary(rng, n, 4))
+        v = random_binary(rng, n, 4)
         g = multiplier_group(v)
         orbit = {
             tuple(shift(decimate(v, k), j))

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from lppairs.cyclic import CyclicVector, decimate, decimation_canon
+from lppairs.cyclic import decimate, decimation_canon
 from lppairs.oracle import oracle_candidates, relative_match_audit
 from lppairs.pairgen import (
     enum_candidates,
@@ -103,7 +103,7 @@ def test_relative_alignment_is_recorded():
         for pr in pairs:
             rs.add(pr.r)
             # the stored member really is the decimation of its canonical form
-            image = decimate(CyclicVector(pr.p_canon), pr.r)
+            image = decimate(pr.p_canon, pr.r)
             assert tuple(pr.p.vector) == tuple(image)
     assert 1 in rs
     assert any(r != 1 for r in rs)

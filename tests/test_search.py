@@ -3,8 +3,10 @@
 import filecmp
 import hashlib
 import importlib
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from lppairs.bmfm import (
     solutions,
 )
 from lppairs.compress import CrtContext, theta, theta_inv
-from lppairs.cyclic import CyclicVector, decimate, shift
+from lppairs.cyclic import decimate, shift
 from lppairs.oracle import oracle_lp
 from lppairs.search import (
     SearchConfig,
@@ -41,7 +43,7 @@ def test_correlation_energy_examples():
 
 
 def test_correlation_energy_is_shift_and_decimation_invariant():
-    v = CyclicVector((0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0))
+    v = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0)
     base = correlation_energy(v)
     assert correlation_energy(shift(v, 4)) == base
     assert correlation_energy(decimate(v, 2)) == base
@@ -96,10 +98,28 @@ def test_records_verify_and_are_sorted():
     keys = [r.key for r in records]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for r in records:
-        assert exact_complementary(CyclicVector(r.u), CyclicVector(r.v), r.lam)
+        assert exact_complementary(r.u, r.v, r.lam)
         assert divisor_psd_check(r.u, r.v, float(r.lam))
         assert r.rho_u == correlation_energy(r.u)
         assert r.rho_v == correlation_energy(r.v)
+
+
+def test_pipeline_vectors_are_plain_int_tuples():
+    # plain tuples of Python ints from census to record keep records
+    # JSON-serialisable and comparable with literals
+    def plain(x):
+        return type(x) is tuple and all(type(e) is int for e in x)
+
+    pairs = [pair for delta in (3, 5) for pair in compressed_census(15, delta)[2]]
+    assert any(pair.r != 1 for pair in pairs)  # some second members were decimated
+    for pair in pairs:
+        for c in (pair.q, pair.p):
+            assert plain(c.vector) and plain(c.paf)
+        assert all(plain(m) for m in pair.members)
+    records, _ = run_search(15, 3, 5)
+    assert records
+    for r in records:
+        assert all(plain(x) for x in (r.u, r.v, r.canon_u, r.canon_v))
 
 
 def test_factor_order_is_irrelevant():
@@ -206,6 +226,20 @@ def test_resume_refuses_config_changes(tmp_path):
     run_search(15, 3, 5, SearchConfig(stop_after=1, checkpoint_path=str(cp)))
     with pytest.raises(ValueError, match="refusing to resume"):
         run_search(15, 5, 3, SearchConfig(checkpoint_path=str(cp)), resume=True)
+
+
+def test_resume_refuses_non_binary_digits_in_the_records_file(tmp_path):
+    cp = tmp_path / "cp.json"
+    run_search(15, 3, 5, SearchConfig(stop_after=1, checkpoint_path=str(cp)))
+    sidecar = Path(str(cp) + ".records")
+    first, *rest = sidecar.read_text().splitlines(keepends=True)
+    doc = json.loads(first)
+    doc["u"] = "2" + doc["u"][1:]
+    # same length, so the checkpoint's byte offset still covers the line
+    first = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    sidecar.write_text("".join([first] + rest))
+    with pytest.raises(ValueError, match="non-binary digits"):
+        run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp)), resume=True)
 
 
 def test_fresh_run_discards_stale_checkpoint_records(tmp_path):

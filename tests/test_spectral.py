@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lppairs.compress import compress
-from lppairs.cyclic import CyclicVector, decimate
+from lppairs.cyclic import decimate
 from lppairs.spectral import (
     MAX_DFT_LENGTH,
     dft,
@@ -69,13 +69,21 @@ def test_dft_refuses_oversized_input():
 
 
 def test_exact_complementary_small_cases():
-    u = CyclicVector([1, 1, 0])
-    v = CyclicVector([1, 0, 1])
+    u = (1, 1, 0)
+    v = (1, 0, 1)
     # every weight-2 vector of length 3 has PAF 1 at both nonzero lags
     assert exact_complementary(u, v, 2)
     assert not exact_complementary(u, v, 3)
     assert first_failing_lag(u, v, 2) is None
     assert first_failing_lag(u, v, 3) == (1, 2)
+
+
+def test_lag_checks_refuse_mismatched_lengths():
+    # all-zero vectors would pass every lag at lam = 0 if the lengths went unchecked
+    with pytest.raises(ValueError, match="length mismatch"):
+        first_failing_lag((0, 0, 0), (0, 0, 0, 0, 0), 0)
+    with pytest.raises(ValueError, match="length mismatch"):
+        exact_complementary((0, 0, 0), (0, 0, 0, 0, 0), 0)
 
 
 def _literal_pairs_15(limit=20):
@@ -118,14 +126,13 @@ def test_divisor_psd_check_matches_exact_test():
     lam = 8
     cases = []
     for _ in range(300):
-        cases.append((CyclicVector(random_binary(rng, n, lam)),
-                      CyclicVector(random_binary(rng, n, lam))))
+        cases.append((random_binary(rng, n, lam), random_binary(rng, n, lam)))
     positives = _literal_pairs_15()
     for u, v in positives:
         # independent shifts and a shared decimation both preserve the
         # pair property, so these images must certify too
         k = rng.choice(units(n))
-        cases.append((CyclicVector(u), CyclicVector(v)))
+        cases.append((u, v))
         cases.append((shift(decimate(u, k), rng.randrange(n)),
                       shift(decimate(v, k), rng.randrange(n))))
     seen_true = 0
