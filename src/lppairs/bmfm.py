@@ -210,22 +210,10 @@ def _expand(steps, last, mask, need):
             yield from _expand(rest, last, mask[lo + parent] | words[pick], child[:, parent, pick])
 
 
-def enumerate_masks(inst: MarginalInstance, bits, visitor, base: int = 0) -> int:
-    """Visit every solution as an int; returns the number visited.
-
-    The int is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), so
-    with CRT cell bits (`CrtContext.cell_bits`) it is the reshaped binary
-    vector itself, bit g holding v_g.  The visitor may return False to
-    stop early.  Leaves come in the same order as `enumerate_matrices`:
-    the order depends on the instance, never on the bits.
-    """
-    visited = 0
-    for chunk in _leaf_chunks(inst, bits, base):
-        for row in chunk.astype("<u8"):
-            visited += 1
-            if visitor(int.from_bytes(row.tobytes(), "little")) is False:
-                return visited
-    return visited
+def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Bits 0..nbits-1 of mask words (last axis, little-endian uint64) as 0/1 uint8."""
+    octets = words.astype("<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=nbits, bitorder="little")
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +229,16 @@ def enumerate_matrices(inst: MarginalInstance, visitor=None) -> int:
     closed recursion).
     """
     m, n = inst.n_rows, inst.n_cols
-    if visitor is None:
-        leaf = lambda mask: None
-    else:
-        def leaf(mask):
-            rows = tuple(
-                tuple((mask >> (i * n + j)) & 1 for j in range(n)) for i in range(m)
-            )
-            return visitor(BinaryMatrix(rows))
-    return enumerate_masks(inst, _row_major_bits(m, n), leaf)
+    visited = 0
+    for chunk in _leaf_chunks(inst, _row_major_bits(m, n)):
+        if visitor is None:
+            visited += len(chunk)
+            continue
+        for cells in _unpack(chunk, m * n).reshape(-1, m, n).tolist():
+            visited += 1
+            if visitor(BinaryMatrix(tuple(map(tuple, cells)))) is False:
+                return visited
+    return visited
 
 
 def enumerate_with_spectrum(inst: MarginalInstance, visitor) -> int:

@@ -23,8 +23,9 @@ from . import seqio
 from .bmfm import MarginalInstance, count, enumerate_matrices
 from .errors import InvariantViolation
 from .oracle import oracle_bmfm, oracle_feasible_subsets, oracle_lp, oracle_orbit
-from .search import SearchConfig, compressed_census, correlation_energy, run_search
-from .spectral import first_failing_lag, paf, proper_divisors, psd
+from .search import SearchConfig, _validate_length, compressed_census, correlation_energy, run_search
+from .spectral import first_failing_lag, proper_divisors, psd
+from .spectral import paf  # noqa: F401  bench/tracing.py patches this name
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -62,10 +63,14 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{path}: {name} sequence is not binary")
     ell = sf.length
     print(f"length: {ell}")
+    try:
+        _validate_length(ell)
+    except ValueError as exc:
+        print(f"length check: FAILED ({exc})")
+        return 1
     print(f"kappa: u={sum(u)} v={sum(v)}")
 
-    sums = [a + b for a, b in zip(paf(u), paf(v))]
-    lam = Counter(sums[1:]).most_common(1)[0][0]
+    lam = (ell + 1) // 2
     print(f"lambda: {lam}")
     failure = first_failing_lag(u, v, lam)
     if failure is not None:
@@ -73,6 +78,9 @@ def cmd_verify(args) -> int:
         print(f"paf check: FAILED at lag {lag} (sum {value}, expected {lam})")
         return 1
     print(f"paf check: ok at all {ell - 1} nonzero lags")
+    if sum(u) != lam or sum(v) != lam:
+        print(f"density check: FAILED (expected {lam} for both)")
+        return 1
 
     psd_sum = psd(u) + psd(v)
     for d in proper_divisors(ell):

@@ -178,14 +178,13 @@ def class_overlap_count(v, q, ctx: CrtContext) -> int:
         raise ValueError(f"density {sum(v)} shares a factor with length {ctx.ell}")
     if compress(v, ctx.d1) != tuple(q):
         raise ValueError("q is not the d1-compression of v")
-    h = multiplier_group(q)
-    g = multiplier_group(v)
-    numerator = ctx.d2 * euler_phi(ctx.d2) * h.order
-    if numerator % g.order != 0:
+    g = len(multiplier_group(v))
+    numerator = ctx.d2 * euler_phi(ctx.d2) * len(multiplier_group(q))
+    if numerator % g != 0:
         raise InvariantViolation(
-            f"overlap count {numerator}/{g.order} is not an integer"
+            f"overlap count {numerator}/{g} is not an integer"
         )
-    return numerator // g.order
+    return numerator // g
 
 
 def simul_overlap_count(v, qs) -> int:
@@ -195,10 +194,10 @@ def simul_overlap_count(v, qs) -> int:
     """
     if not validate_simultaneous(v, qs):
         raise ValueError("compressions do not match v")
-    g = multiplier_group(v)
-    numerator = prod(multiplier_group(q).order for q in qs)
-    if numerator % g.order != 0:
+    g = len(multiplier_group(v))
+    numerator = prod(len(multiplier_group(q)) for q in qs)
+    if numerator % g != 0:
         raise InvariantViolation(
-            f"overlap count {numerator}/{g.order} is not an integer"
+            f"overlap count {numerator}/{g} is not an integer"
         )
-    return numerator // g.order
+    return numerator // g

@@ -6,12 +6,12 @@ tuples.  Shifting by j moves entry g to position g + j (mod n); decimating
 by a unit k sends position g to k*g (mod n), i.e. (d_k v)_g = v_{k^{-1} g}.
 The decimation class of a vector is its orbit under the group generated by
 shifts and decimations; its canonical form is the lexicographically
-smallest orbit member.
+smallest orbit member.  Its multiplier group is the ascending tuple of the
+units whose decimations map it to a shift of itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -85,27 +85,9 @@ def decimation_canon(v) -> tuple[tuple[int, ...], tuple[int, int]]:
     return tuple(orbit[first].tolist()), (first % n, units(n)[first // n])
 
 
-@dataclass(frozen=True)
-class MultiplierGroup:
-    """The subgroup of units g with shift(decimate(v, g), j) == v for some shift j."""
-
-    modulus: int
-    members: tuple[int, ...]
-    witnesses: tuple[tuple[int, int], ...]  # (g, j) pairs, one per member
-
-    def __contains__(self, g: int) -> bool:
-        return g % self.modulus in self.members
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-
-def multiplier_group(v) -> MultiplierGroup:
-    """Compute the multiplier group of v with a witness shift for each member."""
+def multiplier_group(v) -> tuple[int, ...]:
+    """The units g, ascending, with shift(decimate(v, g), j) == v for some shift j."""
     n = len(v)
     target = np.asarray(v)
-    witnesses: dict[int, int] = {}  # rows come in (unit, shift) order: smallest shift first
-    for row in np.flatnonzero((target[_orbit_table(n)] == target).all(axis=1)).tolist():
-        witnesses.setdefault(units(n)[row // n], row % n)
-    return MultiplierGroup(n, tuple(witnesses), tuple(witnesses.items()))
+    fixed = (target[_orbit_table(n)] == target).all(axis=1).reshape(-1, n).any(axis=1)
+    return tuple(g for g, hit in zip(units(n), fixed.tolist()) if hit)

@@ -6,7 +6,8 @@ decimation class is kept.  The PSD test is the census's only float decision:
 it compares against gamma plus one fixed margin, _PSD_SLACK, and can only
 reject; whatever passes still has to pair on exact integers.  Two candidates
 form a pair when their autocorrelations sum to (delta2 * lambda) at every
-nonzero lag — an exact integer join up to the decimation action.  Every
+nonzero lag — an exact integer join up to the decimation action — and every
+pair is checked on integers only, its PSD sums included.  Every
 candidate is keyed once by the least off-peak decimation of its PAF and
 bucketed by that key; each candidate's complement is keyed the same way and
 meets its partners in one bucket, and the aligning decimation follows from a
@@ -36,9 +37,8 @@ from math import cos, floor, pi
 
 import numpy as np
 
-from .cyclic import MultiplierGroup, _orbit_table, decimate, decimations, multiplier_group, units
+from .cyclic import _orbit_table, decimate, decimations, multiplier_group, units
 from .errors import InvariantViolation
-from .spectral import paf_psd
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors screened together
@@ -57,14 +57,6 @@ class CompressedCandidate:
     @property
     def delta(self) -> int:
         return len(self.vector)
-
-    @property
-    def psd(self) -> np.ndarray:
-        return paf_psd(self.paf)
-
-    @property
-    def multipliers(self) -> MultiplierGroup:
-        return multiplier_group(self.vector)
 
 
 @dataclass(frozen=True)
@@ -281,13 +273,10 @@ def _paf_orbit(paf) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
 
 
 def _equiv_decimations(candidate: CompressedCandidate, stab: tuple[int, ...]) -> tuple[int, ...]:
-    members = candidate.multipliers.members
+    """The units of stab, the PAF's stabiliser, that are not multipliers of
+    the candidate: decimations that keep its PAF (hence PSD) but not its class."""
+    members = multiplier_group(candidate.vector)
     return tuple(s for s in stab if s not in members)
-
-
-def psd_equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
-    """Non-multiplier decimations that leave the PSD (hence PAF) unchanged."""
-    return _equiv_decimations(candidate, _paf_orbit(candidate.paf)[2])
 
 
 def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
@@ -303,8 +292,8 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
     units aligning b are then the coset a_b * w^-1 * Stab_b, and r is its
     least member.  Stab also gives each class's PSD-preserving decimations.
     A class may pair with itself.  The join is exact-integer throughout,
-    pairs are ordered by canonical form, and each is validated against
-    complementarity, PSD-sum, and sum-of-squares identities.
+    pairs are ordered by canonical form, and each is validated against the
+    complementarity, sum-of-squares and PSD-sum identities, all on integers.
     """
     cands = list(candidates)
     if not cands:
@@ -334,7 +323,7 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
 
 
 def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
-    return replace(c, vector=decimate(c.vector, r), paf=decimate(c.paf, r))
+    return CompressedCandidate(decimate(c.vector, r), c.delta2, c.kappa, decimate(c.paf, r))
 
 
 def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
@@ -355,8 +344,8 @@ def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
         raise InvariantViolation(
             f"sum of squares {ssq_sum} != {expected} for pair {q.vector}, {p.vector}"
         )
-    psd_sum = q.psd + p.psd
-    if np.abs(psd_sum[1:] - lam).max() > 1e-9:
+    # PSD(q, k) + PSD(p, k) = sum_g (PAF(q, g) + PAF(p, g)) w^(gk) = ssq_sum - target, k != 0
+    if ssq_sum - target != lam:
         raise InvariantViolation(
             f"PSD sums stray from {lam} for pair {q.vector}, {p.vector}"
         )

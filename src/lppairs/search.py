@@ -29,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from . import seqio
-from .bmfm import MarginalInstance, _leaf_chunks, count
+from .bmfm import MarginalInstance, _leaf_chunks, _unpack, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
 from .compress import CrtContext
 from .cyclic import decimation_canon
@@ -231,8 +231,7 @@ def _held_slices(inst: MarginalInstance, bits, cap: int):
 
 def _vector(words: np.ndarray, ell: int) -> tuple[int, ...]:
     """The 0/1 entries v_0..v_{ell-1} of one row of mask words."""
-    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
-    return tuple(bits[:ell].tolist())
+    return tuple(_unpack(words, ell).tolist())
 
 
 def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[LegendrePairRecord]:
@@ -342,14 +341,19 @@ class _Progress:
             )
         if cp.n_tasks != self.n_tasks:
             raise ValueError("checkpoint task count mismatch; refusing to resume")
+        sidecar = self._records_path
+        if not os.path.exists(sidecar) or os.path.getsize(sidecar) < cp.partial_offset:
+            raise ValueError(
+                f"records file {sidecar} is missing or shorter than the checkpoint's "
+                f"{cp.partial_offset} bytes; refusing to resume"
+            )
         self.completed = set(cp.completed)
-        if os.path.exists(self._records_path):
-            with open(self._records_path, "r+") as fh:
-                data = fh.read(cp.partial_offset)
-                fh.truncate(cp.partial_offset)
-            for line in data.splitlines():
-                if line.strip():
-                    self.records.append(_record_from_doc(json.loads(line)))
+        with open(sidecar, "r+") as fh:
+            data = fh.read(cp.partial_offset)
+            fh.truncate(cp.partial_offset)
+        for line in data.splitlines():
+            if line.strip():
+                self.records.append(_record_from_doc(json.loads(line)))
 
     def mark(self, index: int, new_records) -> None:
         self.completed.add(index)

@@ -4,9 +4,9 @@ The DFT is evaluated directly against precomputed root tables (lengths are
 small and never powers of two, so an FFT buys nothing).  Autocorrelations are
 exact integers; spectra are float.  The only float decision in a search is
 the census screen of compressed candidates, which applies one fixed margin
-and can only reject; the search joins lifted vectors on exact integer PAF
-keys and confirms every hit with `exact_complementary`, so no result is ever
-accepted on a float.
+and can only reject; compressed pairs are checked on their integer PAFs,
+the search joins lifted vectors on exact integer PAF keys and confirms every
+hit with `exact_complementary`, so no result is ever accepted on a float.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ def paf(v) -> tuple[int, ...]:
     n = len(entries)
     doubled = entries + entries
     return tuple(sum(map(mul, entries, doubled[g:g + n])) for g in range(n))
-
-
-def paf_psd(paf_values) -> np.ndarray:
-    """PSD recovered from an autocorrelation vector: its DFT is real."""
-    arr = np.asarray(tuple(paf_values), dtype=float)
-    return (_dft_matrix(len(arr)) @ arr).real
 
 
 def exact_complementary(u, v, lam: int) -> bool:

@@ -8,8 +8,8 @@ import pytest
 
 from lppairs.bmfm import (
     MarginalInstance,
+    _leaf_chunks,
     count,
-    enumerate_masks,
     enumerate_matrices,
     enumerate_with_spectrum,
     feasible,
@@ -83,6 +83,7 @@ def test_enumerate_visits_each_solution_once():
     seen = []
     total = enumerate_matrices(inst, lambda mat: seen.append(mat.rows))
     assert total == len(seen) == len(set(seen)) == count(inst)
+    assert enumerate_matrices(inst) == total  # no visitor: counted by chunk
     for rows in seen:
         assert tuple(sum(r) for r in rows) == inst.row_sums
         assert tuple(sum(c) for c in zip(*rows)) == inst.col_sums
@@ -104,8 +105,8 @@ def test_visitor_returning_false_stops_enumeration():
 def test_masks_or_cell_bits_into_base():
     inst = MarginalInstance([1, 2], [1, 1, 1])
     bits = ((1, 2, 4), (8, 16, 32))
-    masks = []
-    assert enumerate_masks(inst, bits, masks.append, base=64) == count(inst)
+    masks = [int(x) for chunk in _leaf_chunks(inst, bits, base=64) for x in chunk[:, 0]]
+    assert len(masks) == count(inst)
     expected = [
         64 | sum(bits[i][j] for i in range(2) for j in range(3) if mat.rows[i][j])
         for mat in solutions(inst)
@@ -159,8 +160,7 @@ def test_leaf_order_and_chunk_bound_do_not_depend_on_chunk_size(monkeypatch):
         rows, cols = random_marginals(rng, rng.randint(1, 4), rng.randint(2, 7))
         inst = MarginalInstance(rows, cols)
         bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
-        whole = []
-        enumerate_masks(inst, bits, whole.append)
+        whole = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
         monkeypatch.setattr(bmfm, "_CHUNK", 4)
         chunks = list(bmfm._leaf_chunks(inst, bits))
         monkeypatch.undo()

@@ -51,6 +51,23 @@ def test_verify_reports_first_failing_lag(tmp_path, capsys):
     assert "FAILED at lag" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("length,u,v,reason", [
+    (5, (0,) * 5, (0,) * 5, "paf check: FAILED at lag 1"),
+    (3, (1,) * 3, (1,) * 3, "paf check: FAILED at lag 1"),
+    # PAF sums are lambda = 3 at every nonzero lag, densities 4 and 1
+    (5, (1, 1, 1, 1, 0), (1, 0, 0, 0, 0), "density check: FAILED"),
+    (1, (1,), (0,), "length check: FAILED"),
+    (4, (1, 1, 0, 0), (1, 0, 1, 0), "length check: FAILED"),
+], ids=["zeros", "ones", "density", "length-1", "even-length"])
+def test_verify_refuses_non_legendre_pairs(tmp_path, capsys, length, u, v, reason):
+    path = tmp_path / "pair.txt"
+    seqio.write_sequences(path, length, [u, v])
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert reason in out
+    assert "legendre pair: yes" not in out
+
+
 def test_verify_parse_error_has_line_number(tmp_path, capsys):
     path = tmp_path / "trunc.txt"
     path.write_text("# lp-seq v1 length=5\n0,1,1\n")
@@ -111,6 +128,23 @@ def test_search_writes_archive_and_stats_reads_it(tmp_path, capsys):
     assert rows[0] == "energy,count"
     total = sum(int(r.split(",")[1]) for r in rows[1:])
     assert total == 2 * summary["records"]
+
+
+@pytest.mark.parametrize("damage", ["missing", "short"])
+def test_search_resume_refuses_a_missing_or_short_records_file(tmp_path, damage, capsys):
+    cp = tmp_path / "cp.json"
+    argv = ["search", "--length", "21", "--factors", "3,7", "--checkpoint", str(cp)]
+    assert main(argv + ["--stop-after", "3"]) == 0
+    sidecar = Path(str(cp) + ".records")
+    lines = sidecar.read_text().splitlines(keepends=True)
+    if damage == "missing":
+        sidecar.unlink()
+    else:
+        sidecar.write_text("".join(lines[: len(lines) // 2]))
+    capsys.readouterr()
+    assert main(argv + ["--resume", "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert "refusing to resume" in capsys.readouterr().err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_search_rejects_bad_factorization(capsys):

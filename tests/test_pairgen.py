@@ -5,13 +5,15 @@ from math import gcd
 
 import pytest
 
-from lppairs.cyclic import decimate, decimation_canon
+from lppairs.cyclic import decimate, decimation_canon, multiplier_group
+from lppairs.errors import InvariantViolation
 from lppairs.oracle import oracle_candidates, relative_match_audit
 from lppairs.pairgen import (
+    _equiv_decimations,
+    _paf_orbit,
     enum_candidates,
     expand_pairs,
     match_pairs,
-    psd_equiv_decimations,
 )
 from lppairs.spectral import exact_complementary, paf
 
@@ -127,16 +129,24 @@ def test_expansion_preserves_key_and_complementarity():
         assert all(pq[g] + pp[g] == 3 * 11 for g in range(1, 7))
 
 
-def test_psd_equiv_decimations_preserve_paf():
+def test_equiv_decimations_preserve_paf():
     cands = list(enum_candidates(7, 3, 11, 11.0))
     found = 0
     for c in cands:
-        for s in psd_equiv_decimations(c):
-            assert s not in c.multipliers.members
+        for s in _equiv_decimations(c, _paf_orbit(c.paf)[2]):
+            assert s not in multiplier_group(c.vector)
             image = decimate(c.vector, s)
             assert paf(image) == c.paf
             found += 1
     assert found > 0
+
+
+def test_pair_off_the_psd_sum_raises():
+    # (0,1,1) with itself complements at 2*1 on every lag and has the sum
+    # of squares 2*kappa^2 - (delta-1)*delta2*lam = 4, but its PSD sums
+    # are 4 - 2 = 2, not lam = 1
+    with pytest.raises(InvariantViolation, match="PSD sums"):
+        match_pairs(list(enum_candidates(3, 2, 2, 12.0)), lam=1, delta2=2)
 
 
 @pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7)])

@@ -16,7 +16,6 @@ from lppairs.bmfm import (
     MarginalInstance,
     _leaf_chunks,
     count,
-    enumerate_masks,
     enumerate_matrices,
     solutions,
 )
@@ -169,11 +168,11 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
     for inst in _sample_instances(length, d1, d2):
         expected = []
         enumerate_matrices(inst, lambda m: expected.append(tuple(theta_inv(m, ctx))))
-        masks = []
-        assert enumerate_masks(inst, ctx.cell_bits, masks.append) == len(expected)
-        got = [tuple((x >> g) & 1 for g in range(length)) for x in masks]
+        masks = np.concatenate(list(_leaf_chunks(inst, ctx.cell_bits)))
+        assert len(masks) == len(expected)
+        got = [tuple((x >> g) & 1 for g in range(length)) for x in masks[:, 0].tolist()]
         assert got == expected
-        keys = search._paf_keys(np.array(masks, dtype=np.uint64)[:, None], length)
+        keys = search._paf_keys(masks, length)
         for key, v in zip(keys.tolist(), expected):
             assert tuple(key) == paf(v)[1:(length + 1) // 2]
         seen += len(expected)
@@ -240,6 +239,23 @@ def test_resume_refuses_non_binary_digits_in_the_records_file(tmp_path):
     sidecar.write_text("".join([first] + rest))
     with pytest.raises(ValueError, match="non-binary digits"):
         run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp)), resume=True)
+
+
+@pytest.mark.parametrize("damage", ["missing", "short"])
+def test_resume_refuses_a_missing_or_short_records_file(tmp_path, damage):
+    cp = tmp_path / "cp.json"
+    run_search(21, 3, 7, SearchConfig(stop_after=3, checkpoint_path=str(cp)))
+    sidecar = Path(str(cp) + ".records")
+    lines = sidecar.read_text().splitlines(keepends=True)
+    assert len(lines) >= 2
+    if damage == "missing":
+        sidecar.unlink()
+    else:
+        sidecar.write_text("".join(lines[: len(lines) // 2]))
+    before = (cp.read_bytes(), sidecar.exists() and sidecar.read_bytes())
+    with pytest.raises(ValueError, match="refusing to resume"):
+        run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)), resume=True)
+    assert (cp.read_bytes(), sidecar.exists() and sidecar.read_bytes()) == before
 
 
 def test_fresh_run_discards_stale_checkpoint_records(tmp_path):
