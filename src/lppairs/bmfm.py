@@ -4,14 +4,19 @@ An instance is a pair of marginal vectors (row sums, column sums).
 Feasibility is the Gale-Ryser condition; `count` peels rows in a memoized
 recursion over the sorted marginals.
 
-Enumeration fills whole arrays of partial matrices one line at a time.  The
+Enumeration fills whole arrays of partial matrices a step at a time.  The
 lines are the rows or the columns, whichever are more numerous, so a 3 x 11
 instance is filled as 11 lines of 3 cells.  A frontier holds each partial
-matrix's mask words and the unsigned sums its line positions still need;
-committing a line of sum r subtracts all its r-subsets at once, `need - T`,
-and keeps the children whose needs stay within 0..lines left.  The last
-line is forced.  Frontiers are expanded depth first in slices, so memory
-is bounded, and leaves come in the lexicographic order of the line choices.
+matrix's mask words and the unsigned sums its line positions still need.
+A step commits several consecutive lines at once: its table lists every
+choice of one r-subset per line, first line major, as summed position
+counts T; the step subtracts them all, `need - T`, and keeps the children
+whose needs stay within 0..lines left.  Needs fall by at most 1 per line,
+so that one check after the step passes exactly when the check after each
+of its lines would.  A step grows while its table has at most
+isqrt(_CHUNK) rows.  The last line is forced.  Frontiers are expanded depth
+first in slices, so memory is bounded, and leaves come in the
+lexicographic order of the line choices.
 
 A leaf's mask ORs together the bits of its 1-cells; with CRT cell bits it
 is the reshaped binary vector itself (bit g holds v_g), which is what the
@@ -23,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -154,7 +159,7 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
 
     A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
     W little-endian 64-bit words.  Memory is bounded by `_CHUNK` partial
-    matrices per line, whatever the instance.
+    matrices per step, whatever the instance.
     """
     if not feasible(inst):
         return
@@ -167,7 +172,16 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
         lines = [tuple(bits[i][j] for i in range(m)) for j in range(n)]
     top = max([base] + [b for line in lines for b in line]).bit_length()
     width = max(1, -(-top // 64))
-    steps = [_line_step(line, r, width) for line, r in zip(lines[:-1], sums[:-1])]
+    steps = []
+    cap, start, rows = isqrt(_CHUNK), 0, 1
+    for k in range(len(sums) - 1):
+        size = comb(len(lines[k]), sums[k])
+        if k > start and rows * size > cap:
+            steps.append((_step(tuple(lines[start:k]), sums[start:k], width), len(sums) - k))
+            start, rows = k, 1
+        rows *= size
+    if len(sums) > 1:
+        steps.append((_step(tuple(lines[start:-1]), sums[start:-1], width), 1))
     mask = np.array([_words(base, width)], dtype=np.uint64)
     need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
     yield from _expand(steps, _cell_words(lines[-1], width), mask, need)
@@ -179,25 +193,30 @@ def _cell_words(line: tuple[int, ...], width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _line_step(line: tuple[int, ...], r: int, width: int):
-    """For a line of sum r: its r-subsets as (position, 1, subset) 0/1
-    entries, and the mask words of each subset."""
-    table = _subset_table(len(line), r)
-    words = np.bitwise_or.reduce(np.where(table[:, :, None] == 1, _cell_words(line, width), 0), axis=1)
+def _step(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
+    """For consecutive lines of the given sums: every choice of one
+    r-subset per line, first line major, as (position, 1, choice) counts of
+    1-cells, and the mask words of each choice."""
+    table = np.zeros((1, len(lines[0])), dtype=np.min_scalar_type(len(lines)))
+    words = np.zeros((1, width), dtype=np.uint64)
+    for line, r in zip(lines, sums):
+        sub = _subset_table(len(line), r)
+        sub_words = np.bitwise_or.reduce(np.where(sub[:, :, None] == 1, _cell_words(line, width), 0), axis=1)
+        table = (table[:, None] + sub).reshape(-1, len(line))
+        words = (words[:, None] | sub_words).reshape(-1, width)
     return np.ascontiguousarray(table.T[:, None, :]), words
 
 
 def _expand(steps, last, mask, need):
-    """Commit the next line for every partial matrix (mask rows, need
-    columns), a slice of parents at a time, and recurse; the last line
+    """Commit the next step's lines for every partial matrix (mask rows,
+    need columns), a slice of parents at a time, and recurse; the last line
     takes exactly the positions still owing 1."""
     if not steps:
         for cell, owed in zip(last, need):
             mask |= np.where(owed[:, None] == 1, cell, 0)
         yield mask
         return
-    (table, words), rest = steps[0], steps[1:]
-    left = len(rest) + 1
+    ((table, words), left), rest = steps[0], steps[1:]
     per = max(1, _CHUNK // table.shape[2])
     for lo in range(0, len(mask), per):
         # needs are unsigned: one that would go negative wraps past every bound

@@ -154,12 +154,7 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-def _rotation(d: np.ndarray, g: int, w: int) -> np.ndarray:
-    """The low w words of d >> g.  With d = x | x << ell (plus a spare top
-    word), that is x rotated by g: bit i holds bit i + g mod ell of x, and
-    bits at or above ell are junk."""
-    q, r = divmod(g, 64)
-    return (d[:, q:q + w] >> r) | ((d[:, q + 1:q + 1 + w] << 1) << (63 - r))
+_KEY_WORDS = 1 << 18  # words in each (lags, W, rows) temporary of _paf_keys
 
 
 def _paf_keys(x: np.ndarray, ell: int) -> np.ndarray:
@@ -168,17 +163,37 @@ def _paf_keys(x: np.ndarray, ell: int) -> np.ndarray:
     Row i of x holds the uint64 words of a vector whose bit g is v_g.
     PAF(v, g) is popcount(x & rot(x, g)), summed over the words; since
     PAF(v, g) = PAF(v, ell - g), these lags determine the whole PAF.
+
+    All lags are keyed at once.  With the doubled words d = x | x << ell
+    (plus a spare top word), rot(x, g) is the low W words of d >> g: for
+    g = 64 q + r, words q.. of d shifted down by r, OR-ed with words q+1..
+    shifted up by 64 - r.  Bits at or above ell are junk and vanish in the
+    AND with x.  Rows go in blocks of at most `_KEY_WORDS` words per
+    temporary (2^14 rows at ell = 33), so memory stays bounded for any N.
     """
     n, w = x.shape
     q, r = divmod(ell, 64)
-    d = np.zeros((n, q + 1 + w), dtype=np.uint64)
-    d[:, :w] = x
-    d[:, q:q + w] |= x << r
-    d[:, q + 1:q + 1 + w] |= (x >> 1) >> (63 - r)
-    counts = np.empty(((ell - 1) // 2, n, w), dtype=np.uint8)
-    for g in range(1, (ell + 1) // 2):
-        np.bitwise_count(x & _rotation(d, g, w), out=counts[g - 1])
-    return counts.sum(axis=2, dtype=np.uint8).T
+    g = np.arange(1, (ell + 1) // 2)
+    at = (g // 64)[:, None] + np.arange(w)
+    down = (g % 64).astype(np.uint64)[:, None, None]
+    up = 63 - down
+    out = np.empty((len(at), n), dtype=np.uint8)
+    block = max(1, _KEY_WORDS // at.size)
+    for lo in range(0, n, block):
+        b = x[lo:lo + block].T
+        d = np.zeros((q + 1 + w, b.shape[1]), dtype=np.uint64)
+        d[:w] = b
+        d[q:q + w] |= b << r
+        d[q + 1:q + 1 + w] |= (b >> 1) >> (63 - r)
+        rot = d[at]
+        rot >>= down
+        high = d[at + 1]
+        high <<= 1
+        high <<= up
+        rot |= high
+        rot &= b
+        np.bitwise_count(rot).sum(axis=1, dtype=np.uint8, out=out[:, lo:lo + block])
+    return out.T
 
 
 def _key_prints(keys: np.ndarray) -> np.ndarray:

@@ -10,8 +10,6 @@ with `exact_complementary`, so no result is ever accepted on a float.
 
 from __future__ import annotations
 
-from operator import mul
-
 import numpy as np
 
 
@@ -28,11 +26,15 @@ def psd(v) -> np.ndarray:
 
 
 def paf(v) -> tuple[int, ...]:
-    """Exact periodic autocorrelation PAF(v, g) = sum_j v_j v_{j+g}, g = 0..n-1."""
-    entries = tuple(int(x) for x in v)
-    n = len(entries)
-    doubled = entries + entries
-    return tuple(sum(map(mul, entries, doubled[g:g + n])) for g in range(n))
+    """Exact periodic autocorrelation PAF(v, g) = sum_j v_j v_{j+g}, g = 0..n-1.
+
+    One int64 correlation of v against v extended by its first n - 1
+    entries: exact for any integer entries whose products sum below 2^63.
+    """
+    a = np.asarray(v, dtype=np.int64)
+    if not len(a):
+        return ()
+    return tuple(np.correlate(np.concatenate((a, a[:-1])), a, "valid").tolist())
 
 
 def exact_complementary(u, v, lam: int) -> bool:

@@ -169,3 +169,29 @@ def test_leaf_order_and_chunk_bound_do_not_depend_on_chunk_size(monkeypatch):
         assert all(len(c) <= 6 for c in chunks)
         assert [int(x) for c in chunks for x in c[:, 0]] == whole
         assert len(whole) == count(inst)
+
+
+def test_multi_line_steps_keep_leaf_order_on_random_marginals(monkeypatch):
+    # _CHUNK = 1 commits one line per step (lines of one r-subset aside);
+    # the default commits up to isqrt(_CHUNK) subset choices per step
+    from lppairs import bmfm
+
+    rng = random.Random(405)
+    for _ in range(40):
+        rows, cols = random_marginals(rng, rng.randint(1, 7), rng.randint(1, 6))
+        inst = MarginalInstance(rows, cols)
+        bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
+        default = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+        monkeypatch.setattr(bmfm, "_CHUNK", 1)
+        per_line = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+        monkeypatch.undo()
+        assert default == per_line
+        assert len(default) == count(inst)
+
+
+def test_a_step_of_many_full_lines_does_not_wrap():
+    # 299 lines of one r-subset each form one step; their per-position
+    # counts (299) must not wrap in the step table
+    inst = MarginalInstance([2] * 300, [300, 300])
+    assert count(inst) == 1
+    assert enumerate_matrices(inst) == 1

@@ -180,6 +180,28 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
     assert seen > 0
 
 
+@pytest.mark.parametrize("length,d1,d2", [(33, 3, 11), (33, 11, 3), (35, 7, 5), (35, 5, 7)])
+def test_multi_line_steps_keep_every_leaf_in_order(monkeypatch, length, d1, d2):
+    # _CHUNK = 1 caps a step's table at one row, so every line with more
+    # than one r-subset is a step of its own; the default groups lines
+    from lppairs import bmfm
+
+    bits = CrtContext(d1, d2).cell_bits
+    grouped = []
+    step, chunk = bmfm._step, bmfm._CHUNK
+    monkeypatch.setattr(bmfm, "_step", lambda lines, *a: grouped.append(len(lines)) or step(lines, *a))
+    seen = 0
+    for inst in _sample_instances(length, d1, d2, limit=1500):
+        default = np.concatenate(list(_leaf_chunks(inst, bits)))
+        monkeypatch.setattr(bmfm, "_CHUNK", 1)
+        per_line = np.concatenate(list(_leaf_chunks(inst, bits)))
+        monkeypatch.setattr(bmfm, "_CHUNK", chunk)
+        assert np.array_equal(default, per_line)
+        assert len(default) == count(inst)
+        seen += 1
+    assert seen > 0 and max(grouped) > 1
+
+
 def test_memory_cap_keeps_every_raw_record():
     ctx = CrtContext(3, 7)
     for task in _tasks(21, 3, 7):
@@ -387,6 +409,22 @@ def test_word_keys_equal_exact_paf(ell):
         v = tuple((x >> g) & 1 for g in range(ell))
         assert tuple(key) == paf(v)[1:(ell + 1) // 2]
         assert search._vector(_masks([x], ell)[0], ell) == v
+
+
+@pytest.mark.parametrize("ell", [33, 77, 129])
+def test_word_keys_cross_a_block_boundary(ell):
+    # three rows past one block of _KEY_WORDS words per temporary
+    width = -(-ell // 64)
+    n = search._KEY_WORDS // ((ell - 1) // 2 * width) + 3
+    rng = np.random.default_rng(ell)
+    bits = rng.integers(0, 2, size=(n, ell), dtype=np.uint8)
+    octets = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((n, 8 * width), dtype=np.uint8)
+    words[:, :octets.shape[1]] = octets
+    keys = search._paf_keys(words.view("<u8"), ell)
+    assert keys.shape == (n, (ell - 1) // 2)
+    for v, key in zip(bits.tolist(), keys.tolist()):
+        assert tuple(key) == paf(v)[1:(ell + 1) // 2]
 
 
 def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):

@@ -32,10 +32,13 @@ def test_paf_is_exact_and_symmetric():
 
 def test_paf_matches_direct_sum():
     rng = random.Random(201)
-    for _ in range(10):
-        n = rng.choice([5, 9, 14])
-        v = random_vector(rng, n)
+    vectors = [random_vector(rng, rng.choice([5, 9, 14])) for _ in range(10)]
+    vectors += [(), (5,), (-3,), (2, -7)]
+    vectors += [random_vector(rng, rng.randint(1, 80), -9, 9) for _ in range(20)]
+    for v in vectors:
+        n = len(v)
         values = paf(v)
+        assert len(values) == n and all(type(x) is int for x in values)
         for g in range(n):
             assert values[g] == sum(v[i] * v[(i + g) % n] for i in range(n))
 
