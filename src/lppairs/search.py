@@ -41,7 +41,11 @@ from .spectral import exact_complementary, paf
 @dataclass(frozen=True)
 class SearchConfig:
     """Run options.  None of them changes the records a completed task
-    produces, so a run may be resumed with any of them changed."""
+    produces, so a run may be resumed with any of them changed.
+
+    With `checkpoint_path`, progress is written once per batch of tasks
+    (see `run_search`); `stop_after` is checked after every completed
+    task in one process and after every batch with several workers."""
 
     threads: int = 1
     max_bucket_memory: int = 2_000_000
@@ -317,12 +321,22 @@ def _record_from_doc(doc) -> LegendrePairRecord:
     )
 
 
-def _worker(task: SearchTask, ctx: CrtContext, config: SearchConfig):
-    return task.index, run_task(task, ctx, config)
+# Tasks per worker call and per checkpoint write: a batch is one IPC round
+# trip and one flush, and a hard kill loses at most the batches in flight.
+_BATCH = 16
+
+
+def _worker(batch: list[SearchTask], ctx: CrtContext, config: SearchConfig):
+    return [(task.index, run_task(task, ctx, config)) for task in batch]
 
 
 class _Progress:
-    """Task completion tracking with optional on-disk checkpointing."""
+    """Task completion tracking with optional on-disk checkpointing.
+
+    `mark` records a completed task in memory; `flush` writes every marked
+    task to the records sidecar and the checkpoint.  The checkpoint always
+    names exactly the tasks whose records lie below its offset.
+    """
 
     def __init__(self, fingerprint: str, n_tasks: int, path):
         self.fingerprint = fingerprint
@@ -331,6 +345,8 @@ class _Progress:
         self.completed: set[int] = set()
         self.records: list[LegendrePairRecord] = []
         self._records_path = str(path) + ".records" if path else None
+        self._saved = 0  # records below the checkpoint's offset
+        self._offset = 0
 
     def start(self, resume: bool) -> None:
         """Load the checkpoint when resuming one; otherwise start clean.
@@ -365,24 +381,36 @@ class _Progress:
         for line in data.splitlines():
             if line.strip():
                 self.records.append(_record_from_doc(json.loads(line)))
+        self._saved, self._offset = len(self.records), cp.partial_offset
 
     def mark(self, index: int, new_records) -> None:
         self.completed.add(index)
         self.records.extend(new_records)
+
+    def flush(self) -> None:
+        """Append the records not yet written, fsync, save the checkpoint.
+
+        The sidecar is first cut back to the last checkpoint's offset, so
+        a flush retried after one that failed midway (an interrupt during
+        the fsync, a full disk) can neither tear nor double a record.
+        """
         if not self.path:
             return
-        with open(self._records_path, "a") as fh:
-            for record in new_records:
+        with open(self._records_path, "r+") as fh:
+            fh.seek(self._offset)
+            fh.truncate()
+            for record in self.records[self._saved:]:
                 fh.write(seqio.record_to_json(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        offset = os.path.getsize(self._records_path)
+            offset = fh.tell()
         seqio.save_checkpoint(self.path, seqio.Checkpoint(
             fingerprint=self.fingerprint,
             n_tasks=self.n_tasks,
             completed=frozenset(self.completed),
             partial_offset=offset,
         ))
+        self._saved, self._offset = len(self.records), offset
 
 
 def _finalize(progress: _Progress, lam: int) -> list[LegendrePairRecord]:
@@ -410,6 +438,13 @@ def run_search(length: int, d1: int, d2: int,
     a run with resume=True restarts from the last completed task and
     refuses a checkpoint of different inputs (length, factor order or
     compressed pairs); a run without resume starts from scratch.
+
+    Pending tasks run in batches of consecutive tasks, at most `_BATCH`
+    and few enough that every worker gets one.  A worker runs a whole
+    batch per call, and the checkpoint is written once per completed
+    batch and once more on the way out, whether the run finished,
+    stopped at `stop_after` or raised (Ctrl-C, a failing worker): every
+    task that had completed is kept for the resume.
     """
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
@@ -426,21 +461,29 @@ def run_search(length: int, d1: int, d2: int,
     def stop() -> bool:
         return config.stop_after is not None and len(progress.records) >= config.stop_after
 
-    if config.threads > 1 and pending:
-        with ProcessPoolExecutor(max_workers=min(config.threads, len(pending))) as pool:
-            futures = [pool.submit(_worker, t, ctx, config) for t in pending]
-            for future in as_completed(futures):
-                index, new_records = future.result()
-                progress.mark(index, new_records)
+    size = min(_BATCH, -(-len(pending) // config.threads))
+    try:
+        if config.threads > 1 and pending:
+            batches = [pending[i:i + size] for i in range(0, len(pending), size)]
+            with ProcessPoolExecutor(max_workers=min(config.threads, len(batches))) as pool:
+                futures = [pool.submit(_worker, b, ctx, config) for b in batches]
+                for future in as_completed(futures):
+                    for index, new_records in future.result():
+                        progress.mark(index, new_records)
+                    if stop():
+                        for f in futures:
+                            f.cancel()
+                        break
+                    progress.flush()
+        else:
+            for done, task in enumerate(pending, 1):
+                progress.mark(task.index, run_task(task, ctx, config))
                 if stop():
-                    for f in futures:
-                        f.cancel()
                     break
-    else:
-        for task in pending:
-            progress.mark(task.index, run_task(task, ctx, config))
-            if stop():
-                break
+                if done % size == 0:
+                    progress.flush()
+    finally:
+        progress.flush()
 
     final = _finalize(progress, lam)
     summary = {

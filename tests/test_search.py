@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lppairs import search
+from lppairs import search, seqio
 from lppairs.bmfm import (
     MarginalInstance,
     _leaf_chunks,
@@ -342,6 +342,161 @@ def test_fresh_run_interrupted_before_any_task_resumes_cleanly(tmp_path, monkeyp
         resume=True,
     )
     assert filecmp.cmp(clean, resumed, shallow=False)
+
+
+def _sidecar_lines(cp) -> list[str]:
+    return Path(str(cp) + ".records").read_text().splitlines()
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each batch at submit;
+    the batch numbered `fail` (from 1) raises in its future instead."""
+
+    def __init__(self, fail=None):
+        self.fail, self.calls = fail, 0
+
+    def __call__(self, max_workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        future = Future()
+        if self.calls == self.fail:
+            future.set_exception(RuntimeError("worker failed"))
+        else:
+            future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_resume_at_every_task_boundary(tmp_path, monkeypatch, k):
+    # an interrupt in task k keeps exactly tasks 1..k-1, written on the way out
+    cp = tmp_path / "cp.json"
+    clean = tmp_path / "clean.jsonl"
+    resumed = tmp_path / "resumed.jsonl"
+    run_search(15, 3, 5, SearchConfig(archive_path=str(clean)))
+    tasks = _tasks(15, 3, 5)
+    assert len(tasks) == 8
+    real, calls = search.run_task, []
+
+    def interrupted(task, ctx, config):
+        calls.append(task.index)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return real(task, ctx, config)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "run_task", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp)))
+    done = tasks[:k - 1]
+    assert seqio.load_checkpoint(cp).completed == {t.index for t in done}
+    ctx = CrtContext(3, 5)
+    assert _sidecar_lines(cp) == [
+        seqio.record_to_json(r) for t in done for r in run_task(t, ctx, SearchConfig())
+    ]
+    run_search(
+        15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
+    )
+    assert filecmp.cmp(clean, resumed, shallow=False)
+
+
+def test_parallel_run_stops_and_resumes_to_identical_archive(tmp_path):
+    clean = tmp_path / "clean.jsonl"
+    resumed = tmp_path / "resumed.jsonl"
+    cp = tmp_path / "cp.json"
+    run_search(21, 3, 7, SearchConfig(archive_path=str(clean)))
+    _, partial = run_search(
+        21, 3, 7, SearchConfig(threads=2, stop_after=3, checkpoint_path=str(cp))
+    )
+    assert 0 < partial["completed"] < partial["tasks"]
+    assert len(seqio.load_checkpoint(cp).completed) == partial["completed"]
+    _, full = run_search(
+        21, 3, 7,
+        SearchConfig(threads=2, checkpoint_path=str(cp), archive_path=str(resumed)),
+        resume=True,
+    )
+    assert full["completed"] == full["tasks"]
+    assert filecmp.cmp(clean, resumed, shallow=False)
+
+
+def test_failing_worker_batch_keeps_the_batches_before_it(tmp_path, monkeypatch):
+    cp = tmp_path / "cp.json"
+    clean = tmp_path / "clean.jsonl"
+    resumed = tmp_path / "resumed.jsonl"
+    run_search(15, 3, 5, SearchConfig(archive_path=str(clean)))
+    pool = _InlinePool(fail=2)
+    with monkeypatch.context() as m:
+        m.setattr(search, "ProcessPoolExecutor", pool)
+        # futures in submission order, as from a pool whose batches finish in turn
+        m.setattr(search, "as_completed", iter)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            run_search(15, 3, 5, SearchConfig(threads=2, checkpoint_path=str(cp)))
+    assert pool.calls == 2
+    first = _tasks(15, 3, 5)[:4]  # 8 tasks over 2 workers: batches of 4
+    assert seqio.load_checkpoint(cp).completed == {t.index for t in first}
+    ctx = CrtContext(3, 5)
+    assert _sidecar_lines(cp) == [
+        seqio.record_to_json(r) for t in first for r in run_task(t, ctx, SearchConfig())
+    ]
+    run_search(
+        15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
+    )
+    assert filecmp.cmp(clean, resumed, shallow=False)
+
+
+def test_retried_flush_neither_tears_nor_doubles_records(tmp_path, monkeypatch):
+    # the second checkpoint save fails after its records reached the
+    # sidecar; the flush on the way out must cut them back before rewriting
+    cp = tmp_path / "cp.json"
+    clean_cp = tmp_path / "clean_cp.json"
+    clean = tmp_path / "clean.jsonl"
+    resumed = tmp_path / "resumed.jsonl"
+    monkeypatch.setattr(search, "_BATCH", 2)
+    run_search(21, 3, 7, SearchConfig(checkpoint_path=str(clean_cp), archive_path=str(clean)))
+    real, saves = seqio.save_checkpoint, []
+
+    def failing_once(path, checkpoint):
+        saves.append(checkpoint)
+        if len(saves) == 2:
+            raise OSError("disk full")
+        real(path, checkpoint)
+
+    with monkeypatch.context() as m:
+        m.setattr(seqio, "save_checkpoint", failing_once)
+        with pytest.raises(OSError, match="disk full"):
+            run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
+    assert len(saves) == 3
+    assert len(seqio.load_checkpoint(cp).completed) == 4
+    run_search(
+        21, 3, 7, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
+    )
+    assert filecmp.cmp(clean, resumed, shallow=False)
+    lines = _sidecar_lines(cp)
+    assert len(set(lines)) == len(lines)
+    assert lines == _sidecar_lines(clean_cp)
+
+
+def test_checkpoint_is_written_once_per_batch(tmp_path, monkeypatch):
+    cp = tmp_path / "cp.json"
+    real, saves = seqio.save_checkpoint, []
+
+    def counted(path, checkpoint):
+        saves.append(checkpoint)
+        real(path, checkpoint)
+
+    monkeypatch.setattr(seqio, "save_checkpoint", counted)
+    records, summary = run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
+    assert 1 <= len(saves) <= -(-summary["tasks"] // search._BATCH) + 1
+    ctx = CrtContext(3, 7)
+    raw = sum(len(run_task(t, ctx, SearchConfig())) for t in _tasks(21, 3, 7))
+    assert len(_sidecar_lines(cp)) == raw > len(records)
 
 
 @pytest.mark.parametrize("option", [
