@@ -8,15 +8,19 @@ Enumeration fills whole arrays of partial matrices a step at a time.  The
 lines are the rows or the columns, whichever are more numerous, so a 3 x 11
 instance is filled as 11 lines of 3 cells.  A frontier holds each partial
 matrix's mask words and the unsigned sums its line positions still need.
-A step commits several consecutive lines at once: its table lists every
-choice of one r-subset per line, first line major, as summed position
-counts T; the step subtracts them all, `need - T`, and keeps the children
-whose needs stay within 0..lines left.  Needs fall by at most 1 per line,
-so that one check after the step passes exactly when the check after each
-of its lines would.  A step grows while its table has at most
-isqrt(_CHUNK) rows.  The last line is forced.  Frontiers are expanded depth
-first in slices, so memory is bounded, and leaves come in the
-lexicographic order of the line choices.
+The lines split into a head and a tail.  The head is committed in steps
+of several consecutive lines: a step's table lists every choice of one
+r-subset per line, first line major, as summed position counts T; the
+step subtracts them all, `need - T`, and keeps the children whose needs
+stay within 0..lines left.  Needs fall by at most 1 per line, so that one
+check after the step passes exactly when the check after each of its
+lines would.  A step grows while its table has at most isqrt(_CHUNK) rows.
+The tail is the longest suffix of lines with at most _TAIL choices, always
+including the last line; its choices are sorted once by their counts, and
+each partial matrix is finished by one binary search for the choices whose
+counts equal its needs (a one-line tail is the forced last line).
+Frontiers are expanded depth first in slices, so memory is bounded, and
+leaves come in the lexicographic order of the line choices.
 
 A leaf's mask ORs together the bits of its 1-cells; with CRT cell bits it
 is the reshaped binary vector itself (bit g holds v_g), which is what the
@@ -138,6 +142,7 @@ def count(inst: MarginalInstance) -> int:
 
 
 _CHUNK = 1 << 14  # children one expansion step builds, unless one parent has more
+_TAIL = 1 << 10  # choices in the table of the last lines, unless the last line has more
 _WORD = (1 << 64) - 1
 
 
@@ -158,8 +163,9 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
     """Yield the masks of all solutions as (N, W) uint64 arrays.
 
     A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
-    W little-endian 64-bit words.  Memory is bounded by `_CHUNK` partial
-    matrices per step, whatever the instance.
+    W little-endian 64-bit words.  Every array holds at most `_CHUNK`
+    masks, and memory is bounded by `_CHUNK` partial matrices per step,
+    whatever the instance.
     """
     if not feasible(inst):
         return
@@ -172,19 +178,27 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
         lines = [tuple(bits[i][j] for i in range(m)) for j in range(n)]
     top = max([base] + [b for line in lines for b in line]).bit_length()
     width = max(1, -(-top // 64))
+    # the tail: the longest suffix of at most _TAIL choices whose keys fit a
+    # uint64 (see _tail), but always the last line
+    head, rows = len(sums) - 1, comb(len(needs), sums[-1])
+    while head:
+        size = comb(len(needs), sums[head - 1])
+        if rows * size > _TAIL or (len(sums) - head + 2) ** len(needs) > 1 << 64:
+            break
+        head, rows = head - 1, rows * size
     steps = []
     cap, start, rows = isqrt(_CHUNK), 0, 1
-    for k in range(len(sums) - 1):
+    for k in range(head):
         size = comb(len(lines[k]), sums[k])
         if k > start and rows * size > cap:
             steps.append((_step(tuple(lines[start:k]), sums[start:k], width), len(sums) - k))
             start, rows = k, 1
         rows *= size
-    if len(sums) > 1:
-        steps.append((_step(tuple(lines[start:-1]), sums[start:-1], width), 1))
+    if head:
+        steps.append((_step(tuple(lines[start:head]), sums[start:head], width), len(sums) - head))
     mask = np.array([_words(base, width)], dtype=np.uint64)
     need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
-    yield from _expand(steps, _cell_words(lines[-1], width), mask, need)
+    yield from _expand(steps, _tail(tuple(lines[head:]), sums[head:], width), mask, need)
 
 
 @lru_cache(maxsize=None)
@@ -192,11 +206,9 @@ def _cell_words(line: tuple[int, ...], width: int) -> np.ndarray:
     return np.array([_words(b, width) for b in line], dtype=np.uint64)
 
 
-@lru_cache(maxsize=None)
-def _step(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
-    """For consecutive lines of the given sums: every choice of one
-    r-subset per line, first line major, as (position, 1, choice) counts of
-    1-cells, and the mask words of each choice."""
+def _product(lines, sums, width: int):
+    """Every choice of one r-subset per line, first line major: the
+    (choice, position) counts of 1-cells and the mask words of each choice."""
     table = np.zeros((1, len(lines[0])), dtype=np.min_scalar_type(len(lines)))
     words = np.zeros((1, width), dtype=np.uint64)
     for line, r in zip(lines, sums):
@@ -204,17 +216,53 @@ def _step(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int)
         sub_words = np.bitwise_or.reduce(np.where(sub[:, :, None] == 1, _cell_words(line, width), 0), axis=1)
         table = (table[:, None] + sub).reshape(-1, len(line))
         words = (words[:, None] | sub_words).reshape(-1, width)
+    return table, words
+
+
+@lru_cache(maxsize=None)
+def _step(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
+    """`_product` of consecutive lines, its counts laid out (position, 1, choice)."""
+    table, words = _product(lines, sums, width)
     return np.ascontiguousarray(table.T[:, None, :]), words
 
 
-def _expand(steps, last, mask, need):
+@lru_cache(maxsize=None)
+def _tail(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
+    """`_product` of the last lines, keyed for lookup by the needs they meet.
+
+    A choice's key is its per-position counts read as digits in base
+    len(lines) + 1 (Python ints where a uint64 would wrap).  Returns the
+    digit weights and the sorted keys with their mask words; the sort is
+    stable, so choices of equal key stay in lexicographic order.
+    """
+    table, words = _product(lines, sums, width)
+    base, n = len(lines) + 1, table.shape[1]
+    weights = np.array([base ** g for g in range(n)], dtype=np.uint64 if base ** n <= 1 << 64 else object)
+    keys = table.astype(weights.dtype) @ weights
+    order = np.argsort(keys, kind="stable")
+    return weights, keys[order], words[order]
+
+
+def _expand(steps, tail, mask, need):
     """Commit the next step's lines for every partial matrix (mask rows,
-    need columns), a slice of parents at a time, and recurse; the last line
-    takes exactly the positions still owing 1."""
+    need columns), a slice of parents at a time, and recurse.  Past the
+    last step, each parent's completions are the tail choices whose key
+    equals the key of its need; they come parent by parent, in chunks of
+    at most `_CHUNK` leaves."""
     if not steps:
-        for cell, owed in zip(last, need):
-            mask |= np.where(owed[:, None] == 1, cell, 0)
-        yield mask
+        weights, keys, words = tail
+        at = weights @ need.astype(weights.dtype)
+        lo = np.searchsorted(keys, at, "left")
+        span = np.searchsorted(keys, at, "right") - lo
+        ends = np.cumsum(span)
+        first = ends - span  # leaf index of each parent's first completion
+        for start in range(0, int(ends[-1]), _CHUNK):
+            stop = min(start + _CHUNK, int(ends[-1]))
+            a, b = np.searchsorted(ends, (start, stop - 1), "right")
+            p = np.arange(a, b + 1)
+            take = np.minimum(ends[p], stop) - np.maximum(first[p], start)
+            row = np.arange(start, stop) + np.repeat(lo[p] - first[p], take)
+            yield mask[np.repeat(p, take)] | words[row]
         return
     ((table, words), left), rest = steps[0], steps[1:]
     per = max(1, _CHUNK // table.shape[2])
@@ -223,7 +271,7 @@ def _expand(steps, last, mask, need):
         child = need[:, lo:lo + per, None] - table
         parent, pick = np.nonzero(child.max(axis=0) <= left)
         if len(parent):
-            yield from _expand(rest, last, mask[lo + parent] | words[pick], child[:, parent, pick])
+            yield from _expand(rest, tail, mask[lo + parent] | words[pick], child[:, parent, pick])
 
 
 def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:

@@ -72,17 +72,30 @@ def decimation_canon(v) -> tuple[tuple[int, ...], tuple[int, int]]:
     Ties are broken toward the smallest decimation k, then the smallest shift j.
     """
     n = len(v)
-    orbit = np.asarray(v)[_orbit_table(n)]
-    # keep the rows holding the smallest entry, column by column; the
-    # survivors stay in (unit, shift) order
-    alive = np.arange(len(orbit))
-    for g in range(n):
-        column = orbit[alive, g]
-        alive = alive[column == column.min()]
+    table = _orbit_table(n)
+    # entries as ranks keep the order of any integers; a word packs the
+    # ranks of consecutive positions, first position most significant, so
+    # comparing words compares rows lexicographically
+    a = np.asarray(v)
+    values = np.unique(a)
+    ranks = np.searchsorted(values, a)
+    bits = max(1, (len(values) - 1).bit_length())
+    per = 63 // bits
+    # keep the rows holding the smallest word, word by word; the survivors
+    # stay in (unit, shift) order.  The first word spans about log2(rows)
+    # bits, enough to leave few survivors; the later ones are full.
+    rows, alive = table, np.arange(len(table))
+    lo, width = 0, min(per, len(table).bit_length() // bits + 1)
+    while lo < n:
+        digits = ranks[rows[:, lo:lo + width]]
+        word = digits @ (1 << bits * np.arange(digits.shape[1] - 1, -1, -1))
+        keep = word == word.min()
+        alive, rows = alive[keep], rows[keep]
         if len(alive) == 1:
             break
+        lo, width = lo + width, per
     first = int(alive[0])
-    return tuple(orbit[first].tolist()), (first % n, units(n)[first // n])
+    return tuple(a[table[first]].tolist()), (first % n, units(n)[first // n])
 
 
 def multiplier_group(v) -> tuple[int, ...]:

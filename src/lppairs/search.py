@@ -211,8 +211,10 @@ def _join(held: np.ndarray, streamed, ell: int, lam: int):
     with PAF(u, g) + PAF(v, g) = lam at every lag g != 0.
 
     The held keys lam - PAF(u) are sorted once by print and each chunk's
-    prints are located with searchsorted; a hit counts only when the full
-    keys agree, so a collision costs time and never makes or loses a pair.
+    prints are located with one searchsorted; only the rare probes that
+    land on an equal print walk its run of held keys, and a hit counts
+    only when the full keys agree, so a collision costs time and never
+    makes or loses a pair.
     """
     want = lam - _paf_keys(held, ell)
     prints = _key_prints(want)
@@ -222,9 +224,10 @@ def _join(held: np.ndarray, streamed, ell: int, lam: int):
         keys = _paf_keys(chunk, ell)
         probe = _key_prints(keys)
         lo = np.searchsorted(prints, probe, "left")
-        hi = np.searchsorted(prints, probe, "right")
-        for s in np.flatnonzero(lo < hi):
-            for h in order[lo[s]:hi[s]]:
+        hit = np.flatnonzero(prints[np.minimum(lo, len(prints) - 1)] == probe)
+        hi = np.searchsorted(prints, probe[hit], "right")
+        for s, end in zip(hit, hi):
+            for h in order[lo[s]:end]:
                 if np.array_equal(want[h], keys[s]):
                     yield held[h], chunk[s]
 

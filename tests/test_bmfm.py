@@ -164,16 +164,17 @@ def test_leaf_order_and_chunk_bound_do_not_depend_on_chunk_size(monkeypatch):
         monkeypatch.setattr(bmfm, "_CHUNK", 4)
         chunks = list(bmfm._leaf_chunks(inst, bits))
         monkeypatch.undo()
-        # every line here has at most C(4, 2) = 6 subsets, so a step's slice
-        # holds at most max(4, 6) children
-        assert all(len(c) <= 6 for c in chunks)
+        assert all(len(c) <= 4 for c in chunks)
         assert [int(x) for c in chunks for x in c[:, 0]] == whole
         assert len(whole) == count(inst)
 
 
 def test_multi_line_steps_keep_leaf_order_on_random_marginals(monkeypatch):
     # _CHUNK = 1 commits one line per step (lines of one r-subset aside);
-    # the default commits up to isqrt(_CHUNK) subset choices per step
+    # _TAIL = 1 looks up only the last line (and any lines of one r-subset
+    # before it), which then takes exactly the positions still owing 1; the
+    # default commits up to isqrt(_CHUNK) subset choices per step and looks
+    # up a tail of up to _TAIL choices
     from lppairs import bmfm
 
     rng = random.Random(405)
@@ -182,10 +183,11 @@ def test_multi_line_steps_keep_leaf_order_on_random_marginals(monkeypatch):
         inst = MarginalInstance(rows, cols)
         bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
         default = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
-        monkeypatch.setattr(bmfm, "_CHUNK", 1)
-        per_line = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
-        monkeypatch.undo()
-        assert default == per_line
+        for name in ("_CHUNK", "_TAIL"):
+            monkeypatch.setattr(bmfm, name, 1)
+            stream = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+            monkeypatch.undo()
+            assert stream == default
         assert len(default) == count(inst)
 
 
@@ -195,3 +197,17 @@ def test_a_step_of_many_full_lines_does_not_wrap():
     inst = MarginalInstance([2] * 300, [300, 300])
     assert count(inst) == 1
     assert enumerate_matrices(inst) == 1
+
+
+def test_lines_wider_than_64_cells_key_exactly():
+    # 66 lines of 66 cells: a one-line tail's key 2^g would wrap a uint64
+    # at g = 64, 65 and let the last line take column 64 after the first
+    # line took it; the two solutions swap columns 64 and 65
+    rows = [1] + [0] * 64 + [1]
+    cols = [0] * 64 + [1, 1]
+    inst = MarginalInstance(rows, cols)
+    found = solutions(inst)
+    assert len(found) == count(inst) == 2
+    for mat in found:
+        assert tuple(sum(r) for r in mat.rows) == inst.row_sums
+        assert tuple(sum(c) for c in zip(*mat.rows)) == inst.col_sums

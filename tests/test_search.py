@@ -183,23 +183,52 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
 @pytest.mark.parametrize("length,d1,d2", [(33, 3, 11), (33, 11, 3), (35, 7, 5), (35, 5, 7)])
 def test_multi_line_steps_keep_every_leaf_in_order(monkeypatch, length, d1, d2):
     # _CHUNK = 1 caps a step's table at one row, so every line with more
-    # than one r-subset is a step of its own; the default groups lines
+    # than one r-subset is a step of its own; _TAIL = 1 looks up the last
+    # line alone; the default groups lines into steps and into the tail
     from lppairs import bmfm
 
     bits = CrtContext(d1, d2).cell_bits
-    grouped = []
-    step, chunk = bmfm._step, bmfm._CHUNK
+    grouped, tails = [], []
+    step, tail = bmfm._step, bmfm._tail
     monkeypatch.setattr(bmfm, "_step", lambda lines, *a: grouped.append(len(lines)) or step(lines, *a))
+    monkeypatch.setattr(bmfm, "_tail", lambda lines, *a: tails.append(len(lines)) or tail(lines, *a))
     seen = 0
     for inst in _sample_instances(length, d1, d2, limit=1500):
         default = np.concatenate(list(_leaf_chunks(inst, bits)))
-        monkeypatch.setattr(bmfm, "_CHUNK", 1)
-        per_line = np.concatenate(list(_leaf_chunks(inst, bits)))
-        monkeypatch.setattr(bmfm, "_CHUNK", chunk)
-        assert np.array_equal(default, per_line)
+        for name in ("_CHUNK", "_TAIL"):
+            before = getattr(bmfm, name)
+            monkeypatch.setattr(bmfm, name, 1)
+            assert np.array_equal(np.concatenate(list(_leaf_chunks(inst, bits))), default)
+            monkeypatch.setattr(bmfm, name, before)
         assert len(default) == count(inst)
         seen += 1
-    assert seen > 0 and max(grouped) > 1
+    assert seen > 0 and max(grouped) > 1 and max(tails) > 1
+
+
+_LEAF_DIGESTS = {
+    (3, 11): "f7d6062dcd8242290beea6018927de0ef843b62d981ceac17db94c48b8f9dcc8",
+    (11, 3): "9c47741ccdaa0a54eecd5ceaff42ca76ea5fe3e77e5c40348551e9e7ce3d63f6",
+    (5, 7): "dd562162276353bf55dc9f80c978bb971e637b3b7e513afc578df3c6e999501b",
+    (7, 5): "3f60c2900e19d39fa51120f052e346388050db224ded5511c4b23f8d63902905",
+}
+
+
+@pytest.mark.parametrize("length,d1,d2,leaves", [
+    (33, 3, 11, 1_370_598), (33, 11, 3, 1_370_598), (35, 5, 7, 18_706_612), (35, 7, 5, 18_706_612),
+])
+def test_every_leaf_stream_is_pinned_in_both_factor_orders(length, d1, d2, leaves):
+    # sha256 of the little-endian mask words of every instance, instances
+    # in build_tasks order and (i, j) order within a task
+    bits = CrtContext(d1, d2).cell_bits
+    digest, total, counted = hashlib.sha256(), 0, 0
+    for task in _tasks(length, d1, d2):
+        for inst in (task.instance(i, j) for i in (0, 1) for j in (0, 1)):
+            counted += count(inst)
+            for chunk in _leaf_chunks(inst, bits):
+                digest.update(chunk.astype("<u8").tobytes())
+                total += len(chunk)
+    assert total == counted == leaves
+    assert digest.hexdigest() == _LEAF_DIGESTS[d1, d2]
 
 
 def test_memory_cap_keeps_every_raw_record():
