@@ -18,7 +18,6 @@ from .cyclic import decimation_canon, multiplier_group
 from .errors import InvariantViolation
 from .pairgen import CompressedCandidate, CompressedPair, enum_candidates, expand_pairs, match_pairs
 from .search import (
-    LegendrePairRecord,
     SearchConfig,
     SearchTask,
     build_tasks,
@@ -28,6 +27,7 @@ from .search import (
     run_search,
     run_task,
 )
+from .seqio import LegendrePairRecord
 from .spectral import dft, divisor_psd_check, exact_complementary, paf, psd
 
 __version__ = "0.1.0"

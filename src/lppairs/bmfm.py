@@ -70,19 +70,15 @@ def _well_formed(inst: MarginalInstance) -> bool:
     return sum(inst.row_sums) == sum(inst.col_sums)
 
 
-def _gale_ryser(q, p, n_cols: int, n_rows: int) -> bool:
-    """Existence of a binary matrix with row sums q and column sums p.
+def _gale_ryser(q, p) -> bool:
+    """The Gale-Ryser inequalities for row sums q and column sums p.
 
-    The k-th Gale-Ryser inequality compares the k largest column sums with
-    sum(min(x, k) for x in q), which grows by the number of rows with x >= k.
-    Past k = max(q) that bound is sum(q) and always holds.
+    With sum(q) == sum(p), entries of q in 0..len(p) and of p at least 0,
+    they hold iff a binary matrix with these marginals exists.  The k-th
+    compares the k largest column sums with sum(min(x, k) for x in q),
+    which grows by the number of rows with x >= k; past k = max(q) that
+    bound is sum(q) and always holds.
     """
-    if sum(q) != sum(p):
-        return False
-    if q and (min(q) < 0 or max(q) > n_cols):
-        return False
-    if p and (min(p) < 0 or max(p) > n_rows):
-        return False
     top = max(q, default=0)
     rows_at = [0] * (top + 1)
     for x in q:
@@ -101,9 +97,7 @@ def _gale_ryser(q, p, n_cols: int, n_rows: int) -> bool:
 
 def feasible(inst: MarginalInstance) -> bool:
     """True iff the instance admits at least one solution."""
-    if not _well_formed(inst):
-        return False
-    return _gale_ryser(inst.row_sums, inst.col_sums, inst.n_cols, inst.n_rows)
+    return _well_formed(inst) and _gale_ryser(inst.row_sums, inst.col_sums)
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +121,7 @@ def _count_sorted(q: tuple[int, ...], p: tuple[int, ...]) -> int:
         if not ok:
             continue
         child = tuple(sorted(reduced, reverse=True))
-        if _gale_ryser(rest, child, n, len(rest)):
+        if _gale_ryser(rest, child):
             total += _count_sorted(rest, child)
     return total
 
@@ -165,10 +159,9 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
     A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
     W little-endian 64-bit words.  Every array holds at most `_CHUNK`
     masks, and memory is bounded by `_CHUNK` partial matrices per step,
-    whatever the instance.
+    whatever the instance.  The instance must be feasible: its callers
+    check it once (see `count` and `enumerate_matrices`).
     """
-    if not feasible(inst):
-        return
     m, n = inst.n_rows, inst.n_cols
     if m >= n:
         sums, needs = inst.row_sums, inst.col_sums
@@ -292,6 +285,8 @@ def enumerate_matrices(inst: MarginalInstance, visitor=None) -> int:
     solutions are only counted (by full traversal; see `count` for the
     closed recursion).
     """
+    if not feasible(inst):
+        return 0
     m, n = inst.n_rows, inst.n_cols
     visited = 0
     for chunk in _leaf_chunks(inst, _row_major_bits(m, n)):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from importlib import resources
@@ -33,17 +32,6 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("LP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"LP_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"LP_THREADS must be positive, got {n}")
-    return n
 
 
 def _bundled_fixture() -> str:
@@ -160,8 +148,8 @@ def cmd_stats(args) -> int:
     records, _ = seqio.load_archive(args.archive)
     histogram = Counter()
     for record in records:
-        histogram[record["rho_u"]] += 1
-        histogram[record["rho_v"]] += 1
+        histogram[record.rho_u] += 1
+        histogram[record.rho_v] += 1
     lines = ["energy,count"] + [
         f"{energy},{histogram[energy]}" for energy in sorted(histogram)
     ]
@@ -240,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="full Legendre pair search over one factorization")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--factors", required=True, help="coprime factor pair, e.g. 7,11")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--max-bucket-memory", type=int, default=2_000_000,
                    help="most matrices held at once; larger sides are held in slices")
     p.add_argument("--stop-after", type=int, default=None,
@@ -287,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None and args.command == "search":
-        try:
-            args.threads = _default_threads()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -42,14 +42,6 @@ class CrtContext:
         return g % self.d1, g % self.d2
 
     @cached_property
-    def _psi_inv_table(self) -> dict[tuple[int, int], int]:
-        return {self.psi(g): g for g in range(self.ell)}
-
-    def psi_inv(self, i: int, j: int) -> int:
-        """The unique g in Z_l with g = i mod d1 and g = j mod d2."""
-        return self._psi_inv_table[(i % self.d1, j % self.d2)]
-
-    @cached_property
     def z(self) -> int:
         """The unit z with psi(z) = (d2^-1 mod d1, d1^-1 mod d2).
 
@@ -59,14 +51,15 @@ class CrtContext:
         """
         i = pow(self.d2, -1, self.d1) if self.d1 > 1 else 0
         j = pow(self.d1, -1, self.d2) if self.d2 > 1 else 0
-        return self.psi_inv(i, j)
+        return self.index_pairs.index((i, j))
 
     @cached_property
     def cell_bits(self) -> tuple[tuple[int, ...], ...]:
-        """cell_bits[i][j] = 1 << psi_inv(i, j): cell (i, j)'s bit in a vector mask."""
-        return tuple(
-            tuple(1 << self.psi_inv(i, j) for j in range(self.d2)) for i in range(self.d1)
-        )
+        """cell_bits[i][j] = 1 << g where psi(g) = (i, j): that cell's bit in a vector mask."""
+        bits = [[0] * self.d2 for _ in range(self.d1)]
+        for g, (i, j) in enumerate(self.index_pairs):
+            bits[i][j] = 1 << g
+        return tuple(map(tuple, bits))
 
     @cached_property
     def index_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -35,6 +35,7 @@ from .compress import CrtContext
 from .cyclic import decimation_canon
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
+from .seqio import LegendrePairRecord
 from .spectral import exact_complementary, paf
 
 
@@ -74,23 +75,6 @@ class SearchTask:
 
     def instance(self, i: int, j: int) -> MarginalInstance:
         return MarginalInstance(self.members1[i], self.members2[j])
-
-
-@dataclass(frozen=True)
-class LegendrePairRecord:
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    canon_u: tuple[int, ...]
-    canon_v: tuple[int, ...]
-    lam: int
-    rho_u: int
-    rho_v: int
-    task: int
-    instances: tuple[tuple[int, int], tuple[int, int]]
-
-    @property
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return tuple(sorted((self.canon_u, self.canon_v)))
 
 
 # the two cross-matchings of the four instances: (u-instance, v-instance)
@@ -310,20 +294,6 @@ def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _record_from_doc(doc) -> LegendrePairRecord:
-    return LegendrePairRecord(
-        u=seqio._bits(doc["u"]),
-        v=seqio._bits(doc["v"]),
-        canon_u=seqio._bits(doc["canon_u"]),
-        canon_v=seqio._bits(doc["canon_v"]),
-        lam=doc["lambda"],
-        rho_u=doc["rho_u"],
-        rho_v=doc["rho_v"],
-        task=doc["task"],
-        instances=tuple((int(a), int(b)) for a, b in doc["instances"]),
-    )
-
-
 # Tasks per worker call and per checkpoint write: a batch is one IPC round
 # trip and one flush, and a hard kill loses at most the batches in flight.
 _BATCH = 16
@@ -377,13 +347,12 @@ class _Progress:
                 f"records file {sidecar} is missing or shorter than the checkpoint's "
                 f"{cp.partial_offset} bytes; refusing to resume"
             )
-        self.completed = set(cp.completed)
-        with open(sidecar, "r+") as fh:
+        with open(sidecar) as fh:
             data = fh.read(cp.partial_offset)
-            fh.truncate(cp.partial_offset)
-        for line in data.splitlines():
-            if line.strip():
-                self.records.append(_record_from_doc(json.loads(line)))
+        # parsed before the cut, so a refused resume leaves both files as they were
+        self.records = [seqio.record_from_json(line) for line in data.splitlines() if line.strip()]
+        os.truncate(sidecar, cp.partial_offset)
+        self.completed = set(cp.completed)
         self._saved, self._offset = len(self.records), cp.partial_offset
 
     def mark(self, index: int, new_records) -> None:

@@ -78,26 +78,62 @@ def write_sequences(path, length: int, sequences) -> None:
     Path(path).write_text("\n".join(rows) + "\n")
 
 
-def _bits(s: str) -> tuple[int, ...]:
-    if set(s) - {"0", "1"}:
-        raise ValueError(f"non-binary digits in {s!r}")
-    return tuple(int(c) for c in s)
+@dataclass(frozen=True)
+class LegendrePairRecord:
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    canon_u: tuple[int, ...]
+    canon_v: tuple[int, ...]
+    lam: int
+    rho_u: int
+    rho_v: int
+    task: int
+    instances: tuple[tuple[int, int], tuple[int, int]]
+
+    @property
+    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return tuple(sorted((self.canon_u, self.canon_v)))
 
 
-def record_to_json(record) -> str:
-    """One archive line for a LegendrePairRecord."""
-    doc = {
-        "u": "".join(str(x) for x in record.u),
-        "v": "".join(str(x) for x in record.v),
-        "canon_u": "".join(str(x) for x in record.canon_u),
-        "canon_v": "".join(str(x) for x in record.canon_v),
-        "lambda": record.lam,
-        "rho_u": record.rho_u,
-        "rho_v": record.rho_v,
-        "task": record.task,
-        "instances": list(list(pair) for pair in record.instances),
-    }
+_VECTORS = ("u", "v", "canon_u", "canon_v")
+_INTS = (("lambda", "lam"), ("rho_u", "rho_u"), ("rho_v", "rho_v"), ("task", "task"))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def record_to_json(record: LegendrePairRecord) -> str:
+    """One archive or records-file line for a record."""
+    doc = {name: "".join(str(x) for x in getattr(record, name)) for name in _VECTORS}
+    doc.update({name: getattr(record, attr) for name, attr in _INTS})
+    doc["instances"] = [list(pair) for pair in record.instances]
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def record_from_json(line: str) -> LegendrePairRecord:
+    """The record of one `record_to_json` line; ValueError names a bad field."""
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise ValueError(f"record line is not a JSON object: {line.strip()[:60]!r}")
+    fields = {}
+    for name in _VECTORS:
+        bits = doc.get(name)
+        if not isinstance(bits, str) or not bits:
+            raise ValueError(f"record field {name!r} is missing or not a digit string")
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"record field {name!r}: non-binary digits in {bits!r}")
+        fields[name] = tuple(int(c) for c in bits)
+    for name, attr in _INTS:
+        if not _is_int(doc.get(name)):
+            raise ValueError(f"record field {name!r} is missing or not an integer")
+        fields[attr] = doc[name]
+    pairs = doc.get("instances")
+    if not (isinstance(pairs, list) and len(pairs) == 2 and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs)):
+        raise ValueError("record field 'instances' is not two pairs of integers")
+    fields["instances"] = tuple(tuple(p) for p in pairs)
+    return LegendrePairRecord(**fields)
 
 
 def write_archive(path, records, summary: dict) -> None:
@@ -111,29 +147,28 @@ def write_archive(path, records, summary: dict) -> None:
 def load_archive(path):
     """Read an archive back; re-verifies every record and the summary count.
 
-    Returns (records, summary) where each record is the parsed JSON document
-    with u/v expanded to integer tuples.
+    Returns (records, summary): the LegendrePairRecords in file order and
+    the summary dict.
     """
     records = []
     summary = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             doc = json.loads(line)
-            if "summary" in doc:
+            if isinstance(doc, dict) and "summary" in doc:
+                if not isinstance(doc["summary"], dict):
+                    raise _parse_error(path, lineno, "summary is not a JSON object")
                 summary = doc["summary"]
                 continue
-            u = _bits(doc["u"])
-            v = _bits(doc["v"])
-            if not exact_complementary(u, v, doc["lambda"]):
+            try:
+                record = record_from_json(line)
+            except ValueError as exc:
+                raise _parse_error(path, lineno, str(exc)) from None
+            if not exact_complementary(record.u, record.v, record.lam):
                 raise _parse_error(path, lineno, "record fails the complementarity re-check")
-            doc["u"] = u
-            doc["v"] = v
-            doc["canon_u"] = _bits(doc["canon_u"])
-            doc["canon_v"] = _bits(doc["canon_v"])
-            records.append(doc)
+            records.append(record)
     if summary is None:
         raise ValueError(f"{path}: archive has no summary record")
     if summary.get("records") != len(records):
@@ -160,6 +195,8 @@ def _bitmap_hex(completed, n_tasks: int) -> str:
 
 def _bitmap_parse(hex_string: str, n_tasks: int) -> frozenset:
     buf = bytes.fromhex(hex_string)
+    if len(buf) != (n_tasks + 7) // 8:
+        raise ValueError(f"'completed' holds {len(buf)} bytes; {n_tasks} tasks need {(n_tasks + 7) // 8}")
     return frozenset(
         i for i in range(n_tasks) if buf[i // 8] & (1 << (i % 8))
     )
@@ -182,11 +219,18 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; ValueError if it is not one `save_checkpoint` could write."""
     doc = json.loads(Path(path).read_text())
-    n_tasks = int(doc["n_tasks"])
-    return Checkpoint(
-        fingerprint=doc["fingerprint"],
-        n_tasks=n_tasks,
-        completed=_bitmap_parse(doc["completed"], n_tasks),
-        partial_offset=int(doc["partial_offset"]),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint is not a JSON object")
+    for name in ("fingerprint", "completed"):
+        if not isinstance(doc.get(name), str):
+            raise ValueError(f"{path}: checkpoint field {name!r} is missing or not a string")
+    for name in ("n_tasks", "partial_offset"):
+        if not (_is_int(doc.get(name)) and doc[name] >= 0):
+            raise ValueError(f"{path}: checkpoint field {name!r} is missing or not a count")
+    try:
+        completed = _bitmap_parse(doc["completed"], doc["n_tasks"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return Checkpoint(doc["fingerprint"], doc["n_tasks"], completed, doc["partial_offset"])

@@ -14,6 +14,7 @@ from lppairs.cli import build_parser, main
 from lppairs.spectral import dft
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SEARCH_15 = ["search", "--length", "15", "--factors", "3,5"]
 
 
 def _bundled_path() -> str:
@@ -173,13 +174,59 @@ def test_search_rejects_bad_factorization(capsys):
     assert main(["search", "--length", "15", "--factors", "3,5,1"]) == 2
 
 
-def test_search_threads_env_default(monkeypatch, tmp_path):
-    monkeypatch.setenv("LP_THREADS", "2")
-    archive = tmp_path / "env.jsonl"
-    assert main(["search", "--length", "15", "--factors", "3,5",
-                 "--out", str(archive)]) == 0
+def test_search_worker_count_comes_from_threads_only(monkeypatch, tmp_path):
+    # the environment sets no worker count: a stray variable changes nothing
     monkeypatch.setenv("LP_THREADS", "zero")
-    assert main(["search", "--length", "15", "--factors", "3,5"]) == 2
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    assert main([*SEARCH_15, "--out", str(one)]) == 0
+    assert main([*SEARCH_15, "--threads", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    assert build_parser().parse_args(SEARCH_15).threads == 1
+
+
+def _drop_key(text: str, key: str) -> str:
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
+
+
+def _rename_rho_u(text: str) -> str:
+    # same length, so the checkpoint's byte offset still ends a line
+    first, rest = text.split("\n", 1)
+    return first.replace('"rho_u"', '"rho_w"') + "\n" + rest
+
+
+# each damage once made the resume crash with a traceback
+@pytest.mark.parametrize("target,damage,message", [
+    ("checkpoint", lambda t: _drop_key(t, "fingerprint"), "'fingerprint'"),
+    ("checkpoint", lambda t: json.dumps(dict(json.loads(t), completed="")), "'completed' holds 0 bytes"),
+    ("checkpoint", lambda t: "[1, 2]", "not a JSON object"),
+    ("records", _rename_rho_u, "'rho_u'"),
+])
+def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, damage, message):
+    cp = tmp_path / "cp.json"
+    argv = [*SEARCH_15, "--checkpoint", str(cp)]
+    assert main(argv + ["--stop-after", "1"]) == 0
+    path = cp if target == "checkpoint" else Path(str(cp) + ".records")
+    path.write_text(damage(path.read_text()))
+    sidecar = Path(str(cp) + ".records")
+    before = (cp.read_bytes(), sidecar.read_bytes())
+    capsys.readouterr()
+    assert main(argv + ["--resume", "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+    assert (cp.read_bytes(), sidecar.read_bytes()) == before
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("damage", [lambda line: _drop_key(line, "u"), lambda line: "[1]"])
+def test_stats_refuses_a_malformed_archive_line(tmp_path, capsys, damage):
+    archive = tmp_path / "a.jsonl"
+    assert main([*SEARCH_15, "--out", str(archive)]) == 0
+    first, rest = archive.read_text().split("\n", 1)
+    archive.write_text(damage(first) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["stats", str(archive)]) == 2
+    assert f"{archive}:1:" in capsys.readouterr().err
 
 
 def test_oracle_subcommands(capsys):
@@ -207,9 +254,6 @@ def test_oracle_caps_surface_as_usage_errors(capsys):
 def test_out_of_range_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
-
-
-SEARCH_15 = ["search", "--length", "15", "--factors", "3,5"]
 
 
 # each case is a subcommand's argv ending in an option that only tuned float

@@ -7,7 +7,7 @@ import pytest
 
 from lppairs.cyclic import decimate, decimation_canon, multiplier_group
 from lppairs.errors import InvariantViolation
-from lppairs.oracle import oracle_candidates, relative_match_audit
+from lppairs.oracle import oracle_candidates
 from lppairs.pairgen import (
     _equiv_decimations,
     _paf_orbit,
@@ -168,17 +168,8 @@ def test_match_pairs_equals_brute_force_join(length, delta):
     got = [(tuple(pr.q.vector), pr.p_canon, pr.r) for pr in match_pairs(cands, lam, delta2)]
     assert want
     assert got == want
-
-
-def test_relative_match_audit_flags_misaligned_pairs():
-    cands = list(enum_candidates(7, 3, 11, 11.0))
-    audit = relative_match_audit(cands, lam=11, delta2=3)
-    # the length-21 delta=7 census has classes that only pair after
-    # re-aligning one side, so the audit must be non-empty there
-    assert audit
-    for q, p, valid in audit:
-        assert valid
-        assert 1 not in valid
+    # some classes pair only after re-aligning one side by a decimation
+    assert any(r != 1 for *_, r in got)
 
 
 @pytest.mark.parametrize("length,delta", [(15, 3), (15, 5), (21, 7), (35, 5), (35, 7)])

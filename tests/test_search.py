@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lppairs import search, seqio
+from lppairs import bmfm, search, seqio
 from lppairs.bmfm import (
     MarginalInstance,
     _leaf_chunks,
@@ -151,6 +151,16 @@ def test_run_task_agrees_with_brute_cross_join(length, d1, d2):
                     if exact_complementary(u, v, lam):
                         brute[(task.index, matching, tuple(u), tuple(v))] += 1
     assert brute and ours == brute
+
+
+def test_run_task_checks_each_instance_once(monkeypatch):
+    # count() checks feasibility; the enumeration it vouches for does not
+    checked, real = [], bmfm.feasible
+    monkeypatch.setattr(bmfm, "feasible", lambda inst: checked.append(inst) or real(inst))
+    task = _tasks(15, 3, 5)[0]
+    assert run_task(task, CrtContext(3, 5), SearchConfig())
+    assert sorted(checked, key=repr) == sorted(
+        (task.instance(i, j) for i in (0, 1) for j in (0, 1)), key=repr)
 
 
 def _sample_instances(length, d1, d2, limit=3000):

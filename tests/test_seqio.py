@@ -6,7 +6,15 @@ import os
 import pytest
 
 from lppairs import seqio
-from lppairs.search import SearchConfig, run_search
+from lppairs.compress import CrtContext
+from lppairs.search import (
+    SearchConfig,
+    build_tasks,
+    canonicalize_lp,
+    compressed_census,
+    run_search,
+    run_task,
+)
 
 
 def test_sequence_roundtrip(tmp_path):
@@ -52,12 +60,56 @@ def test_archive_roundtrip(tmp_path):
     out, records, summary = _small_archive(tmp_path)
     loaded, loaded_summary = seqio.load_archive(out)
     assert loaded_summary["records"] == summary["records"] == len(loaded)
-    for rec, doc in zip(records, loaded):
-        assert doc["u"] == rec.u
-        assert doc["v"] == rec.v
-        assert doc["canon_u"] == rec.canon_u
-        assert doc["lambda"] == rec.lam
-        assert doc["rho_u"] == rec.rho_u
+    assert loaded == records
+
+
+@pytest.mark.parametrize("length,d1,d2,raw", [(15, 3, 5, 40), (21, 3, 7, 41)])
+def test_record_codec_roundtrips_every_raw_record(length, d1, d2, raw):
+    _, _, e1 = compressed_census(length, d1)
+    _, _, e2 = compressed_census(length, d2)
+    ctx = CrtContext(d1, d2)
+    records = [r for t in build_tasks(e1, e2) for r in run_task(t, ctx, SearchConfig())]
+    assert len(records) == raw
+    for record in records:
+        line = seqio.record_to_json(record)
+        assert seqio.record_from_json(line) == record
+        assert seqio.record_to_json(seqio.record_from_json(line)) == line
+
+
+def _damaged(line, field, value=None):
+    doc = json.loads(line)
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("u", None), ("canon_v", None), ("rho_u", None), ("task", None), ("instances", None),
+    ("u", 101), ("v", ""), ("lambda", "8"), ("rho_v", True), ("rho_v", 1.5),
+    ("instances", [[0, 0]]), ("instances", [[0, 0], [1]]), ("instances", [[0, 0], [1, "1"]]),
+])
+def test_record_from_json_names_the_bad_field(field, value):
+    line = _damaged(seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2)), field, value)
+    with pytest.raises(ValueError, match=repr(field)):
+        seqio.record_from_json(line)
+
+
+@pytest.mark.parametrize("line", ["[1]", "7", "null", '"u"', "{", ""])
+def test_record_from_json_refuses_other_documents(line):
+    with pytest.raises(ValueError):
+        seqio.record_from_json(line)
+
+
+@pytest.mark.parametrize("line", ["[1]", '{"summary":[]}', '{"v":"1"}'])
+def test_archive_rejects_a_malformed_line(tmp_path, line):
+    out, _, _ = _small_archive(tmp_path)
+    lines = out.read_text().splitlines()
+    lines[0] = line
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=":1:"):
+        seqio.load_archive(out)
 
 
 def test_archive_rejects_corrupted_record(tmp_path):
@@ -106,3 +158,41 @@ def test_checkpoint_write_is_atomic(tmp_path):
     path = tmp_path / "cp.json"
     seqio.save_checkpoint(path, seqio.Checkpoint("f", 3, frozenset({1}), 0))
     assert os.listdir(tmp_path) == ["cp.json"]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"fingerprint": None}, "'fingerprint'"),
+    ({"n_tasks": None}, "'n_tasks'"),
+    ({"completed": None}, "'completed'"),
+    ({"partial_offset": None}, "'partial_offset'"),
+    ({"fingerprint": 5}, "'fingerprint'"),
+    ({"n_tasks": "11"}, "'n_tasks'"),
+    ({"n_tasks": -1}, "'n_tasks'"),
+    ({"n_tasks": True}, "'n_tasks'"),
+    ({"partial_offset": 1.5}, "'partial_offset'"),
+    ({"partial_offset": -1}, "'partial_offset'"),
+    ({"completed": ""}, "0 bytes; 11 tasks need 2"),
+    ({"completed": "0000ff"}, "3 bytes; 11 tasks need 2"),
+    ({"n_tasks": 17}, "2 bytes; 17 tasks need 3"),
+    ({"completed": "zz00"}, "non-hexadecimal"),
+])
+def test_load_checkpoint_refuses_a_malformed_document(tmp_path, change, message):
+    path = tmp_path / "cp.json"
+    seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, frozenset({0, 3}), 512))
+    doc = json.loads(path.read_text())
+    for field, value in change.items():
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        seqio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", "3", "{"])
+def test_load_checkpoint_refuses_a_non_object(tmp_path, text):
+    path = tmp_path / "cp.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        seqio.load_checkpoint(path)
