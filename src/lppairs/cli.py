@@ -129,7 +129,6 @@ def cmd_search(args) -> int:
         raise ValueError(f"--factors takes exactly two values, got {args.factors!r}")
     config = SearchConfig(
         threads=args.threads,
-        max_bucket_memory=args.max_bucket_memory,
         stop_after=args.stop_after,
         checkpoint_path=args.checkpoint,
         archive_path=args.out,
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--factors", required=True, help="coprime factor pair, e.g. 7,11")
     p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
-    p.add_argument("--max-bucket-memory", type=int, default=2_000_000,
-                   help="most matrices held at once; larger sides are held in slices")
     p.add_argument("--stop-after", type=int, default=None,
                    help="stop once this many records have been collected")
     p.add_argument("--checkpoint", default=None)

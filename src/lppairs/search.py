@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from math import gcd
 
@@ -46,10 +47,9 @@ class SearchConfig:
 
     With `checkpoint_path`, progress is written once per batch of tasks
     (see `run_search`); `stop_after` is checked after every completed
-    task in one process and after every batch with several workers."""
+    task, for any worker count."""
 
     threads: int = 1
-    max_bucket_memory: int = 2_000_000
     stop_after: int | None = None
     checkpoint_path: str | None = None
     archive_path: str | None = None
@@ -57,10 +57,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if self.max_bucket_memory < 1:
-            raise ValueError(
-                f"max_bucket_memory must be at least 1, got {self.max_bucket_memory}"
-            )
         if self.stop_after is not None and self.stop_after < 1:
             raise ValueError(f"stop_after must be None or at least 1, got {self.stop_after}")
 
@@ -80,6 +76,7 @@ class SearchTask:
 # the two cross-matchings of the four instances: (u-instance, v-instance)
 _MATCHINGS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 _PRINT_BASE = 0x9E3779B97F4A7C15  # odd, so every key weight is odd
+_HELD = 2_000_000  # most masks held at once; a larger side is held in slices
 
 
 def correlation_energy(v) -> int:
@@ -236,12 +233,12 @@ def _vector(words: np.ndarray, ell: int) -> tuple[int, ...]:
     return tuple(_unpack(words, ell).tolist())
 
 
-def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[LegendrePairRecord]:
+def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
     """All Legendre pairs discoverable from one pair combination.
 
     For each of the two cross-matchings, the instance with fewer solutions
-    is held, in slices of at most `max_bucket_memory` masks, keyed by
-    lam - PAF(u, g) over the half lags; the other instance streams its
+    is held, in slices of at most `_HELD` masks, keyed by lam - PAF(u, g)
+    over the half lags; the other instance streams its
     masks past each slice in chunks and is matched by sorting (see
     `_join`).  A hit satisfies PAF(u, g) + PAF(v, g) = lam at every
     nonzero lag; canonicalize_lp confirms it with the exact test before
@@ -260,7 +257,7 @@ def run_task(task: SearchTask, ctx: CrtContext, config: SearchConfig) -> list[Le
             continue
         swapped = n_v < n_u
         small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
-        for held in _held_slices(small, bits, config.max_bucket_memory):
+        for held in _held_slices(small, bits, _HELD):
             for x, y in _join(held, _leaf_chunks(large, bits), ell, lam):
                 u, v = (y, x) if swapped else (x, y)
                 records.append(canonicalize_lp(
@@ -299,8 +296,8 @@ def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
 _BATCH = 16
 
 
-def _worker(batch: list[SearchTask], ctx: CrtContext, config: SearchConfig):
-    return [(task.index, run_task(task, ctx, config)) for task in batch]
+def _worker(batch: list[SearchTask], ctx: CrtContext):
+    return [(task.index, run_task(task, ctx)) for task in batch]
 
 
 class _Progress:
@@ -412,11 +409,12 @@ def run_search(length: int, d1: int, d2: int,
     compressed pairs); a run without resume starts from scratch.
 
     Pending tasks run in batches of consecutive tasks, at most `_BATCH`
-    and few enough that every worker gets one.  A worker runs a whole
-    batch per call, and the checkpoint is written once per completed
-    batch and once more on the way out, whether the run finished,
-    stopped at `stop_after` or raised (Ctrl-C, a failing worker): every
-    task that had completed is kept for the resume.
+    and few enough that every worker gets one; a worker runs a whole
+    batch per call.  One loop takes each completed task, from the pool or
+    from this process: `stop_after` is checked after every task, and the
+    checkpoint is written once per batch of tasks and once more on any
+    exit (finished, stopped, Ctrl-C, a failing worker), after the batches
+    not yet started are cancelled: every completed task is kept.
     """
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
@@ -430,32 +428,23 @@ def run_search(length: int, d1: int, d2: int,
     progress.start(resume)
     pending = [t for t in tasks if t.index not in progress.completed]
 
-    def stop() -> bool:
-        return config.stop_after is not None and len(progress.records) >= config.stop_after
-
     size = min(_BATCH, -(-len(pending) // config.threads))
-    try:
+    with ExitStack() as stack:
+        stack.callback(progress.flush)
         if config.threads > 1 and pending:
             batches = [pending[i:i + size] for i in range(0, len(pending), size)]
-            with ProcessPoolExecutor(max_workers=min(config.threads, len(batches))) as pool:
-                futures = [pool.submit(_worker, b, ctx, config) for b in batches]
-                for future in as_completed(futures):
-                    for index, new_records in future.result():
-                        progress.mark(index, new_records)
-                    if stop():
-                        for f in futures:
-                            f.cancel()
-                        break
-                    progress.flush()
+            pool = ProcessPoolExecutor(max_workers=min(config.threads, len(batches)))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            futures = [pool.submit(_worker, b, ctx) for b in batches]
+            done = (pair for f in as_completed(futures) for pair in f.result())
         else:
-            for done, task in enumerate(pending, 1):
-                progress.mark(task.index, run_task(task, ctx, config))
-                if stop():
-                    break
-                if done % size == 0:
-                    progress.flush()
-    finally:
-        progress.flush()
+            done = ((t.index, run_task(t, ctx)) for t in pending)
+        for n, (index, new_records) in enumerate(done, 1):
+            progress.mark(index, new_records)
+            if config.stop_after is not None and len(progress.records) >= config.stop_after:
+                break
+            if n % size == 0:
+                progress.flush()
 
     final = _finalize(progress, lam)
     summary = {

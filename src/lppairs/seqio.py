@@ -147,10 +147,11 @@ def write_archive(path, records, summary: dict) -> None:
 def load_archive(path):
     """Read an archive back; re-verifies every record and the summary count.
 
-    Returns (records, summary): the LegendrePairRecords in file order and
-    the summary dict.
+    Every record must have u and v of the summary's `length` and carry its
+    `lambda`.  Returns (records, summary): the LegendrePairRecords in file
+    order and the summary dict.
     """
-    records = []
+    found = []  # (line number, record)
     summary = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -166,16 +167,24 @@ def load_archive(path):
                 record = record_from_json(line)
             except ValueError as exc:
                 raise _parse_error(path, lineno, str(exc)) from None
+            if len(record.u) != len(record.v):
+                raise _parse_error(path, lineno, f"u has length {len(record.u)}, v {len(record.v)}")
             if not exact_complementary(record.u, record.v, record.lam):
                 raise _parse_error(path, lineno, "record fails the complementarity re-check")
-            records.append(record)
+            found.append((lineno, record))
     if summary is None:
         raise ValueError(f"{path}: archive has no summary record")
-    if summary.get("records") != len(records):
+    length, lam = summary.get("length"), summary.get("lambda")
+    for lineno, record in found:
+        if (len(record.u), record.lam) != (length, lam):
+            raise _parse_error(
+                path, lineno, f"record of length {len(record.u)} and lambda {record.lam} "
+                f"in an archive of length {length} and lambda {lam}")
+    if summary.get("records") != len(found):
         raise ValueError(
-            f"{path}: summary declares {summary.get('records')} records, found {len(records)}"
+            f"{path}: summary declares {summary.get('records')} records, found {len(found)}"
         )
-    return records, summary
+    return [record for _, record in found], summary
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line behavior: output, file handling, exit codes; the public names."""
 
+import argparse
 import cmath
 import json
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from lppairs import seqio
 from lppairs.cli import build_parser, main
+from lppairs.search import canonicalize_lp
 from lppairs.spectral import dft
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -218,7 +220,17 @@ def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, dam
     assert not (tmp_path / "out.jsonl").exists()
 
 
-@pytest.mark.parametrize("damage", [lambda line: _drop_key(line, "u"), lambda line: "[1]"])
+# a length-3 pair in a length-15 archive, and u and v of unequal lengths: the
+# first once passed `lp stats`, the second failed without its line number
+_SHORT = seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: _drop_key(line, "u"),
+    lambda line: "[1]",
+    lambda line: _SHORT,
+    lambda line: _SHORT.replace('"v":"101"', '"v":"10"'),
+])
 def test_stats_refuses_a_malformed_archive_line(tmp_path, capsys, damage):
     archive = tmp_path / "a.jsonl"
     assert main([*SEARCH_15, "--out", str(archive)]) == 0
@@ -247,8 +259,8 @@ def test_oracle_caps_surface_as_usage_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["search", "--length", "15", "--factors", "3,5", "--threads", "0"],
-    ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "-5"],
-    ["search", "--length", "15", "--factors", "3,5", "--max-bucket-memory", "0"],
+    ["search", "--length", "15", "--factors", "3,5", "--threads", "-1"],
+    ["search", "--length", "15", "--factors", "3,5", "--stop-after", "-3"],
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "0"],
 ])
 def test_out_of_range_options_are_usage_errors(argv, capsys):
@@ -256,13 +268,15 @@ def test_out_of_range_options_are_usage_errors(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# each case is a subcommand's argv ending in an option that only tuned float
-# matching; argparse must reject it as unknown
+# each case is a subcommand's argv ending in a removed option: one that only
+# tuned float matching, or the held-slice size (now fixed); argparse must
+# reject it as unknown
 @pytest.mark.parametrize("flag", [
     [*SEARCH_15, "--tolerance", "1e-6"],
     [*SEARCH_15, "--bucket-precision", "6"],
     [*SEARCH_15, "--exhaustive-match"],
     ["pairs", "--length", "15", "--delta", "5", "--tolerance", "1e-6"],
+    [*SEARCH_15, "--max-bucket-memory", "2000000"],
 ])
 def test_search_has_no_float_matching_options(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -310,3 +324,21 @@ def test_readme_commands_parse_and_cheap_ones_run(tmp_path, monkeypatch, capsys)
         if line not in README_SLOW:
             assert main(argv[1:]) == (1 if line in README_NEGATIVE else 0), line
     capsys.readouterr()
+
+
+def _parser_options(parser) -> set[str]:
+    options = {option for action in parser._actions for option in action.option_strings}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+    return options
+
+
+def test_readme_prose_names_only_real_options():
+    # the sh blocks are parsed above; a backticked option in the prose must
+    # be an option of some lp subcommand too, so no removed flag lingers
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    named = {m for span in re.findall(r"`([^`]+)`", prose) for m in re.findall(r"--[\w-]+", span)}
+    assert {"--threads", "--stop-after", "--checkpoint", "--resume"} <= named
+    assert named <= _parser_options(build_parser())

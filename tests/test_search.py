@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import importlib
 import json
+import multiprocessing
 import random
 from collections import Counter
 from concurrent.futures import Future
@@ -141,7 +142,7 @@ def test_run_task_agrees_with_brute_cross_join(length, d1, d2):
     lam = (length + 1) // 2
     ours, brute = Counter(), Counter()
     for task in _tasks(length, d1, d2):
-        for record in run_task(task, ctx, SearchConfig()):
+        for record in run_task(task, ctx):
             ours[(record.task, record.instances, record.u, record.v)] += 1
         for matching in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
             us = [theta_inv(m, ctx) for m in solutions(task.instance(*matching[0]))]
@@ -158,7 +159,7 @@ def test_run_task_checks_each_instance_once(monkeypatch):
     checked, real = [], bmfm.feasible
     monkeypatch.setattr(bmfm, "feasible", lambda inst: checked.append(inst) or real(inst))
     task = _tasks(15, 3, 5)[0]
-    assert run_task(task, CrtContext(3, 5), SearchConfig())
+    assert run_task(task, CrtContext(3, 5))
     assert sorted(checked, key=repr) == sorted(
         (task.instance(i, j) for i in (0, 1) for j in (0, 1)), key=repr)
 
@@ -241,17 +242,18 @@ def test_every_leaf_stream_is_pinned_in_both_factor_orders(length, d1, d2, leave
     assert digest.hexdigest() == _LEAF_DIGESTS[d1, d2]
 
 
-def test_memory_cap_keeps_every_raw_record():
-    ctx = CrtContext(3, 7)
-    for task in _tasks(21, 3, 7):
-        base = run_task(task, ctx, SearchConfig())
-        capped = run_task(task, ctx, SearchConfig(max_bucket_memory=1))
-        assert Counter(base) == Counter(capped)
+def test_memory_cap_keeps_every_raw_record(monkeypatch):
+    ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
+    base = [run_task(task, ctx) for task in tasks]
+    monkeypatch.setattr(search, "_HELD", 1)
+    for task, records in zip(tasks, base):
+        assert Counter(records) == Counter(run_task(task, ctx))
 
 
-def test_memory_cap_splits_without_losing_records():
+def test_memory_cap_splits_without_losing_records(monkeypatch):
     base, _ = run_search(15, 3, 5)
-    capped, _ = run_search(15, 3, 5, SearchConfig(max_bucket_memory=2))
+    monkeypatch.setattr(search, "_HELD", 2)
+    capped, _ = run_search(15, 3, 5)
     assert {r.key for r in base} == {r.key for r in capped}
 
 
@@ -271,11 +273,8 @@ def test_worker_pool_is_no_larger_than_the_pending_tasks(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def submit(self, fn, *args):
             future = Future()
@@ -397,11 +396,8 @@ class _InlinePool:
     def __call__(self, max_workers):
         return self
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         self.calls += 1
@@ -424,11 +420,11 @@ def test_resume_at_every_task_boundary(tmp_path, monkeypatch, k):
     assert len(tasks) == 8
     real, calls = search.run_task, []
 
-    def interrupted(task, ctx, config):
+    def interrupted(task, ctx):
         calls.append(task.index)
         if len(calls) == k:
             raise KeyboardInterrupt
-        return real(task, ctx, config)
+        return real(task, ctx)
 
     with monkeypatch.context() as m:
         m.setattr(search, "run_task", interrupted)
@@ -438,7 +434,7 @@ def test_resume_at_every_task_boundary(tmp_path, monkeypatch, k):
     assert seqio.load_checkpoint(cp).completed == {t.index for t in done}
     ctx = CrtContext(3, 5)
     assert _sidecar_lines(cp) == [
-        seqio.record_to_json(r) for t in done for r in run_task(t, ctx, SearchConfig())
+        seqio.record_to_json(r) for t in done for r in run_task(t, ctx)
     ]
     run_search(
         15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
@@ -482,12 +478,50 @@ def test_failing_worker_batch_keeps_the_batches_before_it(tmp_path, monkeypatch)
     assert seqio.load_checkpoint(cp).completed == {t.index for t in first}
     ctx = CrtContext(3, 5)
     assert _sidecar_lines(cp) == [
-        seqio.record_to_json(r) for t in first for r in run_task(t, ctx, SearchConfig())
+        seqio.record_to_json(r) for t in first for r in run_task(t, ctx)
     ]
     run_search(
         15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
     )
     assert filecmp.cmp(clean, resumed, shallow=False)
+
+
+def test_stop_after_keeps_the_same_tasks_for_any_worker_count(tmp_path, monkeypatch):
+    # stop_after is checked after every task, not after every batch: a pool
+    # run keeps task 0 alone, as a one-worker run does, not its batch of 4
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    run_search(21, 3, 7, SearchConfig(stop_after=3, checkpoint_path=str(one)))
+    with monkeypatch.context() as m:
+        m.setattr(search, "ProcessPoolExecutor", _InlinePool())
+        m.setattr(search, "as_completed", iter)
+        run_search(21, 3, 7, SearchConfig(threads=2, stop_after=3, checkpoint_path=str(two)))
+    assert seqio.load_checkpoint(two).completed == seqio.load_checkpoint(one).completed == {0}
+    assert len(_sidecar_lines(two)) == 6
+    assert _sidecar_lines(two) == _sidecar_lines(one)
+
+
+def test_failing_batch_cancels_the_batches_not_yet_started(tmp_path, monkeypatch):
+    # a real two-worker pool with one task per batch; the stand-in run_task
+    # reaches the workers through fork and logs each call to a file
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the stand-in run_task reaches the pool workers only by fork")
+    log = tmp_path / "calls"
+    real = search.run_task
+
+    def failing(task, *args):
+        with open(log, "a") as fh:
+            fh.write(f"{task.index}\n")
+        if task.index == 0:
+            raise RuntimeError("task 0 failed")
+        return real(task, *args)
+
+    monkeypatch.setattr(search, "_BATCH", 1)
+    monkeypatch.setattr(search, "run_task", failing)
+    with pytest.raises(RuntimeError, match="task 0 failed"):
+        run_search(33, 3, 11, SearchConfig(threads=2))
+    calls = log.read_text().split()
+    assert "0" in calls
+    assert len(calls) < 20  # of 432 tasks
 
 
 def test_retried_flush_neither_tears_nor_doubles_records(tmp_path, monkeypatch):
@@ -534,15 +568,15 @@ def test_checkpoint_is_written_once_per_batch(tmp_path, monkeypatch):
     records, summary = run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
     assert 1 <= len(saves) <= -(-summary["tasks"] // search._BATCH) + 1
     ctx = CrtContext(3, 7)
-    raw = sum(len(run_task(t, ctx, SearchConfig())) for t in _tasks(21, 3, 7))
+    raw = sum(len(run_task(t, ctx)) for t in _tasks(21, 3, 7))
     assert len(_sidecar_lines(cp)) == raw > len(records)
 
 
 @pytest.mark.parametrize("option", [
     {"threads": 0},
     {"threads": -2},
-    {"max_bucket_memory": 0},
-    {"max_bucket_memory": -5},
+    {"threads": -1},
+    {"stop_after": -100},
     {"stop_after": 0},
     {"stop_after": -1},
 ])
@@ -552,7 +586,7 @@ def test_search_config_rejects_out_of_range_options(option):
 
 
 def test_search_config_accepts_boundary_values():
-    SearchConfig(threads=1, max_bucket_memory=1, stop_after=1)
+    SearchConfig(threads=1, stop_after=1)
     SearchConfig(stop_after=None)
 
 
@@ -566,7 +600,7 @@ def test_run_task_finds_self_paired_solutions():
     _, _, e2 = compressed_census(15, 5)
     hits = []
     for task in build_tasks(e1, e2):
-        hits.extend(run_task(task, ctx, SearchConfig()))
+        hits.extend(run_task(task, ctx))
     assert any(r.u == r.v for r in hits)
 
 
@@ -682,7 +716,7 @@ def test_run_task_looks_up_traced_names_at_call_time(monkeypatch):
 
     for name in ("count", "canonicalize_lp", "exact_complementary"):
         monkeypatch.setattr(search, name, counted(name))
-    records = [r for t in _tasks(15, 3, 5) for r in run_task(t, CrtContext(3, 5), SearchConfig())]
+    records = [r for t in _tasks(15, 3, 5) for r in run_task(t, CrtContext(3, 5))]
     assert calls["count"] > 0
     assert calls["canonicalize_lp"] == calls["exact_complementary"] == len(records) > 0
 

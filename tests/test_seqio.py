@@ -68,7 +68,7 @@ def test_record_codec_roundtrips_every_raw_record(length, d1, d2, raw):
     _, _, e1 = compressed_census(length, d1)
     _, _, e2 = compressed_census(length, d2)
     ctx = CrtContext(d1, d2)
-    records = [r for t in build_tasks(e1, e2) for r in run_task(t, ctx, SearchConfig())]
+    records = [r for t in build_tasks(e1, e2) for r in run_task(t, ctx)]
     assert len(records) == raw
     for record in records:
         line = seqio.record_to_json(record)
@@ -102,7 +102,14 @@ def test_record_from_json_refuses_other_documents(line):
         seqio.record_from_json(line)
 
 
-@pytest.mark.parametrize("line", ["[1]", '{"summary":[]}', '{"v":"1"}'])
+# a length-3 pair in a length-15 archive, and u and v of unequal lengths: the
+# first once loaded, the second failed without its line number
+_SHORT = seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2))
+
+
+@pytest.mark.parametrize("line", [
+    "[1]", '{"summary":[]}', '{"v":"1"}', _SHORT, _SHORT.replace('"v":"101"', '"v":"10"'),
+])
 def test_archive_rejects_a_malformed_line(tmp_path, line):
     out, _, _ = _small_archive(tmp_path)
     lines = out.read_text().splitlines()
