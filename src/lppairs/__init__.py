@@ -28,7 +28,7 @@ from .search import (
     run_task,
 )
 from .seqio import LegendrePairRecord
-from .spectral import dft, divisor_psd_check, exact_complementary, paf, psd
+from .spectral import dft, exact_complementary, paf, psd
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "count",
     "decimation_canon",
     "dft",
-    "divisor_psd_check",
     "enum_candidates",
     "enumerate_matrices",
     "exact_complementary",

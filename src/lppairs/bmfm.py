@@ -157,41 +157,51 @@ def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
     """Yield the masks of all solutions as (N, W) uint64 arrays.
 
     A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
-    W little-endian 64-bit words.  Every array holds at most `_CHUNK`
-    masks, and memory is bounded by `_CHUNK` partial matrices per step,
-    whatever the instance.  The instance must be feasible: its callers
-    check it once (see `count` and `enumerate_matrices`).
+    W little-endian 64-bit words; `bits` has the instance's shape.  Every
+    array holds at most `_CHUNK` masks, and memory is bounded by `_CHUNK`
+    partial matrices per step, whatever the instance.  The instance must
+    be feasible: its callers check it once (see `count` and
+    `enumerate_matrices`).
     """
-    m, n = inst.n_rows, inst.n_cols
-    if m >= n:
-        sums, needs = inst.row_sums, inst.col_sums
-        lines = [tuple(bits[i][j] for j in range(n)) for i in range(m)]
-    else:
-        sums, needs = inst.col_sums, inst.row_sums
-        lines = [tuple(bits[i][j] for i in range(m)) for j in range(n)]
-    top = max([base] + [b for line in lines for b in line]).bit_length()
+    by_rows = inst.n_rows >= inst.n_cols
+    sums, needs = (inst.row_sums, inst.col_sums) if by_rows else (inst.col_sums, inst.row_sums)
+    steps, tail, width = _layout(bits, by_rows, sums, base.bit_length(), isqrt(_CHUNK), _TAIL)
+    mask = np.array([_words(base, width)], dtype=np.uint64)
+    need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
+    yield from _expand(steps, tail, mask, need)
+
+
+@lru_cache(maxsize=None)
+def _layout(bits, by_rows: bool, sums, base_bits: int, step_rows: int, tail_rows: int):
+    """The steps, tail and word count of `_leaf_chunks` for one line layout.
+
+    The lines are the rows of `bits` (or its columns), filled with `sums`.
+    The tail is the longest suffix of at most `tail_rows` choices whose
+    keys fit a uint64 (see `_tail`), but always the last line; the head
+    lines go in steps of at most `step_rows` choices, unless one line has
+    more.
+    """
+    lines = bits if by_rows else tuple(zip(*bits))
+    top = max([base_bits] + [b.bit_length() for line in lines for b in line])
     width = max(1, -(-top // 64))
-    # the tail: the longest suffix of at most _TAIL choices whose keys fit a
-    # uint64 (see _tail), but always the last line
-    head, rows = len(sums) - 1, comb(len(needs), sums[-1])
+    n = len(lines[0])
+    head, rows = len(sums) - 1, comb(n, sums[-1])
     while head:
-        size = comb(len(needs), sums[head - 1])
-        if rows * size > _TAIL or (len(sums) - head + 2) ** len(needs) > 1 << 64:
+        size = comb(n, sums[head - 1])
+        if rows * size > tail_rows or (len(sums) - head + 2) ** n > 1 << 64:
             break
         head, rows = head - 1, rows * size
     steps = []
-    cap, start, rows = isqrt(_CHUNK), 0, 1
+    start, rows = 0, 1
     for k in range(head):
-        size = comb(len(lines[k]), sums[k])
-        if k > start and rows * size > cap:
-            steps.append((_step(tuple(lines[start:k]), sums[start:k], width), len(sums) - k))
+        size = comb(n, sums[k])
+        if k > start and rows * size > step_rows:
+            steps.append((_step(lines[start:k], sums[start:k], width), len(sums) - k))
             start, rows = k, 1
         rows *= size
     if head:
-        steps.append((_step(tuple(lines[start:head]), sums[start:head], width), len(sums) - head))
-    mask = np.array([_words(base, width)], dtype=np.uint64)
-    need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
-    yield from _expand(steps, _tail(tuple(lines[head:]), sums[head:], width), mask, need)
+        steps.append((_step(lines[start:head], sums[start:head], width), len(sums) - head))
+    return steps, _tail(lines[head:], sums[head:], width), width
 
 
 @lru_cache(maxsize=None)

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop once this many records have been collected")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--resume", action="store_true",
-                   help="continue from --checkpoint instead of starting over")
+                   help="continue from --checkpoint, which it needs, instead of starting over")
     p.add_argument("--out", default=None, help="archive path (default: print records)")
     p.set_defaults(func=cmd_search)
 

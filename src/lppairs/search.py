@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from math import gcd
@@ -45,9 +45,10 @@ class SearchConfig:
     """Run options.  None of them changes the records a completed task
     produces, so a run may be resumed with any of them changed.
 
-    With `checkpoint_path`, progress is written once per batch of tasks
-    (see `run_search`); `stop_after` is checked after every completed
-    task, for any worker count."""
+    Task results are taken in task order for any `threads`, so the
+    records sidecar, every checkpoint (the count of leading tasks done,
+    written once per batch of tasks; see `run_search`) and the task a
+    `stop_after` stop ends on do not depend on it."""
 
     threads: int = 1
     stop_after: int | None = None
@@ -292,7 +293,7 @@ def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
 
 
 # Tasks per worker call and per checkpoint write: a batch is one IPC round
-# trip and one flush, and a hard kill loses at most the batches in flight.
+# trip and one flush, and a hard kill loses the tasks since the last flush.
 _BATCH = 16
 
 
@@ -303,16 +304,18 @@ def _worker(batch: list[SearchTask], ctx: CrtContext):
 class _Progress:
     """Task completion tracking with optional on-disk checkpointing.
 
-    `mark` records a completed task in memory; `flush` writes every marked
-    task to the records sidecar and the checkpoint.  The checkpoint always
-    names exactly the tasks whose records lie below its offset.
+    Tasks complete in index order, so progress is one count: tasks
+    0..done-1 are complete.  `mark` records the next task in memory (any
+    other task is an InvariantViolation); `flush` writes every marked task
+    to the records sidecar and the checkpoint.  The checkpoint's count
+    always covers exactly the tasks whose records lie below its offset.
     """
 
     def __init__(self, fingerprint: str, n_tasks: int, path):
         self.fingerprint = fingerprint
         self.n_tasks = n_tasks
         self.path = path
-        self.completed: set[int] = set()
+        self.done = 0
         self.records: list[LegendrePairRecord] = []
         self._records_path = str(path) + ".records" if path else None
         self._saved = 0  # records below the checkpoint's offset
@@ -349,11 +352,13 @@ class _Progress:
         # parsed before the cut, so a refused resume leaves both files as they were
         self.records = [seqio.record_from_json(line) for line in data.splitlines() if line.strip()]
         os.truncate(sidecar, cp.partial_offset)
-        self.completed = set(cp.completed)
+        self.done = cp.done
         self._saved, self._offset = len(self.records), cp.partial_offset
 
     def mark(self, index: int, new_records) -> None:
-        self.completed.add(index)
+        if index != self.done:
+            raise InvariantViolation(f"task {index} completed before task {self.done}")
+        self.done += 1
         self.records.extend(new_records)
 
     def flush(self) -> None:
@@ -376,7 +381,7 @@ class _Progress:
         seqio.save_checkpoint(self.path, seqio.Checkpoint(
             fingerprint=self.fingerprint,
             n_tasks=self.n_tasks,
-            completed=frozenset(self.completed),
+            done=self.done,
             partial_offset=offset,
         ))
         self._saved, self._offset = len(self.records), offset
@@ -403,19 +408,24 @@ def run_search(length: int, d1: int, d2: int,
     """Full pipeline: census both factors, run all tasks, dedupe, archive.
 
     Returns (records, summary).  The record list is sorted by canonical
-    key and is identical for any worker count.  With a checkpoint path,
-    a run with resume=True restarts from the last completed task and
-    refuses a checkpoint of different inputs (length, factor order or
-    compressed pairs); a run without resume starts from scratch.
+    key and is identical for any worker count.  resume=True needs a
+    checkpoint path; it restarts after the tasks the checkpoint counts as
+    done and refuses a checkpoint of different inputs (length, factor
+    order or compressed pairs).  A run without resume starts from scratch.
 
     Pending tasks run in batches of consecutive tasks, at most `_BATCH`
     and few enough that every worker gets one; a worker runs a whole
-    batch per call.  One loop takes each completed task, from the pool or
-    from this process: `stop_after` is checked after every task, and the
-    checkpoint is written once per batch of tasks and once more on any
-    exit (finished, stopped, Ctrl-C, a failing worker), after the batches
-    not yet started are cancelled: every completed task is kept.
+    batch per call.  One loop takes each task's results in task order,
+    from the pool's batches in submission order or from this process, so
+    the done tasks are always a prefix of the task list: `stop_after` is
+    checked after every task, and the checkpoint is written once per batch
+    of tasks and once more on any exit (finished, stopped, Ctrl-C, a
+    failing worker), after the batches not yet started are cancelled.
+    Batches that finished after the oldest unfinished one are not kept
+    on a failure, Ctrl-C or hard kill, and run again on resume.
     """
+    if resume and not config.checkpoint_path:
+        raise ValueError("resume needs a checkpoint path (--checkpoint)")
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
     lam = (length + 1) // 2
@@ -426,7 +436,7 @@ def run_search(length: int, d1: int, d2: int,
 
     progress = _Progress(fingerprint, len(tasks), config.checkpoint_path)
     progress.start(resume)
-    pending = [t for t in tasks if t.index not in progress.completed]
+    pending = tasks[progress.done:]
 
     size = min(_BATCH, -(-len(pending) // config.threads))
     with ExitStack() as stack:
@@ -436,10 +446,10 @@ def run_search(length: int, d1: int, d2: int,
             pool = ProcessPoolExecutor(max_workers=min(config.threads, len(batches)))
             stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(_worker, b, ctx) for b in batches]
-            done = (pair for f in as_completed(futures) for pair in f.result())
+            results = (pair for f in futures for pair in f.result())
         else:
-            done = ((t.index, run_task(t, ctx)) for t in pending)
-        for n, (index, new_records) in enumerate(done, 1):
+            results = ((t.index, run_task(t, ctx)) for t in pending)
+        for n, (index, new_records) in enumerate(results, 1):
             progress.mark(index, new_records)
             if config.stop_after is not None and len(progress.records) >= config.stop_after:
                 break
@@ -452,7 +462,7 @@ def run_search(length: int, d1: int, d2: int,
         "factors": [d1, d2],
         "lambda": lam,
         "tasks": len(tasks),
-        "completed": len(progress.completed),
+        "completed": progress.done,
         "records": len(final),
     }
     if config.archive_path:

@@ -189,26 +189,13 @@ def load_archive(path):
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """A search's progress: tasks 0..done-1 are complete, and their records
+    fill the first `partial_offset` bytes of the `.records` sidecar."""
+
     fingerprint: str
     n_tasks: int
-    completed: frozenset
+    done: int
     partial_offset: int
-
-
-def _bitmap_hex(completed, n_tasks: int) -> str:
-    buf = bytearray((n_tasks + 7) // 8)
-    for i in completed:
-        buf[i // 8] |= 1 << (i % 8)
-    return bytes(buf).hex()
-
-
-def _bitmap_parse(hex_string: str, n_tasks: int) -> frozenset:
-    buf = bytes.fromhex(hex_string)
-    if len(buf) != (n_tasks + 7) // 8:
-        raise ValueError(f"'completed' holds {len(buf)} bytes; {n_tasks} tasks need {(n_tasks + 7) // 8}")
-    return frozenset(
-        i for i in range(n_tasks) if buf[i // 8] & (1 << (i % 8))
-    )
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
@@ -216,7 +203,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     doc = {
         "fingerprint": checkpoint.fingerprint,
         "n_tasks": checkpoint.n_tasks,
-        "completed": _bitmap_hex(checkpoint.completed, checkpoint.n_tasks),
+        "done": checkpoint.done,
         "partial_offset": checkpoint.partial_offset,
     }
     tmp = str(path) + ".tmp"
@@ -232,14 +219,11 @@ def load_checkpoint(path) -> Checkpoint:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint is not a JSON object")
-    for name in ("fingerprint", "completed"):
-        if not isinstance(doc.get(name), str):
-            raise ValueError(f"{path}: checkpoint field {name!r} is missing or not a string")
+    if not isinstance(doc.get("fingerprint"), str):
+        raise ValueError(f"{path}: checkpoint field 'fingerprint' is missing or not a string")
     for name in ("n_tasks", "partial_offset"):
         if not (_is_int(doc.get(name)) and doc[name] >= 0):
             raise ValueError(f"{path}: checkpoint field {name!r} is missing or not a count")
-    try:
-        completed = _bitmap_parse(doc["completed"], doc["n_tasks"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return Checkpoint(doc["fingerprint"], doc["n_tasks"], completed, doc["partial_offset"])
+    if not (_is_int(doc.get("done")) and 0 <= doc["done"] <= doc["n_tasks"]):
+        raise ValueError(f"{path}: checkpoint field 'done' is missing or not a count of at most n_tasks")
+    return Checkpoint(doc["fingerprint"], doc["n_tasks"], doc["done"], doc["partial_offset"])

@@ -58,33 +58,6 @@ def proper_divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n) if n % d == 0)
 
 
-def divisor_psd_check(u, v, gamma: float) -> bool:
-    """PSD sum certificate on divisor indices only.
-
-    For binary u, v of odd length n and density (n+1)/2, checking
-    PSD(u, d) + PSD(v, d) == gamma at every proper divisor d of n (including
-    d = 1) certifies the pair exactly: PSD sums are constant on each orbit
-    {d * r : r a unit}, and those orbits cover all nonzero indices.  Index 0
-    is excluded; the sum there equals 2 * density^2, not gamma.
-    """
-    uu = tuple(int(x) for x in u)
-    vv = tuple(int(x) for x in v)
-    if len(uu) != len(vv):
-        raise ValueError(f"length mismatch: {len(uu)} vs {len(vv)}")
-    n = len(uu)
-    want = (n + 1) // 2
-    for name, seq in (("u", uu), ("v", vv)):
-        if any(x not in (0, 1) for x in seq):
-            raise ValueError(f"{name} is not binary")
-        if sum(seq) != want:
-            raise ValueError(f"{name} has density {sum(seq)}, expected {want}")
-    psd_u = psd(uu)
-    psd_v = psd(vv)
-    return all(
-        abs(psd_u[d] + psd_v[d] - gamma) <= 1e-6 for d in proper_divisors(n)
-    )
-
-
 def two_dim_dft(a, d1: int, d2: int) -> np.ndarray:
     """Two-dimensional DFT W_{d1} A W_{d2} of a d1 x d2 array, W_n[k, j] = exp(2 pi i jk / n)."""
     arr = np.asarray(a, dtype=float)

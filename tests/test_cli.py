@@ -198,12 +198,21 @@ def _rename_rho_u(text: str) -> str:
     return first.replace('"rho_u"', '"rho_w"') + "\n" + rest
 
 
-# each damage once made the resume crash with a traceback
+def _old_format(text: str) -> str:
+    # a checkpoint of the completed-task bitmap, before the count of done tasks
+    doc = json.loads(text)
+    del doc["done"]
+    doc["completed"] = "01"
+    return json.dumps(doc)
+
+
+# each damage but the old format once made the resume crash with a traceback
 @pytest.mark.parametrize("target,damage,message", [
     ("checkpoint", lambda t: _drop_key(t, "fingerprint"), "'fingerprint'"),
-    ("checkpoint", lambda t: json.dumps(dict(json.loads(t), completed="")), "'completed' holds 0 bytes"),
+    ("checkpoint", lambda t: json.dumps(dict(json.loads(t), done="")), "'done'"),
     ("checkpoint", lambda t: "[1, 2]", "not a JSON object"),
     ("records", _rename_rho_u, "'rho_u'"),
+    ("checkpoint", _old_format, "'done'"),
 ])
 def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, damage, message):
     cp = tmp_path / "cp.json"
@@ -262,6 +271,7 @@ def test_oracle_caps_surface_as_usage_errors(capsys):
     ["search", "--length", "15", "--factors", "3,5", "--threads", "-1"],
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "-3"],
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "0"],
+    ["search", "--length", "15", "--factors", "3,5", "--resume"],  # no --checkpoint
 ])
 def test_out_of_range_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2

@@ -6,6 +6,7 @@ import importlib
 import json
 import multiprocessing
 import random
+import time
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -34,7 +35,7 @@ from lppairs.search import (
     run_search,
     run_task,
 )
-from lppairs.spectral import divisor_psd_check, exact_complementary, paf
+from lppairs.spectral import exact_complementary, paf
 
 
 def test_correlation_energy_examples():
@@ -100,7 +101,6 @@ def test_records_verify_and_are_sorted():
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     for r in records:
         assert exact_complementary(r.u, r.v, r.lam)
-        assert divisor_psd_check(r.u, r.v, float(r.lam))
         assert r.rho_u == correlation_energy(r.u)
         assert r.rho_v == correlation_energy(r.v)
 
@@ -431,7 +431,7 @@ def test_resume_at_every_task_boundary(tmp_path, monkeypatch, k):
         with pytest.raises(KeyboardInterrupt):
             run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp)))
     done = tasks[:k - 1]
-    assert seqio.load_checkpoint(cp).completed == {t.index for t in done}
+    assert seqio.load_checkpoint(cp).done == k - 1
     ctx = CrtContext(3, 5)
     assert _sidecar_lines(cp) == [
         seqio.record_to_json(r) for t in done for r in run_task(t, ctx)
@@ -451,7 +451,7 @@ def test_parallel_run_stops_and_resumes_to_identical_archive(tmp_path):
         21, 3, 7, SearchConfig(threads=2, stop_after=3, checkpoint_path=str(cp))
     )
     assert 0 < partial["completed"] < partial["tasks"]
-    assert len(seqio.load_checkpoint(cp).completed) == partial["completed"]
+    assert seqio.load_checkpoint(cp).done == partial["completed"]
     _, full = run_search(
         21, 3, 7,
         SearchConfig(threads=2, checkpoint_path=str(cp), archive_path=str(resumed)),
@@ -469,13 +469,11 @@ def test_failing_worker_batch_keeps_the_batches_before_it(tmp_path, monkeypatch)
     pool = _InlinePool(fail=2)
     with monkeypatch.context() as m:
         m.setattr(search, "ProcessPoolExecutor", pool)
-        # futures in submission order, as from a pool whose batches finish in turn
-        m.setattr(search, "as_completed", iter)
         with pytest.raises(RuntimeError, match="worker failed"):
             run_search(15, 3, 5, SearchConfig(threads=2, checkpoint_path=str(cp)))
     assert pool.calls == 2
     first = _tasks(15, 3, 5)[:4]  # 8 tasks over 2 workers: batches of 4
-    assert seqio.load_checkpoint(cp).completed == {t.index for t in first}
+    assert seqio.load_checkpoint(cp).done == len(first)
     ctx = CrtContext(3, 5)
     assert _sidecar_lines(cp) == [
         seqio.record_to_json(r) for t in first for r in run_task(t, ctx)
@@ -493,11 +491,33 @@ def test_stop_after_keeps_the_same_tasks_for_any_worker_count(tmp_path, monkeypa
     run_search(21, 3, 7, SearchConfig(stop_after=3, checkpoint_path=str(one)))
     with monkeypatch.context() as m:
         m.setattr(search, "ProcessPoolExecutor", _InlinePool())
-        m.setattr(search, "as_completed", iter)
         run_search(21, 3, 7, SearchConfig(threads=2, stop_after=3, checkpoint_path=str(two)))
-    assert seqio.load_checkpoint(two).completed == seqio.load_checkpoint(one).completed == {0}
+    assert seqio.load_checkpoint(two).done == seqio.load_checkpoint(one).done == 1
     assert len(_sidecar_lines(two)) == 6
     assert _sidecar_lines(two) == _sidecar_lines(one)
+
+
+@pytest.mark.parametrize("stop_after", [None, 3])
+def test_two_workers_write_the_same_run_files_as_one(tmp_path, monkeypatch, stop_after):
+    # a real two-worker pool, two batches of 4 tasks; task 0 is slowed so
+    # that the second batch finishes first, yet the checkpoint and the
+    # records sidecar must follow task order, as in a one-worker run
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the stand-in run_task reaches the pool workers only by fork")
+    real = search.run_task
+
+    def slow(task, *args):
+        if task.index == 0:
+            time.sleep(0.3)
+        return real(task, *args)
+
+    monkeypatch.setattr(search, "run_task", slow)
+    files = []
+    for threads in (1, 2):
+        cp = tmp_path / f"{threads}.json"
+        run_search(21, 3, 7, SearchConfig(threads=threads, stop_after=stop_after, checkpoint_path=str(cp)))
+        files.append((cp.read_bytes(), Path(str(cp) + ".records").read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_failing_batch_cancels_the_batches_not_yet_started(tmp_path, monkeypatch):
@@ -546,7 +566,7 @@ def test_retried_flush_neither_tears_nor_doubles_records(tmp_path, monkeypatch):
         with pytest.raises(OSError, match="disk full"):
             run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
     assert len(saves) == 3
-    assert len(seqio.load_checkpoint(cp).completed) == 4
+    assert seqio.load_checkpoint(cp).done == 4
     run_search(
         21, 3, 7, SearchConfig(checkpoint_path=str(cp), archive_path=str(resumed)), resume=True
     )
@@ -733,3 +753,12 @@ def test_bench_tracing_finds_every_hooked_name(monkeypatch):
     with tracing.instrument(SimpleNamespace(search=search, seqio=seqio, cli=cli), tracing.Trace()):
         assert search.run_task is not before[0]["run_task"]
     assert [dict(vars(m)) for m in modules] == before
+
+
+def test_progress_refuses_a_task_out_of_order():
+    # done tasks are a prefix of the task list: the count is the checkpoint
+    progress = search._Progress("f", 3, None)
+    progress.mark(0, [])
+    with pytest.raises(search.InvariantViolation, match="task 2 completed before task 1"):
+        progress.mark(2, [])
+    assert progress.done == 1

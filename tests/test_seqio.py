@@ -143,34 +143,26 @@ def test_archive_rejects_wrong_summary_count(tmp_path):
 
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "cp.json"
-    cp = seqio.Checkpoint(
-        fingerprint="abc123",
-        n_tasks=11,  # not a byte multiple, exercises bitmap padding
-        completed=frozenset({0, 3, 9, 10}),
-        partial_offset=512,
-    )
+    cp = seqio.Checkpoint(fingerprint="abc123", n_tasks=11, done=4, partial_offset=512)
     seqio.save_checkpoint(path, cp)
-    back = seqio.load_checkpoint(path)
-    assert back.fingerprint == cp.fingerprint
-    assert back.n_tasks == cp.n_tasks
-    assert back.completed == cp.completed
-    assert back.partial_offset == cp.partial_offset
-    assert 3 in back.completed and 4 not in back.completed
-    seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, frozenset(range(11)), 0))
-    assert seqio.load_checkpoint(path).completed == frozenset(range(11))
+    assert seqio.load_checkpoint(path) == cp
+    assert json.loads(path.read_text())["done"] == 4
+    for done in (0, 11):  # no task done, every task done
+        seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, done, 0))
+        assert seqio.load_checkpoint(path).done == done
 
 
 def test_checkpoint_write_is_atomic(tmp_path):
     # the temp file used for atomic replacement must not linger
     path = tmp_path / "cp.json"
-    seqio.save_checkpoint(path, seqio.Checkpoint("f", 3, frozenset({1}), 0))
+    seqio.save_checkpoint(path, seqio.Checkpoint("f", 3, 1, 0))
     assert os.listdir(tmp_path) == ["cp.json"]
 
 
 @pytest.mark.parametrize("change,message", [
     ({"fingerprint": None}, "'fingerprint'"),
     ({"n_tasks": None}, "'n_tasks'"),
-    ({"completed": None}, "'completed'"),
+    ({"done": None}, "'done'"),
     ({"partial_offset": None}, "'partial_offset'"),
     ({"fingerprint": 5}, "'fingerprint'"),
     ({"n_tasks": "11"}, "'n_tasks'"),
@@ -178,14 +170,15 @@ def test_checkpoint_write_is_atomic(tmp_path):
     ({"n_tasks": True}, "'n_tasks'"),
     ({"partial_offset": 1.5}, "'partial_offset'"),
     ({"partial_offset": -1}, "'partial_offset'"),
-    ({"completed": ""}, "0 bytes; 11 tasks need 2"),
-    ({"completed": "0000ff"}, "3 bytes; 11 tasks need 2"),
-    ({"n_tasks": 17}, "2 bytes; 17 tasks need 3"),
-    ({"completed": "zz00"}, "non-hexadecimal"),
+    ({"done": "4"}, "'done'"),
+    ({"done": True}, "'done'"),
+    ({"done": -1}, "'done'"),
+    ({"done": 12}, "'done'"),  # more than n_tasks
+    ({"n_tasks": 3}, "'done'"),  # fewer than done
 ])
 def test_load_checkpoint_refuses_a_malformed_document(tmp_path, change, message):
     path = tmp_path / "cp.json"
-    seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, frozenset({0, 3}), 512))
+    seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, 4, 512))
     doc = json.loads(path.read_text())
     for field, value in change.items():
         if value is None:

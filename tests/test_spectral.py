@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from lppairs.compress import compress
-from lppairs.cyclic import decimate
 from lppairs.spectral import (
     dft,
-    divisor_psd_check,
     exact_complementary,
     first_failing_lag,
     paf,
@@ -107,40 +105,6 @@ def test_psd_test_filters_pair_members():
         assert psd(v)[1:].max() < 8.0 + 1e-6
     # the all-ones-block vector concentrates PSD far above gamma
     assert psd((1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0))[1:].max() > 8.0 + 1e-6
-
-
-def test_divisor_psd_check_matches_exact_test():
-    # on density-(n+1)/2 binary vectors, passing at the divisor indices
-    # alone must imply the full exact property; checked on random
-    # negatives plus genuine pairs and their orbit images
-    from lppairs.cyclic import decimate, shift, units
-
-    rng = random.Random(205)
-    n = 15
-    lam = 8
-    cases = []
-    for _ in range(300):
-        cases.append((random_binary(rng, n, lam), random_binary(rng, n, lam)))
-    positives = _literal_pairs_15()
-    for u, v in positives:
-        # independent shifts and a shared decimation both preserve the
-        # pair property, so these images must certify too
-        k = rng.choice(units(n))
-        cases.append((u, v))
-        cases.append((shift(decimate(u, k), rng.randrange(n)),
-                      shift(decimate(v, k), rng.randrange(n))))
-    seen_true = 0
-    for u, v in cases:
-        cert = divisor_psd_check(u, v, float(lam))
-        full = exact_complementary(u, v, lam)
-        assert cert == full
-        seen_true += cert
-    assert seen_true >= 2 * len(positives)
-
-
-def test_divisor_psd_check_rejects_wrong_density():
-    with pytest.raises(ValueError):
-        divisor_psd_check((1, 0, 0), (1, 1, 0), 2.0)
 
 
 def test_proper_divisors():
