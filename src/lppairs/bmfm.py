@@ -127,11 +127,17 @@ def _count_sorted(q: tuple[int, ...], p: tuple[int, ...]) -> int:
 
 
 def count(inst: MarginalInstance) -> int:
-    """Exact solution count via the row-peeling recursion (memoized)."""
+    """Exact solution count via the line-peeling recursion (memoized).
+
+    The count is transpose-invariant, so the more numerous lines are
+    peeled: each step then picks a subset of the fewer cells across.
+    """
     if not feasible(inst):
         return 0
     q = tuple(sorted(inst.row_sums, reverse=True))
     p = tuple(sorted(inst.col_sums, reverse=True))
+    if len(p) > len(q):
+        q, p = p, q
     return _count_sorted(q, p)
 
 

@@ -5,12 +5,15 @@ combine every delta1-pair with every delta2-pair into a task carrying four
 marginal instances, enumerate each instance's binary matrices as arrays of
 uint64 mask words (bit g is v_g of the reshaped vector), and join the two
 sides of each cross-matching by sorting (Fletcher, Gysin and Seberry),
-kept exact.  The held side's keys lam - PAF(u, g) over the half lags
-g = 1..(l-1)/2 are sorted once by a uint64 print; the streamed side's
-PAF(v, g) prints are located by binary search, and a hit counts only when
-the full keys agree.  By PAF symmetry a hit is exactly a complementary
-pair; every hit is still confirmed by the exact test before it becomes a
-record.
+kept exact.  The keys are taken only over the free lags, the half lags
+g = 1..(l-1)/2 that neither d1 nor d2 divides: the fixed marginals make
+every other lag follow from them (see `run_task`).  The held side's keys
+lam - PAF(u, g) are sorted once by a uint64 print; each streamed print is
+first looked up in a bool table of the held prints' top bits, the few
+that may hit are located by binary search, and a hit counts only when the
+full keys agree.  By the marginals and PAF symmetry a hit is exactly a
+complementary pair; every hit is still confirmed by the exact test before
+it becomes a record.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
 forms and sorted, which makes the final archive independent of worker count
@@ -140,28 +143,31 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-_KEY_WORDS = 1 << 18  # words in each (lags, W, rows) temporary of _paf_keys
+# words in each (lags, W, rows) temporary of _paf_keys: a block's few
+# temporaries of 512 KB stay in a 2 MB L2 cache, where 2 MB ones did not
+_KEY_WORDS = 1 << 16
 
 
-def _paf_keys(x: np.ndarray, ell: int) -> np.ndarray:
-    """(N, (ell-1)/2) uint8: PAF(v, g) for g = 1..(ell-1)/2 of each row's vector.
+def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
+    """(N, len(lags)) uint8: PAF(v, g) for each g in lags (each 1..(ell-1)/2)
+    of each row's vector.
 
     Row i of x holds the uint64 words of a vector whose bit g is v_g.
     PAF(v, g) is popcount(x & rot(x, g)), summed over the words; since
-    PAF(v, g) = PAF(v, ell - g), these lags determine the whole PAF.
+    PAF(v, g) = PAF(v, ell - g), the half lags determine the whole PAF.
 
     All lags are keyed at once.  With the doubled words d = x | x << ell
     (plus a spare top word), rot(x, g) is the low W words of d >> g: for
     g = 64 q + r, words q.. of d shifted down by r, OR-ed with words q+1..
     shifted up by 64 - r.  Bits at or above ell are junk and vanish in the
     AND with x.  Rows go in blocks of at most `_KEY_WORDS` words per
-    temporary (2^14 rows at ell = 33), so memory stays bounded for any N.
+    temporary (6,553 rows at ell = 33 on its 10 free lags), so memory
+    stays bounded for any N.
     """
     n, w = x.shape
     q, r = divmod(ell, 64)
-    g = np.arange(1, (ell + 1) // 2)
-    at = (g // 64)[:, None] + np.arange(w)
-    down = (g % 64).astype(np.uint64)[:, None, None]
+    at = (lags // 64)[:, None] + np.arange(w)
+    down = (lags % 64).astype(np.uint64)[:, None, None]
     up = 63 - down
     out = np.empty((len(at), n), dtype=np.uint8)
     block = max(1, _KEY_WORDS // at.size)
@@ -188,28 +194,44 @@ def _key_prints(keys: np.ndarray) -> np.ndarray:
     return keys.astype(np.uint64) @ weights
 
 
-def _join(held: np.ndarray, streamed, ell: int, lam: int):
-    """Yield (u, v) word rows, u from held and v from the streamed chunks,
-    with PAF(u, g) + PAF(v, g) = lam at every lag g != 0.
+def _free_lags(ctx: CrtContext) -> np.ndarray:
+    """The half lags g = 1..(ell-1)/2 that neither d1 nor d2 divides:
+    (d1 - 1)(d2 - 1)/2 of them.  See `run_task` for why they suffice."""
+    g = np.arange(1, (ctx.ell + 1) // 2)
+    return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
-    The held keys lam - PAF(u) are sorted once by print and each chunk's
-    prints are located with one searchsorted; only the rare probes that
-    land on an equal print walk its run of held keys, and a hit counts
-    only when the full keys agree, so a collision costs time and never
-    makes or loses a pair.
+
+def _join(held: np.ndarray, streamed, ell: int, lam: int, lags: np.ndarray):
+    """Yield (u, v) word rows, u from held and v from the streamed chunks,
+    with PAF(u, g) + PAF(v, g) = lam at every lag g in lags.
+
+    The held keys lam - PAF(u) are sorted once by print.  A bool table,
+    indexed by the top b bits of a print with 2^b >= 8 len(held) and at
+    least 2^12, marks the held prints (at most 16 MB for the `_HELD` = 2M
+    rows of a full slice).  One gather per chunk keeps every probe that
+    can hit and at most about one in eight of the others; only those are
+    located with searchsorted.  The rare probes that land on an
+    equal print walk its run of held keys, and a hit counts only when the
+    full keys agree, so a collision costs time and never makes or loses a
+    pair.  Hits come in streamed order, then held order.
     """
-    want = lam - _paf_keys(held, ell)
+    want = lam - _paf_keys(held, ell, lags)
     prints = _key_prints(want)
     order = np.argsort(prints, kind="stable")
     prints = prints[order]
+    drop = 64 - max(12, (8 * len(held) - 1).bit_length())
+    present = np.zeros(1 << (64 - drop), dtype=bool)
+    present[prints >> drop] = True
     for chunk in streamed:
-        keys = _paf_keys(chunk, ell)
+        keys = _paf_keys(chunk, ell, lags)
         probe = _key_prints(keys)
-        lo = np.searchsorted(prints, probe, "left")
-        hit = np.flatnonzero(prints[np.minimum(lo, len(prints) - 1)] == probe)
+        maybe = np.flatnonzero(present[probe >> drop])
+        lo = np.searchsorted(prints, probe[maybe], "left")
+        found = prints[np.minimum(lo, len(prints) - 1)] == probe[maybe]
+        hit, lo = maybe[found], lo[found]
         hi = np.searchsorted(prints, probe[hit], "right")
-        for s, end in zip(hit, hi):
-            for h in order[lo[s]:end]:
+        for s, start, end in zip(hit, lo, hi):
+            for h in order[start:end]:
                 if np.array_equal(want[h], keys[s]):
                     yield held[h], chunk[s]
 
@@ -239,15 +261,25 @@ def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
 
     For each of the two cross-matchings, the instance with fewer solutions
     is held, in slices of at most `_HELD` masks, keyed by lam - PAF(u, g)
-    over the half lags; the other instance streams its
+    over the free lags (`_free_lags`); the other instance streams its
     masks past each slice in chunks and is matched by sorting (see
     `_join`).  A hit satisfies PAF(u, g) + PAF(v, g) = lam at every
     nonzero lag; canonicalize_lp confirms it with the exact test before
     the record is kept.
+
+    The free lags suffice.  Write e(g) = PAF(u, g) + PAF(v, g) - lam.  The
+    row sums of both instances are the d1-compressions of u and v, a
+    complementary pair, and the compressed PAF at lag a is the sum of
+    PAF(u, g) over g = a mod d1; so e sums to 0 over every nonzero residue
+    class mod d1, and likewise mod d2 through the column sums.  A lag that
+    d2 divides (but d1 does not) is thus minus the sum of the free lags in
+    its class mod d1, and symmetrically, so e = 0 on the free lags (and on
+    their mirrors ell - g) gives e = 0 at every nonzero lag.
     """
     ell = ctx.ell
     lam = (ell + 1) // 2
     bits = ctx.cell_bits
+    lags = _free_lags(ctx)
     records: list[LegendrePairRecord] = []
 
     for matching in _MATCHINGS:
@@ -259,7 +291,7 @@ def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
         swapped = n_v < n_u
         small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
         for held in _held_slices(small, bits, _HELD):
-            for x, y in _join(held, _leaf_chunks(large, bits), ell, lam):
+            for x, y in _join(held, _leaf_chunks(large, bits), ell, lam, lags):
                 u, v = (y, x) if swapped else (x, y)
                 records.append(canonicalize_lp(
                     _vector(u, ell), _vector(v, ell), lam,

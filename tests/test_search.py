@@ -184,7 +184,7 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
         assert len(masks) == len(expected)
         got = [tuple((x >> g) & 1 for g in range(length)) for x in masks[:, 0].tolist()]
         assert got == expected
-        keys = search._paf_keys(masks, length)
+        keys = search._paf_keys(masks, length, np.arange(1, (length + 1) // 2))
         for key, v in zip(keys.tolist(), expected):
             assert tuple(key) == paf(v)[1:(length + 1) // 2]
         seen += len(expected)
@@ -240,6 +240,83 @@ def test_every_leaf_stream_is_pinned_in_both_factor_orders(length, d1, d2, leave
                 total += len(chunk)
     assert total == counted == leaves
     assert digest.hexdigest() == _LEAF_DIGESTS[d1, d2]
+
+
+def _job(task, matching, ctx):
+    """(held leaves, streamed instance) of the join run_task makes for one
+    cross-matching, or None when an instance has no solution."""
+    insts = [task.instance(i, j) for i, j in matching]
+    n_u, n_v = map(count, insts)
+    if not (n_u and n_v):
+        return None
+    small, large = insts if n_u <= n_v else insts[::-1]
+    return np.concatenate(list(_leaf_chunks(small, ctx.cell_bits))), large
+
+
+def _hits(held, streamed, lags, ctx):
+    lam = (ctx.ell + 1) // 2
+    return [(search._vector(a, ctx.ell), search._vector(b, ctx.ell))
+            for a, b in search._join(held, streamed, ctx.ell, lam, lags)]
+
+
+@pytest.mark.parametrize("length,d1,d2,step", [
+    (15, 3, 5, 1), (15, 5, 3, 1), (21, 3, 7, 1), (21, 7, 3, 1), (33, 3, 11, 12), (33, 11, 3, 12),
+])
+def test_free_lag_join_equals_all_lag_join(length, d1, d2, step):
+    # every job of every task (every step-th task at length 33)
+    ctx, lam, seen = CrtContext(d1, d2), (length + 1) // 2, 0
+    free, half = search._free_lags(ctx), np.arange(1, (length + 1) // 2)
+    for task in _tasks(length, d1, d2)[::step]:
+        for job in filter(None, (_job(task, m, ctx) for m in search._MATCHINGS)):
+            held, large = job
+            hits = _hits(held, _leaf_chunks(large, ctx.cell_bits), free, ctx)
+            assert hits == _hits(held, _leaf_chunks(large, ctx.cell_bits), half, ctx)
+            assert all(exact_complementary(u, v, lam) for u, v in hits)
+            seen += len(hits)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (3, 11), (5, 7), (5, 9), (7, 11)])
+def test_free_lags_avoid_both_factors(d1, d2):
+    lags = search._free_lags(CrtContext(d1, d2)).tolist()
+    assert len(lags) == (d1 - 1) * (d2 - 1) // 2
+    assert lags == sorted(set(lags))
+    assert all(0 < g < d1 * d2 / 2 and g % d1 and g % d2 for g in lags)
+
+
+def _brute_hits(held, rows, ctx):
+    # every (held, row) pair whose keys agree on all half lags, row-major
+    half = np.arange(1, (ctx.ell + 1) // 2)
+    want = (ctx.ell + 1) // 2 - search._paf_keys(held, ctx.ell, half)
+    keys = search._paf_keys(rows, ctx.ell, half)
+    pairs = np.argwhere((keys[:, None, :] == want[None, :, :]).all(axis=2))
+    return [(search._vector(held[h], ctx.ell), search._vector(rows[s], ctx.ell)) for s, h in pairs]
+
+
+@pytest.mark.parametrize("prints", [
+    None,
+    lambda keys: np.zeros(len(keys), dtype=np.uint64),
+    lambda keys: keys.astype(np.uint64).sum(axis=1) % 5 * np.uint64(search._PRINT_BASE),
+], ids=["real-prints", "one-print", "five-prints"])
+def test_presence_table_loses_no_hit(monkeypatch, prints):
+    # A length-35 job whose 1,860 held leaves need a 2^14-entry presence
+    # table, and a held side of one leaf that hits.  The streamed side is
+    # every leaf of a hit plus 64 others, so the all-colliding join stays small.
+    ctx = CrtContext(5, 7)
+    held, large = _job(_tasks(35, 5, 7)[687], search._MATCHINGS[0], ctx)
+    leaves = np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))
+    hits = _brute_hits(held, leaves, ctx)
+    partners = {v for _, v in hits}
+    rows = {i for i, row in enumerate(leaves) if search._vector(row, 35) in partners}
+    streamed = leaves[sorted(rows | set(range(64)))]
+    one = held[[[search._vector(row, 35) for row in held].index(hits[0][0])]]
+    assert len(held) == 1860 and len(hits) == 52
+    if prints:
+        monkeypatch.setattr(search, "_key_prints", prints)
+    free = search._free_lags(ctx)
+    for side in (held, one):
+        chunks = [streamed[:40], streamed[40:]]
+        assert _hits(side, chunks, free, ctx) == _brute_hits(side, streamed, ctx)
 
 
 def test_memory_cap_keeps_every_raw_record(monkeypatch):
@@ -652,7 +729,7 @@ def _masks(ints, ell):
 def test_word_keys_equal_exact_paf(ell):
     rng = random.Random(ell)
     ints = [rng.getrandbits(ell) for _ in range(40)] + [0, 2**ell - 1, 1, 1 << (ell - 1)]
-    keys = search._paf_keys(_masks(ints, ell), ell)
+    keys = search._paf_keys(_masks(ints, ell), ell, np.arange(1, (ell + 1) // 2))
     for x, key in zip(ints, keys.tolist()):
         v = tuple((x >> g) & 1 for g in range(ell))
         assert tuple(key) == paf(v)[1:(ell + 1) // 2]
@@ -669,7 +746,7 @@ def test_word_keys_cross_a_block_boundary(ell):
     octets = np.packbits(bits, axis=1, bitorder="little")
     words = np.zeros((n, 8 * width), dtype=np.uint8)
     words[:, :octets.shape[1]] = octets
-    keys = search._paf_keys(words.view("<u8"), ell)
+    keys = search._paf_keys(words.view("<u8"), ell, np.arange(1, (ell + 1) // 2))
     assert keys.shape == (n, (ell - 1) // 2)
     for v, key in zip(bits.tolist(), keys.tolist()):
         assert tuple(key) == paf(v)[1:(ell + 1) // 2]
@@ -679,7 +756,7 @@ def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):
     # The pair's own marginals in CrtContext(7, 11): the engine fills those
     # 7 x 11 instances as 11 columns of 7 cells.  Fixing each member's first
     # columns as base bits leaves a few thousand leaves per side, all with
-    # two-word masks; the join must pair u with v.
+    # two-word masks; the join on the search's 30 free lags must pair u with v.
     u, v = (tuple(x) for x in lp77)
     ell, lam = 77, 39
     ctx = CrtContext(7, 11)
@@ -698,9 +775,11 @@ def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):
     assert (count(inst_u), count(inst_v)) == (17_604, 21_346)
     held = np.concatenate(list(_leaf_chunks(inst_u, bits_u, base_u)))
     assert held.shape == (17_604, 2)
+    lags = search._free_lags(ctx)
+    assert len(lags) == 30
     hits = [
         (search._vector(a, ell), search._vector(b, ell))
-        for a, b in search._join(held, _leaf_chunks(inst_v, bits_v, base_v), ell, lam)
+        for a, b in search._join(held, _leaf_chunks(inst_v, bits_v, base_v), ell, lam, lags)
     ]
     assert (u, v) in hits
     assert all(exact_complementary(a, b, lam) for a, b in hits)
