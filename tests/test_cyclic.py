@@ -98,24 +98,47 @@ def test_decimation_canon_is_orbit_minimum():
         assert tuple(canon) == min(orbit)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 15, 33, 77])
+def _brute_canon(v):
+    # the smallest shift(decimate(v, k), j), ties to the smallest k, then
+    # the smallest j
+    n, best = len(v), None
+    for k in units(n):
+        for j in range(n):
+            cand = tuple(shift(decimate(v, k), j))
+            if best is None or cand < best[0]:
+                best = (cand, (j, k))
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 33, 63, 64, 65, 77])
 def test_decimation_canon_equals_brute_minimum_with_first_witness(n):
-    # brute force: the smallest shift(decimate(v, k), j), ties to the
-    # smallest k, then the smallest j; binary, non-binary and symmetric inputs
+    # binary (one first word of 63 positions), 4 and 5 values (words of 31
+    # and 21 positions), 6 values, and symmetric inputs
     rng = random.Random(107 + n)
     cases = [random_vector(rng, n, 0, 1) for _ in range(4)]
+    cases += [random_vector(rng, n, 0, 3), random_vector(rng, n, 0, 4)]
     cases += [random_vector(rng, n, -2, 3) for _ in range(2)]
     cases += [(1,) * n, tuple(int(g % 3 == 0) for g in range(n))]
     for v in cases:
-        best = None
-        for k in units(n):
-            for j in range(n):
-                cand = tuple(shift(decimate(v, k), j))
-                if best is None or cand < best[0]:
-                    best = (cand, (j, k))
         canon, witness = decimation_canon(v)
-        assert (tuple(canon), witness) == best
+        assert (tuple(canon), witness) == _brute_canon(v)
         assert type(canon) is tuple and all(type(x) is int for x in canon)
+
+
+@pytest.mark.parametrize("v,per", [
+    ((1, 1, 0, 1) + (0,) * 73, 63),  # binary: 63 positions per word
+    ((4, 3, 2, 1) + (0,) * 29, 21),  # 5 values: 21 positions per word
+])
+def test_decimation_canon_decides_after_a_tied_first_word(v, per):
+    # the least orbit rows agree on the first word and differ after it,
+    # so the later words pick the canonical form (here by decimation -1)
+    n = len(v)
+    rows = {tuple(shift(decimate(v, k), j)) for k in units(n) for j in range(n)}
+    least = min(row[:per] for row in rows)
+    assert len({row for row in rows if row[:per] == least}) > 1
+    canon, witness = decimation_canon(v)
+    assert (canon, witness) == _brute_canon(v)
+    assert witness[1] == n - 1
 
 
 def test_multiplier_group_members():

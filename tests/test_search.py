@@ -720,12 +720,23 @@ def test_length_33_search_is_pinned_in_both_factor_orders(tmp_path, factors, thr
     assert _key_digest(records) == "0ddfec1a5c637031499da8a03f1eca4fe984d47ae9045487b9ad0aa3a4913f4b"
 
 
+def test_length_35_search_is_pinned(tmp_path):
+    cp = tmp_path / "cp.json"
+    records, summary = run_search(35, 7, 5, SearchConfig(threads=2, checkpoint_path=str(cp)))
+    with open(str(cp) + ".records") as fh:
+        raw = sum(1 for line in fh if line.strip())
+    assert summary["tasks"] == summary["completed"] == 720
+    assert (raw, len(records)) == (2756, 829)
+    digest = hashlib.sha256(repr(sorted(r.key for r in records)).encode()).hexdigest()
+    assert digest == "4575a81a412514216148ac6a1ade064b32a9494ed2fd0707cb20146635cf8e5c"
+
+
 def _masks(ints, ell):
     width = -(-ell // 64)
     return np.array([[(x >> (64 * k)) & (2**64 - 1) for k in range(width)] for x in ints], dtype=np.uint64)
 
 
-@pytest.mark.parametrize("ell", [15, 33, 63, 64, 65, 77, 129])
+@pytest.mark.parametrize("ell", [15, 33, 43, 45, 47, 63, 64, 65, 77, 129])
 def test_word_keys_equal_exact_paf(ell):
     rng = random.Random(ell)
     ints = [rng.getrandbits(ell) for _ in range(40)] + [0, 2**ell - 1, 1, 1 << (ell - 1)]
@@ -734,9 +745,26 @@ def test_word_keys_equal_exact_paf(ell):
         v = tuple((x >> g) & 1 for g in range(ell))
         assert tuple(key) == paf(v)[1:(ell + 1) // 2]
         assert search._vector(_masks([x], ell)[0], ell) == v
+    # each lag alone: whether the high part is computed depends on the lags
+    for g in range(1, (ell + 1) // 2):
+        alone = search._paf_keys(_masks(ints, ell), ell, np.array([g]))
+        assert alone[:, 0].tolist() == keys[:, g - 1].tolist()
 
 
-@pytest.mark.parametrize("ell", [33, 77, 129])
+def test_word_keys_on_free_lags_on_both_sides_of_the_spill_edge():
+    # 5 x 9 at ell = 45: the free lags run to 22, and only lags above
+    # 64 - 45 = 19 (here 21 and 22) have high-part bits below ell
+    ell, lags = 45, search._free_lags(CrtContext(5, 9))
+    assert lags.min() <= 64 - ell < lags.max()
+    rng = random.Random(ell)
+    ints = [rng.getrandbits(ell) for _ in range(40)] + [0, 2**ell - 1, 1, 1 << (ell - 1)]
+    keys = search._paf_keys(_masks(ints, ell), ell, lags)
+    for x, key in zip(ints, keys.tolist()):
+        pafs = paf(tuple((x >> g) & 1 for g in range(ell)))
+        assert tuple(key) == tuple(pafs[g] for g in lags.tolist())
+
+
+@pytest.mark.parametrize("ell", [33, 43, 45, 47, 77, 129])
 def test_word_keys_cross_a_block_boundary(ell):
     # three rows past one block of _KEY_WORDS words per temporary
     width = -(-ell // 64)
