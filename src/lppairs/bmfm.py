@@ -18,7 +18,9 @@ lines would.  A step grows while its table has at most isqrt(_CHUNK) rows.
 The tail is the longest suffix of lines with at most _TAIL choices, always
 including the last line; its choices are sorted once by their counts, and
 each partial matrix is finished by one binary search for the choices whose
-counts equal its needs (a one-line tail is the forced last line).
+counts equal its needs (a one-line tail is the forced last line); `_runs`,
+shared with the candidate walk of `pairgen`, expands the matching ranges
+in chunks.
 Frontiers are expanded depth first in slices, so memory is bounded, and
 leaves come in the lexicographic order of the line choices.
 
@@ -252,6 +254,21 @@ def _tail(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int)
     return weights, keys[order], words[order]
 
 
+def _runs(lo, hi, cap: int):
+    """Index arrays (i, j) for every j in lo[i]..hi[i]-1, i ascending and
+    then j, at most `cap` pairs at a time; a range with hi <= lo is empty."""
+    span = np.maximum(hi - lo, 0)
+    ends = np.cumsum(span)
+    first = ends - span  # pair index of each range's first j
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, cap):
+        stop = min(start + cap, total)
+        a, b = np.searchsorted(ends, (start, stop - 1), "right")
+        i = np.arange(a, b + 1)
+        take = np.minimum(ends[i], stop) - np.maximum(first[i], start)
+        yield np.repeat(i, take), np.arange(start, stop) + np.repeat(lo[i] - first[i], take)
+
+
 def _expand(steps, tail, mask, need):
     """Commit the next step's lines for every partial matrix (mask rows,
     need columns), a slice of parents at a time, and recurse.  Past the
@@ -262,16 +279,9 @@ def _expand(steps, tail, mask, need):
         weights, keys, words = tail
         at = weights @ need.astype(weights.dtype)
         lo = np.searchsorted(keys, at, "left")
-        span = np.searchsorted(keys, at, "right") - lo
-        ends = np.cumsum(span)
-        first = ends - span  # leaf index of each parent's first completion
-        for start in range(0, int(ends[-1]), _CHUNK):
-            stop = min(start + _CHUNK, int(ends[-1]))
-            a, b = np.searchsorted(ends, (start, stop - 1), "right")
-            p = np.arange(a, b + 1)
-            take = np.minimum(ends[p], stop) - np.maximum(first[p], start)
-            row = np.arange(start, stop) + np.repeat(lo[p] - first[p], take)
-            yield mask[np.repeat(p, take)] | words[row]
+        hi = np.searchsorted(keys, at, "right")
+        for parent, row in _runs(lo, hi, _CHUNK):
+            yield mask[parent] | words[row]
         return
     ((table, words), left), rest = steps[0], steps[1:]
     per = max(1, _CHUNK // table.shape[2])

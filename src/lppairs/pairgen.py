@@ -16,18 +16,18 @@ is then expanded by the PSD-preserving decimations of its second member, which
 is what downstream simultaneous decompression needs in order not to miss
 solutions.
 
-Candidates come from a walk over compositions in three stages.  A Python
-prefix walk fixes all but the last few entries and prunes on two necessary
-conditions: every later entry is at least the first (true of any
-lexicographically minimal rotation), and the sum of squares cannot exceed
-the ceiling implied by the PSD bound (delta * sum q^2 = kappa^2 + sum of
-off-peak PSD values < kappa^2 + (delta-1) * gamma).  Each prefix is completed
-from a cached tail table, all tails grouped by sum and sorted by sum of
-squares, so one binary search yields exactly the tails within the ceiling.
-The complete vectors are screened in numpy batches: rotation minimality,
-the PSD bound on one real FFT of the batch, and finally minimality within
-the decimation class.  Sums of squares and PAFs are computed for the class
-representatives only.
+Candidates come from a numpy frontier shaped like the BMFM engine's
+enumeration.  It holds every prefix of the first delta - t entries, grown
+one entry at a time and pruned on two necessary conditions: every later
+entry is at least the first (true of any lexicographically minimal
+rotation), and the sum of squares cannot exceed the ceiling implied by the
+PSD bound (delta * sum q^2 = kappa^2 + sum of off-peak PSD values < kappa^2 +
+(delta-1) * gamma).  The tails are sorted by lowest entry, sum and sum of
+squares, so two binary searches give each prefix its completions within the
+ceiling as one range, which `bmfm._runs` expands in blocks.  Each block is
+screened in numpy: rotation minimality, the PSD bound on one real FFT, then
+minimality within the decimation class.  Sums of squares and PAFs are
+computed for the class representatives only.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from math import floor
 
 import numpy as np
 
+from .bmfm import _runs
 from .cyclic import _orbit_table, decimate, decimations, multiplier_group, units
 from .errors import InvariantViolation
 
@@ -100,24 +101,22 @@ def _full_paf(ssq: int, half: tuple[int, ...], delta: int) -> tuple[int, ...]:
     return (ssq,) + half + half[::-1] if delta > 1 else (ssq,)
 
 
-def _tail_table(t: int, low: int, delta2: int):
-    """Every length-t tail with entries in low..delta2, grouped by sum.
+def _tail_key(low, total, ssq, t: int, delta2: int):
+    """The sort key of a length-t tail with entries in low..delta2, sum
+    `total` and sum of squares `ssq`: by low, then sum, then ssq."""
+    return (low * (t * delta2 + 1) + total) * (t * delta2 * delta2 + 1) + ssq
 
-    Returns (tails, ssq, starts): the tails summing to s are
-    tails[starts[s - t*low] : starts[s - t*low + 1]], in ascending order of
-    their sums of squares ssq.
-    """
+
+def _tail_table(t: int, low: int, delta2: int):
+    """(tails, keys): every length-t tail with entries in low..delta2, in the
+    least unsigned dtype holding delta2, and its `_tail_key`, sorted by key
+    (stably, so the tails of one key stay in lexicographic order)."""
     width = delta2 - low + 1
-    codes = np.arange(width ** t, dtype=np.int64)
-    tails = np.empty((width ** t, t), dtype=np.int64)
-    for i in range(t - 1, -1, -1):
-        codes, tails[:, i] = np.divmod(codes, width)
-    tails += low
-    sums = tails.sum(axis=1)
-    ssq = (tails * tails).sum(axis=1)
-    order = np.argsort(sums * (t * delta2 * delta2 + 1) + ssq, kind="stable")
-    starts = np.searchsorted(sums[order], np.arange(t * low, t * delta2 + 2))
-    return tails[order], ssq[order], starts.tolist()
+    tails = np.indices((width,) * t, np.min_scalar_type(delta2)).reshape(t, width ** t).T + low
+    ssq = np.einsum("ij,ij->i", tails, tails, dtype=np.int64)
+    keys = _tail_key(low, tails.sum(axis=1, dtype=np.int64), ssq, t, delta2)
+    order = np.argsort(keys, kind="stable")
+    return tails[order], keys[order]
 
 
 def _rotation_below(rows: np.ndarray, ref: np.ndarray, base: int) -> np.ndarray:
@@ -153,14 +152,13 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     entries in 0..delta2 and sum kappa that pass the off-peak PSD test
     against gamma.
 
-    The prefix walk fixes entries 0..delta-t-1 (t = min(_TAIL, delta-1));
-    the tail table supplies every completion with entries at least the
-    first and sum of squares within the PSD ceiling.  The resulting vectors
-    are screened in batches of at most _BATCH rows: minimal rotation, PSD
-    below gamma + _PSD_SLACK at k = 1..(delta-1)/2 (from numpy's rfft; the
-    PSD of a real vector is symmetric, PSD(k) = PSD(delta - k)), then class
-    minimality under decimation, so only class representatives are ever
-    held.  The sum of squares and half-lag PAF are computed for those alone.
+    The frontier fixes entries 0..delta-t-1 (t = min(_TAIL, delta-1)); one
+    lookup in the tail tables gives each prefix its completions.  Blocks of
+    at most _BATCH vectors are screened: minimal rotation, PSD below
+    gamma + _PSD_SLACK at k = 1..(delta-1)/2 (from numpy's rfft; a real
+    vector has PSD(k) = PSD(delta - k)), then class minimality under
+    decimation, so only class representatives are held; only their sums of
+    squares and half-lag PAFs are computed.
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"candidate length must be odd, got {delta}")
@@ -174,14 +172,9 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     ssq_max = floor((kappa * kappa + (delta - 1) * gamma_cut) / delta)
     radix = delta2 + 1
     t = min(_TAIL, delta - 1)
-    stop = delta - t
     others = _orbit_table(delta)[delta::delta]  # decimations by every unit but the first
 
-    tables: dict[int, tuple] = {}  # tail tables by lowest entry
     reps: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    batch = np.empty((_BATCH, delta), dtype=np.int64)
-    filled = 0
-    prefix = [0] * stop
 
     def screen(rows: np.ndarray):
         rows = rows[~_rotation_below(rows, rows, radix)]
@@ -199,44 +192,39 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
             map(tuple, pafs.tolist()),
         ))
 
-    def complete(remaining: int, ssq: int, low: int):
-        nonlocal filled
-        if not t * low <= remaining <= t * delta2:
-            return
-        if low not in tables:
-            tables[low] = _tail_table(t, low, delta2)
-        tails, tail_ssq, starts = tables[low]
-        a, b = starts[remaining - t * low], starts[remaining - t * low + 1]
-        b = a + int(np.searchsorted(tail_ssq[a:b], ssq_max - ssq, side="right"))
-        while a < b:
-            k = min(b - a, _BATCH - filled)
-            batch[filled:filled + k, :stop] = prefix
-            batch[filled:filled + k, stop:] = tails[a:a + k]
-            filled += k
-            a += k
-            if filled == _BATCH:
-                screen(batch)
-                filled = 0
+    # the frontier: the prefixes in lexicographic order with their remaining
+    # sums and sums of squares, grown one entry at a time up to delta - t
+    first = np.arange(min(delta2, kappa // delta) + 1)
+    frontier = first.astype(np.min_scalar_type(delta2))[:, None]
+    remaining, ssq = kappa - first, first * first
+    for slots in range(delta - 1, t, -1):
+        low = frontier[:, 0].astype(np.int64)
+        base, extra = np.divmod(remaining, slots)
+        keep = ((slots * low <= remaining) & (remaining <= slots * delta2)
+                & (ssq + (slots - extra) * base * base + extra * (base + 1) ** 2 <= ssq_max))
+        frontier, remaining, ssq, low = frontier[keep], remaining[keep], ssq[keep], low[keep]
+        hi = np.minimum(delta2, remaining - (slots - 1) * low)
+        parent, x = np.nonzero(low[:, None] + np.arange(delta2 + 1) <= hi[:, None])
+        x += low[parent]
+        frontier = np.column_stack((frontier[parent], x.astype(frontier.dtype)))
+        remaining, ssq = remaining[parent] - x, ssq[parent] + x * x
+    low = frontier[:, 0].astype(np.int64)
+    keep = (t * low <= remaining) & (remaining <= t * delta2)
+    frontier, remaining, ssq, low = frontier[keep], remaining[keep], ssq[keep], low[keep]
+    if not len(frontier):
+        return
 
-    def descend(pos: int, remaining: int, ssq: int, low: int):
-        if pos == stop:
-            complete(remaining, ssq, low)
-            return
-        slots = delta - pos
-        if not slots * low <= remaining <= slots * delta2:
-            return
-        base, extra = divmod(remaining, slots)
-        if ssq + (slots - extra) * base * base + extra * (base + 1) ** 2 > ssq_max:
-            return
-        hi = min(delta2, remaining - (slots - 1) * low)
-        for x in range(low, hi + 1):
-            prefix[pos] = x
-            descend(pos + 1, remaining - x, ssq + x * x, low)
-
-    for q0 in range(0, min(delta2, kappa // delta) + 1):
-        prefix[0] = q0
-        descend(1, kappa - q0, q0 * q0, q0)
-    screen(batch[:filled])
+    # the tails of every low that occurs, in one key range: a prefix's
+    # completions within its sum-of-squares budget are one [lo, hi) range
+    lows = np.flatnonzero(np.bincount(low)).tolist()  # not np.unique: ~1 MB of RSS on first use
+    tails, keys = map(np.concatenate, zip(*(_tail_table(t, q0, delta2) for q0 in lows)))
+    budget = np.minimum(ssq_max - ssq, t * delta2 * delta2)
+    lo = np.searchsorted(keys, _tail_key(low, remaining, 0, t, delta2), "left")
+    hi = np.searchsorted(keys, _tail_key(low, remaining, budget, t, delta2), "right")
+    del remaining, ssq, low, budget  # ~3 MB less peak RSS at delta = 11, delta2 = 7
+    block = np.empty((_BATCH, delta), dtype=np.int64)  # reused: fresh blocks page-fault ~2x as often
+    for parent, row in _runs(lo, hi, _BATCH):
+        screen(np.concatenate((frontier[parent], tails[row]), axis=1, out=block[:len(parent)]))
 
     reps.sort()
     for vec, ssq, half_paf in reps:
@@ -347,22 +335,18 @@ def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
 
 
 def expand_pairs(pairs) -> list[CompressedPair]:
-    """Decimated variants (q, d_s(p)) for s in {1} union S_p, every pair.
+    """Each pair, then its decimated variants (q, d_s(p)) for s in S_p.
 
-    Only the second member is decimated; the first is reused as-is across
-    variants.  Each s preserves the PAF of p exactly, so every variant is
-    itself a valid complementary pair and shares the base pair's class key.
+    Unit 1 fixes p, so it is never in S_p.  Only the second member is
+    decimated; the first is reused as-is across variants.  Each s preserves
+    the PAF of p exactly, so every variant is itself a valid complementary
+    pair and shares the base pair's class key.
     """
     out: list[CompressedPair] = []
     for pair in pairs:
-        delta = pair.delta
-        for s in (1,) + pair.s_p:
-            if s == 1:
-                out.append(pair)
-            else:
-                out.append(replace(
-                    pair,
-                    p=_decimated_candidate(pair.p, s),
-                    r=(s * pair.r) % delta,
-                ))
+        out.append(pair)
+        out.extend(
+            replace(pair, p=_decimated_candidate(pair.p, s), r=s * pair.r % pair.delta)
+            for s in pair.s_p
+        )
     return out

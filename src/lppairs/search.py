@@ -357,11 +357,12 @@ class _Progress:
         self._saved = 0  # records below the checkpoint's offset
         self._offset = 0
 
-    def start(self, resume: bool) -> None:
+    def start(self, resume: bool, length: int, lam: int) -> None:
         """Load the checkpoint when resuming one; otherwise start clean.
 
         A fresh run removes any old checkpoint and empties the records
-        sidecar, so records of an earlier run can never be read back.
+        sidecar, so records of an earlier run can never be read back.  A
+        resumed sidecar must hold records of this length and lambda.
         """
         if not self.path:
             return
@@ -385,8 +386,8 @@ class _Progress:
             )
         with open(sidecar) as fh:
             data = fh.read(cp.partial_offset)
-        # parsed before the cut, so a refused resume leaves both files as they were
-        self.records = [seqio.record_from_json(line) for line in data.splitlines() if line.strip()]
+        # read before the cut, so a refused resume leaves both files as they were
+        self.records = seqio.read_records(sidecar, data, length, lam)
         os.truncate(sidecar, cp.partial_offset)
         self.done = cp.done
         self._saved, self._offset = len(self.records), cp.partial_offset
@@ -471,7 +472,7 @@ def run_search(length: int, d1: int, d2: int,
     fingerprint = _fingerprint(length, d1, d2, expanded1, expanded2)
 
     progress = _Progress(fingerprint, len(tasks), config.checkpoint_path)
-    progress.start(resume)
+    progress.start(resume, length, lam)
     pending = tasks[progress.done:]
 
     size = min(_BATCH, -(-len(pending) // config.threads))

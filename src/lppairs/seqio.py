@@ -144,47 +144,49 @@ def write_archive(path, records, summary: dict) -> None:
         fh.write(json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def read_records(path, text: str, length: int, lam: int) -> list[LegendrePairRecord]:
+    """The records of the lines of `text`, read from `path`, of a search of
+    this length and lambda: each must have u and v of `length`, carry `lam`
+    and pass the complementarity re-check.  ValueError names path:line."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = record_from_json(line)
+            if (len(record.u), len(record.v), record.lam) != (length, length, lam):
+                raise ValueError(
+                    f"record of lengths {len(record.u)}, {len(record.v)} and lambda "
+                    f"{record.lam} where length {length} and lambda {lam} are expected")
+            if not exact_complementary(record.u, record.v, lam):
+                raise ValueError("record fails the complementarity re-check")
+        except ValueError as exc:
+            raise _parse_error(path, lineno, str(exc)) from None
+        records.append(record)
+    return records
+
+
 def load_archive(path):
     """Read an archive back; re-verifies every record and the summary count.
 
-    Every record must have u and v of the summary's `length` and carry its
-    `lambda`.  Returns (records, summary): the LegendrePairRecords in file
-    order and the summary dict.
+    The last line is the summary; the records above it are read by
+    `read_records` at the summary's `length` and `lambda`.  Returns
+    (records, summary): the LegendrePairRecords in file order and the
+    summary dict.
     """
-    found = []  # (line number, record)
-    summary = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            if isinstance(doc, dict) and "summary" in doc:
-                if not isinstance(doc["summary"], dict):
-                    raise _parse_error(path, lineno, "summary is not a JSON object")
-                summary = doc["summary"]
-                continue
-            try:
-                record = record_from_json(line)
-            except ValueError as exc:
-                raise _parse_error(path, lineno, str(exc)) from None
-            if len(record.u) != len(record.v):
-                raise _parse_error(path, lineno, f"u has length {len(record.u)}, v {len(record.v)}")
-            if not exact_complementary(record.u, record.v, record.lam):
-                raise _parse_error(path, lineno, "record fails the complementarity re-check")
-            found.append((lineno, record))
-    if summary is None:
-        raise ValueError(f"{path}: archive has no summary record")
-    length, lam = summary.get("length"), summary.get("lambda")
-    for lineno, record in found:
-        if (len(record.u), record.lam) != (length, lam):
-            raise _parse_error(
-                path, lineno, f"record of length {len(record.u)} and lambda {record.lam} "
-                f"in an archive of length {length} and lambda {lam}")
-    if summary.get("records") != len(found):
+    body, _, last = Path(path).read_text().rstrip().rpartition("\n")
+    try:
+        summary = json.loads(last).get("summary")
+    except (ValueError, AttributeError):
+        summary = None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: archive has no summary record as its last line")
+    records = read_records(path, body, summary.get("length"), summary.get("lambda"))
+    if summary.get("records") != len(records):
         raise ValueError(
-            f"{path}: summary declares {summary.get('records')} records, found {len(found)}"
+            f"{path}: summary declares {summary.get('records')} records, found {len(records)}"
         )
-    return [record for _, record in found], summary
+    return records, summary
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from lppairs.bmfm import (
     MarginalInstance,
     _leaf_chunks,
+    _runs,
     count,
     enumerate_matrices,
     enumerate_with_spectrum,
@@ -211,3 +212,20 @@ def test_lines_wider_than_64_cells_key_exactly():
     for mat in found:
         assert tuple(sum(r) for r in mat.rows) == inst.row_sums
         assert tuple(sum(c) for c in zip(*mat.rows)) == inst.col_sums
+
+
+@pytest.mark.parametrize("lo,hi", [
+    ([], []),
+    ([4], [9]),
+    # zero-length ranges between non-empty ones, and one with hi < lo
+    ([3, 5, 5, 0, 9, 2, 7], [6, 5, 8, 0, 10, 2, 4]),
+    ([0, 0, 0], [0, 0, 0]),
+])
+@pytest.mark.parametrize("cap", [1, 2, 3, 1000])
+def test_runs_equal_a_double_loop(lo, hi, cap):
+    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    want = [(i, j) for i in range(len(lo)) for j in range(lo[i], hi[i])]
+    chunks = list(_runs(lo, hi, cap))
+    got = [pair for i, j in chunks for pair in zip(i.tolist(), j.tolist())]
+    assert got == want
+    assert [len(i) for i, _ in chunks] == [min(cap, len(want) - k) for k in range(0, len(want), cap)]

@@ -213,6 +213,8 @@ def _old_format(text: str) -> str:
     ("checkpoint", lambda t: "[1, 2]", "not a JSON object"),
     ("records", _rename_rho_u, "'rho_u'"),
     ("checkpoint", _old_format, "'done'"),
+    # once reported as a bare JSON error, without the file and line
+    ("records", lambda t: "{" + t, "cp.json.records:1: Expecting property name"),
 ])
 def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, damage, message):
     cp = tmp_path / "cp.json"
@@ -229,8 +231,27 @@ def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, dam
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_search_resume_refuses_a_record_of_another_lambda(tmp_path, capsys):
+    # such a record was once resumed into the archive, which `lp stats`
+    # then refused on its complementarity re-check
+    cp, out = tmp_path / "c.ckpt", tmp_path / "a.jsonl"
+    argv = [*SEARCH_15, "--checkpoint", str(cp), "--out", str(out)]
+    assert main(argv) == 0
+    sidecar = Path(str(cp) + ".records")
+    lines = sidecar.read_text().splitlines(keepends=True)
+    assert '"lambda":8' in lines[2]
+    lines[2] = lines[2].replace('"lambda":8', '"lambda":9')
+    sidecar.write_text("".join(lines))
+    before = (cp.read_bytes(), sidecar.read_bytes(), out.read_bytes())
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 2
+    assert f"{sidecar}:3: record of lengths 15, 15 and lambda 9" in capsys.readouterr().err
+    assert (cp.read_bytes(), sidecar.read_bytes(), out.read_bytes()) == before
+
+
 # a length-3 pair in a length-15 archive, and u and v of unequal lengths: the
-# first once passed `lp stats`, the second failed without its line number
+# first once passed `lp stats`, the second failed without its line number;
+# a line that is not JSON was once reported without its place
 _SHORT = seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2))
 
 
@@ -239,6 +260,7 @@ _SHORT = seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2))
     lambda line: "[1]",
     lambda line: _SHORT,
     lambda line: _SHORT.replace('"v":"101"', '"v":"10"'),
+    lambda line: "{" + line,
 ])
 def test_stats_refuses_a_malformed_archive_line(tmp_path, capsys, damage):
     archive = tmp_path / "a.jsonl"

@@ -275,6 +275,42 @@ def test_candidate_lists_are_pinned(length, delta):
     assert (len(cands), digest) == CANDIDATE_DIGESTS[(length, delta)]
 
 
+# blocks of one row, and of 7 rows that cut across the prefixes' ranges,
+# screen the same vectors as blocks of the default size
+@pytest.mark.parametrize("batch,length,delta", [(1, 55, 5), (7, 55, 5), (7, 33, 11), (7, 77, 7)])
+def test_candidate_lists_do_not_depend_on_the_block_size(monkeypatch, batch, length, delta):
+    from lppairs import pairgen
+
+    seen = []  # rows of each block's rotation screen
+
+    def spy(rows, ref, base):
+        if rows is ref:
+            seen.append(len(rows))
+        return rotation_below(rows, ref, base)
+
+    rotation_below = pairgen._rotation_below
+    monkeypatch.setattr(pairgen, "_BATCH", batch)
+    monkeypatch.setattr(pairgen, "_rotation_below", spy)
+    lam = (length + 1) // 2
+    cands = [
+        (tuple(c.vector), c.paf)
+        for c in enum_candidates(delta, length // delta, lam, float(lam))
+    ]
+    digest = hashlib.sha256(repr(cands).encode()).hexdigest()
+    assert (len(cands), digest) == CANDIDATE_DIGESTS[(length, delta)]
+    assert max(seen) == batch
+
+
+@pytest.mark.parametrize("delta,n", [(1, 1), (15, 15)])
+def test_census_at_the_trivial_compressions_equals_oracle(delta, n):
+    from lppairs.search import compressed_census
+
+    cands, _, _ = compressed_census(15, delta)
+    want = oracle_candidates(delta, 15 // delta, 8, 8.0)
+    assert len(want) == n
+    assert [(c.vector, c.paf) for c in cands] == want
+
+
 def test_bundled_lp77_compressions_are_census_pairs(lp77):
     # the headline pair of length 77 is reachable from both compressed
     # censuses: its 7- and 11-compressions form a class pair of each
