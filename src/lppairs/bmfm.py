@@ -1,8 +1,8 @@
 """Binary matrices with fixed marginals: feasibility, counting, enumeration.
 
 An instance is a pair of marginal vectors (row sums, column sums).
-Feasibility is the Gale-Ryser condition; `count` peels rows in a memoized
-recursion over the sorted marginals.
+Feasibility is the Gale-Ryser condition; `count`, the one counter, peels the
+more numerous lines in a memoized recursion that checks it once per state.
 
 Enumeration fills whole arrays of partial matrices a step at a time.  The
 lines are the rows or the columns, whichever are more numerous, so a 3 x 11
@@ -104,27 +104,18 @@ def feasible(inst: MarginalInstance) -> bool:
 
 @lru_cache(maxsize=None)
 def _count_sorted(q: tuple[int, ...], p: tuple[int, ...]) -> int:
-    # q, p sorted descending; counts depend only on the marginal multisets.
+    # q, p sorted descending with equal sums; counts depend only on the
+    # marginal multisets, and Gale-Ryser runs once per memoized state
     if not q:
-        return 1 if all(x == 0 for x in p) else 0
-    q0, rest = q[0], q[1:]
-    n = len(p)
-    if not 0 <= q0 <= n:
+        return 1
+    if not _gale_ryser(q, p):
         return 0
     total = 0
-    for subset in itertools.combinations(range(n), q0):
+    for subset in itertools.combinations(range(len(p) - p.count(0)), q[0]):
         reduced = list(p)
-        ok = True
         for j in subset:
             reduced[j] -= 1
-            if reduced[j] < 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        child = tuple(sorted(reduced, reverse=True))
-        if _gale_ryser(rest, child):
-            total += _count_sorted(rest, child)
+        total += _count_sorted(q[1:], tuple(sorted(reduced, reverse=True)))
     return total
 
 
@@ -132,9 +123,11 @@ def count(inst: MarginalInstance) -> int:
     """Exact solution count via the line-peeling recursion (memoized).
 
     The count is transpose-invariant, so the more numerous lines are
-    peeled: each step then picks a subset of the fewer cells across.
+    peeled: each step puts a line's 1-cells on a subset of the nonzero
+    sums across.  The memo is the feasibility gate: a state that fails
+    Gale-Ryser counts 0, so an instance needs no `feasible` call first.
     """
-    if not feasible(inst):
+    if not _well_formed(inst):
         return 0
     q = tuple(sorted(inst.row_sums, reverse=True))
     p = tuple(sorted(inst.col_sums, reverse=True))
@@ -161,26 +154,25 @@ def _words(x: int, width: int) -> list[int]:
     return [(x >> (64 * k)) & _WORD for k in range(width)]
 
 
-def _leaf_chunks(inst: MarginalInstance, bits, base: int = 0):
+def _leaf_chunks(inst: MarginalInstance, bits):
     """Yield the masks of all solutions as (N, W) uint64 arrays.
 
-    A mask is `base` OR-ed with `bits[i][j]` for every 1-cell (i, j), in
-    W little-endian 64-bit words; `bits` has the instance's shape.  Every
+    A mask ORs together `bits[i][j]` for every 1-cell (i, j), in W
+    little-endian 64-bit words; `bits` has the instance's shape.  Every
     array holds at most `_CHUNK` masks, and memory is bounded by `_CHUNK`
     partial matrices per step, whatever the instance.  The instance must
-    be feasible: its callers check it once (see `count` and
-    `enumerate_matrices`).
+    have a solution: `run_task` enumerates only instances that `count`
+    finds non-empty, and `enumerate_matrices` checks `feasible`.
     """
     by_rows = inst.n_rows >= inst.n_cols
     sums, needs = (inst.row_sums, inst.col_sums) if by_rows else (inst.col_sums, inst.row_sums)
-    steps, tail, width = _layout(bits, by_rows, sums, base.bit_length(), isqrt(_CHUNK), _TAIL)
-    mask = np.array([_words(base, width)], dtype=np.uint64)
+    steps, tail, width = _layout(bits, by_rows, sums, isqrt(_CHUNK), _TAIL)
     need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
-    yield from _expand(steps, tail, mask, need)
+    yield from _expand(steps, tail, np.zeros((1, width), dtype=np.uint64), need)
 
 
 @lru_cache(maxsize=None)
-def _layout(bits, by_rows: bool, sums, base_bits: int, step_rows: int, tail_rows: int):
+def _layout(bits, by_rows: bool, sums, step_rows: int, tail_rows: int):
     """The steps, tail and word count of `_leaf_chunks` for one line layout.
 
     The lines are the rows of `bits` (or its columns), filled with `sums`.
@@ -190,8 +182,7 @@ def _layout(bits, by_rows: bool, sums, base_bits: int, step_rows: int, tail_rows
     more.
     """
     lines = bits if by_rows else tuple(zip(*bits))
-    top = max([base_bits] + [b.bit_length() for line in lines for b in line])
-    width = max(1, -(-top // 64))
+    width = max(1, -(-max(b.bit_length() for line in lines for b in line) // 64))
     n = len(lines[0])
     head, rows = len(sums) - 1, comb(n, sums[-1])
     while head:
@@ -304,21 +295,17 @@ def _row_major_bits(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 << (i * n + j) for j in range(n)) for i in range(m))
 
 
-def enumerate_matrices(inst: MarginalInstance, visitor=None) -> int:
+def enumerate_matrices(inst: MarginalInstance, visitor) -> int:
     """Visit every solution as a BinaryMatrix; returns the number visited.
 
-    The visitor may return False to stop early.  With no visitor the
-    solutions are only counted (by full traversal; see `count` for the
-    closed recursion).
+    The visitor may return False to stop early.  `count` counts the
+    solutions without visiting them.
     """
     if not feasible(inst):
         return 0
     m, n = inst.n_rows, inst.n_cols
     visited = 0
     for chunk in _leaf_chunks(inst, _row_major_bits(m, n)):
-        if visitor is None:
-            visited += len(chunk)
-            continue
         for cells in _unpack(chunk, m * n).reshape(-1, m, n).tolist():
             visited += 1
             if visitor(BinaryMatrix(tuple(map(tuple, cells)))) is False:

@@ -85,10 +85,10 @@ _HELD = 2_000_000  # most masks held at once; a larger side is held in slices
 
 def correlation_energy(v) -> int:
     """Sum of squared off-peak autocorrelations of the {-1,1} version of v,
-    over the first half of the lags."""
-    w = tuple(2 * int(x) - 1 for x in v)
-    values = paf(w)
-    return sum(values[j] ** 2 for j in range(1, (len(w) - 1) // 2 + 1))
+    over the first half of the lags: PAF(2v - 1, g) = 4 PAF(v, g) - 4 sum(v) + len(v)."""
+    values = paf(v)
+    offset = len(values) - 4 * sum(v)
+    return sum((4 * x + offset) ** 2 for x in values[1:(len(values) + 1) // 2])
 
 
 def canonicalize_lp(u, v, lam: int, task: int = -1,
@@ -463,6 +463,10 @@ def run_search(length: int, d1: int, d2: int,
     """
     if resume and not config.checkpoint_path:
         raise ValueError("resume needs a checkpoint path (--checkpoint)")
+    if config.archive_path:  # refused before the census, so a bad path wastes no run
+        path, folder = config.archive_path, os.path.dirname(config.archive_path) or "."
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ValueError(f"archive {path} is a directory, or its directory is missing or not writable")
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
     lam = (length + 1) // 2

@@ -96,6 +96,8 @@ class LegendrePairRecord:
 
 
 _VECTORS = ("u", "v", "canon_u", "canon_v")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 _INTS = (("lambda", "lam"), ("rho_u", "rho_u"), ("rho_v", "rho_v"), ("task", "task"))
 
 
@@ -104,8 +106,8 @@ def _is_int(x) -> bool:
 
 
 def record_to_json(record: LegendrePairRecord) -> str:
-    """One archive or records-file line for a record."""
-    doc = {name: "".join(str(x) for x in getattr(record, name)) for name in _VECTORS}
+    """One archive or records-file line for a record (its vectors are binary)."""
+    doc = {name: bytes(getattr(record, name)).translate(_TO_DIGITS).decode() for name in _VECTORS}
     doc.update({name: getattr(record, attr) for name, attr in _INTS})
     doc["instances"] = [list(pair) for pair in record.instances]
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -121,9 +123,9 @@ def record_from_json(line: str) -> LegendrePairRecord:
         bits = doc.get(name)
         if not isinstance(bits, str) or not bits:
             raise ValueError(f"record field {name!r} is missing or not a digit string")
-        if set(bits) - {"0", "1"}:
+        if bits.strip("01"):
             raise ValueError(f"record field {name!r}: non-binary digits in {bits!r}")
-        fields[name] = tuple(int(c) for c in bits)
+        fields[name] = tuple(bits.encode().translate(_FROM_DIGITS))
     for name, attr in _INTS:
         if not _is_int(doc.get(name)):
             raise ValueError(f"record field {name!r} is missing or not an integer")

@@ -56,3 +56,45 @@ def random_marginals(rng: random.Random, m: int, n: int) -> tuple[tuple, tuple]:
         cols = tuple(rng.randint(0, m) for _ in range(n))
         if sum(cols) == sum(rows):
             return rows, cols
+
+
+def guided_join(pair, instances, ctx, fixed):
+    """The search's join on two marginal instances, each with its first
+    columns fixed to the cells of one member of a known pair.
+
+    Instance i must have pair[i]'s marginals in ctx; its first fixed[i]
+    columns take pair[i]'s cells, and the bits of those cells are OR-ed
+    into every leaf of the other columns.  pair[0]'s side is held and
+    pair[1]'s side streams, joined on the free lags as `run_task` joins.
+    Returns both sides' leaf counts and the hits as (u, v) vectors.
+    """
+    import numpy as np
+
+    from lppairs import search
+    from lppairs.bmfm import MarginalInstance, _leaf_chunks, count
+    from lppairs.compress import theta
+
+    width = -(-ctx.ell // 64)
+
+    def leaves(rest, bits, words):
+        for chunk in _leaf_chunks(rest, bits):
+            assert chunk.shape[1] == width
+            yield chunk | words
+
+    counts, sides = [], []
+    for z, inst, k in zip(pair, instances, fixed):
+        rows = theta(z, ctx).rows
+        assert (tuple(map(sum, rows)), tuple(map(sum, zip(*rows)))) == (inst.row_sums, inst.col_sums)
+        rest = MarginalInstance([sum(row[k:]) for row in rows], inst.col_sums[k:])
+        cells = sum(b for brow, row in zip(ctx.cell_bits, rows) for b, x in zip(brow[:k], row) if x)
+        words = np.array([(cells >> (64 * w)) & (2**64 - 1) for w in range(width)], dtype=np.uint64)
+        counts.append(count(rest))
+        sides.append(leaves(rest, tuple(brow[k:] for brow in ctx.cell_bits), words))
+    held = np.concatenate(list(sides[0]))
+    assert len(held) == counts[0]
+    lam = (ctx.ell + 1) // 2
+    hits = [
+        (search._vector(a, ctx.ell), search._vector(b, ctx.ell))
+        for a, b in search._join(held, sides[1], ctx.ell, lam, search._free_lags(ctx))
+    ]
+    return tuple(counts), hits

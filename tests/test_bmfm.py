@@ -84,7 +84,6 @@ def test_enumerate_visits_each_solution_once():
     seen = []
     total = enumerate_matrices(inst, lambda mat: seen.append(mat.rows))
     assert total == len(seen) == len(set(seen)) == count(inst)
-    assert enumerate_matrices(inst) == total  # no visitor: counted by chunk
     for rows in seen:
         assert tuple(sum(r) for r in rows) == inst.row_sums
         assert tuple(sum(c) for c in zip(*rows)) == inst.col_sums
@@ -104,9 +103,11 @@ def test_visitor_returning_false_stops_enumeration():
 
 
 def test_masks_or_cell_bits_into_base():
+    # a caller that fixes cells outside the instance ORs their bits (here
+    # 64) into every chunk itself
     inst = MarginalInstance([1, 2], [1, 1, 1])
     bits = ((1, 2, 4), (8, 16, 32))
-    masks = [int(x) for chunk in _leaf_chunks(inst, bits, base=64) for x in chunk[:, 0]]
+    masks = [int(x) for chunk in _leaf_chunks(inst, bits) for x in chunk[:, 0] | np.uint64(64)]
     assert len(masks) == count(inst)
     expected = [
         64 | sum(bits[i][j] for i in range(2) for j in range(3) if mat.rows[i][j])
@@ -197,7 +198,7 @@ def test_a_step_of_many_full_lines_does_not_wrap():
     # counts (299) must not wrap in the step table
     inst = MarginalInstance([2] * 300, [300, 300])
     assert count(inst) == 1
-    assert enumerate_matrices(inst) == 1
+    assert [mat.rows for mat in solutions(inst)] == [((1, 1),) * 300]
 
 
 def test_lines_wider_than_64_cells_key_exactly():

@@ -170,6 +170,24 @@ def test_search_resume_refuses_a_missing_or_short_records_file(tmp_path, damage,
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("archive", ["missing/x.jsonl", "file/x.jsonl", "."])
+def test_search_refuses_an_archive_folder_before_the_census(tmp_path, monkeypatch, capsys, archive):
+    # such an --out once failed only when the archive was written, after
+    # every task had run
+    from lppairs import search
+
+    (tmp_path / "file").write_text("")
+    calls = []
+    for name in ("compressed_census", "run_task"):
+        monkeypatch.setattr(search, name, lambda *a, name=name: calls.append(name))
+    cp, out = tmp_path / "cp.json", tmp_path / archive
+    argv = ["search", "--length", "21", "--factors", "3,7", "--checkpoint", str(cp), "--out", str(out)]
+    assert main(argv) == 2
+    assert "missing or not writable" in capsys.readouterr().err
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_search_rejects_bad_factorization(capsys):
     assert main(["search", "--length", "15", "--factors", "3,4"]) == 2
     assert main(["search", "--length", "45", "--factors", "3,15"]) == 2

@@ -17,6 +17,8 @@ from lppairs.pairgen import (
 )
 from lppairs.spectral import exact_complementary, paf
 
+from conftest import guided_join
+
 
 def _digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -314,7 +316,7 @@ def test_census_at_the_trivial_compressions_equals_oracle(delta, n):
 def test_bundled_lp77_compressions_are_census_pairs(lp77):
     # the headline pair of length 77 is reachable from both compressed
     # censuses: its 7- and 11-compressions form a class pair of each
-    from lppairs.compress import compress
+    from lppairs.compress import CrtContext, compress
     from lppairs.cyclic import shift, units
     from lppairs.search import SearchTask, _MATCHINGS, compressed_census
 
@@ -360,6 +362,7 @@ def test_bundled_lp77_compressions_are_census_pairs(lp77):
         (142, 4969, 1, 0, 27, 46, 11),
         (142, 4969, 1, 0, 38, 2, 33),
     ]
+    equivalents = {}
     for i7, i11, m, swapped, k, a, b in found:
         task = SearchTask(  # as build_tasks numbers it
             index=i7 * len(expanded[11]) + i11,
@@ -369,6 +372,16 @@ def test_bundled_lp77_compressions_are_census_pairs(lp77):
         x, y = (v, u) if swapped else (u, v)
         pair = (shift(decimate(x, k), a), shift(decimate(y, k), b))
         assert exact_complementary(*pair, 39)
-        for z, (i, j) in zip(pair, _MATCHINGS[m]):
-            inst = task.instance(i, j)
+        insts = [task.instance(i, j) for i, j in _MATCHINGS[m]]
+        for z, inst in zip(pair, insts):
             assert (inst.row_sums, inst.col_sums) == (tuple(compress(z, 7)), tuple(compress(z, 11)))
+        equivalents[k] = pair, insts
+
+    # The search reaches the k = 5 equivalent on that task's own instances:
+    # with the first 5 of their 11 columns fixed to its cells, the join on
+    # the free lags pairs its members.
+    pair, insts = equivalents[5]
+    counts, hits = guided_join(pair, insts, CrtContext(7, 11), (5, 5))
+    assert counts == (8_439, 6_252)
+    assert pair in hits
+    assert all(exact_complementary(x, y, 39) for x, y in hits)

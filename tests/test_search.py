@@ -6,9 +6,10 @@ import importlib
 import json
 import multiprocessing
 import random
+import threading
 import time
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, process
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from lppairs.bmfm import (
     enumerate_matrices,
     solutions,
 )
-from lppairs.compress import CrtContext, theta, theta_inv
+from lppairs.compress import CrtContext, compress, theta_inv
 from lppairs.cyclic import decimate, shift
 from lppairs.oracle import oracle_lp
 from lppairs.search import (
@@ -37,12 +38,23 @@ from lppairs.search import (
 )
 from lppairs.spectral import exact_complementary, paf
 
+from conftest import guided_join
+
 
 def test_correlation_energy_examples():
     # constant vector: every off-peak correlation of the +-1 version is n
     assert correlation_energy((1, 1, 1, 1, 1)) == 2 * 25
     # quadratic residue sequence of length 7: all off-peak values are -1
     assert correlation_energy((0, 1, 1, 0, 1, 0, 0)) == 3
+
+
+def test_correlation_energy_equals_the_sum_over_the_pm1_paf():
+    rng = random.Random(7)
+    for n in (*range(8), 15, 33, 77):
+        for _ in range(10):
+            v = tuple(rng.randint(0, 1) for _ in range(n))
+            w = paf(tuple(2 * x - 1 for x in v))
+            assert correlation_energy(v) == sum(w[g] ** 2 for g in range(1, (n - 1) // 2 + 1))
 
 
 def test_correlation_energy_is_shift_and_decimation_invariant():
@@ -155,13 +167,24 @@ def test_run_task_agrees_with_brute_cross_join(length, d1, d2):
 
 
 def test_run_task_checks_each_instance_once(monkeypatch):
-    # count() checks feasibility; the enumeration it vouches for does not
-    checked, real = [], bmfm.feasible
-    monkeypatch.setattr(bmfm, "feasible", lambda inst: checked.append(inst) or real(inst))
+    # count() checks each instance's ranges and sums, and its memo runs
+    # Gale-Ryser once per state; the enumeration it vouches for checks
+    # nothing, and feasible() is never called
+    spies = {name: [] for name in ("_well_formed", "_gale_ryser", "feasible")}
+    for name, calls in spies.items():
+        real = getattr(bmfm, name)
+        monkeypatch.setattr(bmfm, name, lambda *a, calls=calls, real=real: calls.append(a) or real(*a))
+    bmfm._count_sorted.cache_clear()
     task = _tasks(15, 3, 5)[0]
-    assert run_task(task, CrtContext(3, 5))
-    assert sorted(checked, key=repr) == sorted(
-        (task.instance(i, j) for i in (0, 1) for j in (0, 1)), key=repr)
+    ctx = CrtContext(3, 5)
+    assert run_task(task, ctx)
+    instances = sorted(((task.instance(i, j),) for i in (0, 1) for j in (0, 1)), key=repr)
+    assert sorted(spies["_well_formed"], key=repr) == instances
+    states = spies["_gale_ryser"]
+    assert states and len(set(states)) == len(states)
+    assert run_task(task, ctx)
+    assert len(spies["_well_formed"]) == 8 and spies["_gale_ryser"] == states
+    assert not spies["feasible"]
 
 
 def _sample_instances(length, d1, d2, limit=3000):
@@ -598,27 +621,60 @@ def test_two_workers_write_the_same_run_files_as_one(tmp_path, monkeypatch, stop
 
 
 def test_failing_batch_cancels_the_batches_not_yet_started(tmp_path, monkeypatch):
-    # a real two-worker pool with one task per batch; the stand-in run_task
-    # reaches the workers through fork and logs each call to a file
+    # A real two-worker pool with one task per batch; the stand-in run_task
+    # reaches the workers through fork and logs each call to a file.  Task
+    # 0 fails, and every later task waits for a marker that the pool
+    # creates only once shutdown has cancelled every batch not yet started,
+    # so what runs is fixed when the failure is seen: task 0, the task each
+    # worker then holds, and the full call queue (max_workers +
+    # EXTRA_QUEUED_CALLS batches, which the pool no longer cancels).
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the stand-in run_task reaches the pool workers only by fork")
-    log = tmp_path / "calls"
+    log, marker = tmp_path / "calls", tmp_path / "released"
     real = search.run_task
+    deadline = time.monotonic() + 120  # the waits end by then, so a regression fails, not hangs
 
     def failing(task, *args):
         with open(log, "a") as fh:
             fh.write(f"{task.index}\n")
         if task.index == 0:
             raise RuntimeError("task 0 failed")
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
         return real(task, *args)
+
+    pools = []
+
+    class Pool(search.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers, self.futures = max_workers, []
+            pools.append(self)
+
+        def submit(self, *args):
+            self.futures.append(super().submit(*args))
+            return self.futures[-1]
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            def release():
+                while cancel_futures and time.monotonic() < deadline and any(
+                        not (f.running() or f.done()) for f in self.futures):
+                    time.sleep(0.01)
+                marker.touch()
+            threading.Thread(target=release).start()
+            super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(search, "_BATCH", 1)
     monkeypatch.setattr(search, "run_task", failing)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
     with pytest.raises(RuntimeError, match="task 0 failed"):
         run_search(33, 3, 11, SearchConfig(threads=2))
-    calls = log.read_text().split()
-    assert "0" in calls
-    assert len(calls) < 20  # of 432 tasks
+    [pool] = pools
+    calls = sorted(map(int, log.read_text().split()))
+    queued = pool.workers + process.EXTRA_QUEUED_CALLS
+    assert calls[0] == 0 and len(calls) == len(set(calls))
+    assert len(calls) <= 1 + pool.workers + queued == 6  # of 432 tasks
+    assert sum(f.cancelled() for f in pool.futures) >= 432 - len(calls)
 
 
 def test_retried_flush_neither_tears_nor_doubles_records(tmp_path, monkeypatch):
@@ -782,35 +838,18 @@ def test_word_keys_cross_a_block_boundary(ell):
 
 def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):
     # The pair's own marginals in CrtContext(7, 11): the engine fills those
-    # 7 x 11 instances as 11 columns of 7 cells.  Fixing each member's first
-    # columns as base bits leaves a few thousand leaves per side, all with
-    # two-word masks; the join on the search's 30 free lags must pair u with v.
+    # 7 x 11 instances as 11 columns of 7 cells.  Fixing the first 4 (u)
+    # and 6 (v) columns to the pair's cells leaves a few thousand leaves
+    # per side, all with two-word masks; the join on the search's 30 free
+    # lags must pair u with v.
     u, v = (tuple(x) for x in lp77)
-    ell, lam = 77, 39
     ctx = CrtContext(7, 11)
-
-    def guided(x, k):
-        rows = theta(x, ctx).rows
-        base = sum(ctx.cell_bits[i][j] for i in range(7) for j in range(k) if rows[i][j])
-        inst = MarginalInstance(
-            [sum(row[k:]) for row in rows], [sum(col) for col in zip(*rows)][k:]
-        )
-        bits = tuple(row[k:] for row in ctx.cell_bits)
-        return inst, bits, base
-
-    inst_u, bits_u, base_u = guided(u, 4)
-    inst_v, bits_v, base_v = guided(v, 6)
-    assert (count(inst_u), count(inst_v)) == (17_604, 21_346)
-    held = np.concatenate(list(_leaf_chunks(inst_u, bits_u, base_u)))
-    assert held.shape == (17_604, 2)
-    lags = search._free_lags(ctx)
-    assert len(lags) == 30
-    hits = [
-        (search._vector(a, ell), search._vector(b, ell))
-        for a, b in search._join(held, _leaf_chunks(inst_v, bits_v, base_v), ell, lam, lags)
-    ]
+    assert len(search._free_lags(ctx)) == 30
+    insts = [MarginalInstance(compress(x, 7), compress(x, 11)) for x in (u, v)]
+    counts, hits = guided_join((u, v), insts, ctx, (4, 6))
+    assert counts == (17_604, 21_346)
     assert (u, v) in hits
-    assert all(exact_complementary(a, b, lam) for a, b in hits)
+    assert all(exact_complementary(a, b, 39) for a, b in hits)
 
 
 def test_run_task_looks_up_traced_names_at_call_time(monkeypatch):

@@ -89,6 +89,7 @@ def _damaged(line, field, value=None):
     ("u", None), ("canon_v", None), ("rho_u", None), ("task", None), ("instances", None),
     ("u", 101), ("v", ""), ("lambda", "8"), ("rho_v", True), ("rho_v", 1.5),
     ("instances", [[0, 0]]), ("instances", [[0, 0], [1]]), ("instances", [[0, 0], [1, "1"]]),
+    ("u", "012"), ("v", "1 0"), ("canon_u", "0\u00b91"), ("canon_v", "-11"),
 ])
 def test_record_from_json_names_the_bad_field(field, value):
     line = _damaged(seqio.record_to_json(canonicalize_lp((1, 1, 0), (1, 0, 1), 2)), field, value)
