@@ -316,14 +316,10 @@ def enumerate_matrices(inst: MarginalInstance, visitor) -> int:
 def enumerate_with_spectrum(inst: MarginalInstance, visitor) -> int:
     """Like enumerate_matrices, but the visitor also receives the 2-D DFT.
 
-    The spectrum is `two_dim_dft(matrix, n_rows, n_cols)`, computed per
-    leaf.  The search no longer uses it; the benchmark's layer pass still
-    times it.
+    The spectrum is `two_dim_dft(matrix.rows)`, computed per leaf.  The
+    search no longer uses it; the benchmark's layer pass still times it.
     """
-    m, n = inst.n_rows, inst.n_cols
-    return enumerate_matrices(
-        inst, lambda mat: visitor(mat, two_dim_dft(mat.rows, m, n))
-    )
+    return enumerate_matrices(inst, lambda mat: visitor(mat, two_dim_dft(mat.rows)))
 
 
 def solutions(inst: MarginalInstance) -> list[BinaryMatrix]:

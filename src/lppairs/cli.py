@@ -34,6 +34,11 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
+def _matrix_line(rows) -> str:
+    """A 0/1 matrix as its rows' digits joined by "|"."""
+    return "|".join("".join(map(str, row)) for row in rows)
+
+
 def _bundled_fixture() -> str:
     return str(resources.files("lppairs.data") / "lp77.txt")
 
@@ -116,9 +121,7 @@ def cmd_bmfm(args) -> int:
     if args.count:
         print(count(inst))
         return 0
-    total = enumerate_matrices(
-        inst, lambda m: print("|".join("".join(str(x) for x in row) for row in m.rows))
-    )
+    total = enumerate_matrices(inst, lambda m: print(_matrix_line(m.rows)))
     print(f"total: {total}")
     return 0
 
@@ -173,7 +176,7 @@ def cmd_oracle_bmfm(args) -> int:
     n, hits = oracle_bmfm(_csv_ints(args.rows), _csv_ints(args.cols))
     if not args.count:
         for grid in hits:
-            print("|".join("".join(str(x) for x in row) for row in grid))
+            print(_matrix_line(grid))
     print(f"total: {n}")
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, gcd, prod
 
-from .cyclic import euler_phi, multiplier_group, units
+from .cyclic import euler_phi, multiplier_group
 from .errors import InvariantViolation
 
 
@@ -131,22 +131,6 @@ def theta_inv(a: BinaryMatrix, ctx: CrtContext) -> tuple[int, ...]:
     return tuple(a.rows[i][j] for (i, j) in ctx.index_pairs)
 
 
-def validate_simultaneous(v, qs) -> bool:
-    """Check that v compresses to every q in qs at q's own length.
-
-    The lengths of the qs must be pairwise coprime with product len(v).
-    """
-    targets = [tuple(int(x) for x in q) for q in qs]
-    sizes = sorted(len(t) for t in targets)
-    if prod(sizes) != len(v):
-        raise ValueError(f"sizes {sizes} do not multiply to length {len(v)}")
-    for i, a in enumerate(sizes):
-        for b in sizes[i + 1:]:
-            if gcd(a, b) != 1:
-                raise ValueError(f"sizes {a} and {b} are not coprime")
-    return all(compress(v, len(t)) == t for t in targets)
-
-
 def count_decompressions(q, delta2: int) -> int:
     """Number of binary vectors with the given compression: prod C(delta2, q_g)."""
     entries = tuple(int(x) for x in q)
@@ -156,19 +140,17 @@ def count_decompressions(q, delta2: int) -> int:
     return prod(comb(delta2, x) for x in entries)
 
 
-def class_overlap_count(v, q, ctx: CrtContext) -> int:
-    """Size of the decimation class of v intersected with the decompressions of q.
+def class_overlap_count(v, ctx: CrtContext) -> int:
+    """Size of the decimation class of v intersected with the decompressions
+    of q, the d1-compression of v.
 
-    Requires gcd(density(v), l) = 1 and q equal to the d1-compression of v.
-    The count is d2 * phi(d2) * |H| / |G| with H the multiplier group of q and
-    G the multiplier group of v.
+    Requires gcd(density(v), l) = 1.  The count is d2 * phi(d2) * |H| / |G|
+    with H the multiplier group of q and G the multiplier group of v.
     """
     if gcd(sum(v), ctx.ell) != 1:
         raise ValueError(f"density {sum(v)} shares a factor with length {ctx.ell}")
-    if compress(v, ctx.d1) != tuple(q):
-        raise ValueError("q is not the d1-compression of v")
     g = len(multiplier_group(v))
-    numerator = ctx.d2 * euler_phi(ctx.d2) * len(multiplier_group(q))
+    numerator = ctx.d2 * euler_phi(ctx.d2) * len(multiplier_group(compress(v, ctx.d1)))
     if numerator % g != 0:
         raise InvariantViolation(
             f"overlap count {numerator}/{g} is not an integer"
@@ -176,15 +158,20 @@ def class_overlap_count(v, q, ctx: CrtContext) -> int:
     return numerator // g
 
 
-def simul_overlap_count(v, qs) -> int:
-    """Class members decompressing simultaneously to every q in qs.
+def simul_overlap_count(v, sizes) -> int:
+    """Class members decompressing simultaneously to every compression of v
+    at the given sizes, which must be pairwise coprime with product len(v).
 
     The count is prod |H_i| / |G| over the compressions' multiplier groups.
     """
-    if not validate_simultaneous(v, qs):
-        raise ValueError("compressions do not match v")
+    if prod(sizes) != len(v):
+        raise ValueError(f"sizes {sorted(sizes)} do not multiply to length {len(v)}")
+    for i, a in enumerate(sizes):
+        for b in sizes[i + 1:]:
+            if gcd(a, b) != 1:
+                raise ValueError(f"sizes {a} and {b} are not coprime")
     g = len(multiplier_group(v))
-    numerator = prod(len(multiplier_group(q)) for q in qs)
+    numerator = prod(len(multiplier_group(compress(v, d))) for d in sizes)
     if numerator % g != 0:
         raise InvariantViolation(
             f"overlap count {numerator}/{g} is not an integer"

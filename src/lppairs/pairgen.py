@@ -1,10 +1,11 @@
 """Generation and matching of compressed complementary integer pairs.
 
 Candidates are integer vectors of length delta with entries in 0..delta2 and
-fixed sum kappa whose off-peak PSD stays below gamma; one representative per
-decimation class is kept.  The PSD test is the census's only float decision:
-it compares against gamma plus one fixed margin, _PSD_SLACK, and can only
-reject; whatever passes still has to pair on exact integers.  Two candidates
+fixed sum lambda whose off-peak PSD stays below lambda, as PSD(q, k) +
+PSD(p, k) = lambda requires; one representative per decimation class is
+kept.  The PSD test is the census's only float decision: it compares
+against lambda plus one fixed margin, _PSD_SLACK, and can only reject;
+whatever passes still has to pair on exact integers.  Two candidates
 form a pair when their autocorrelations sum to (delta2 * lambda) at every
 nonzero lag — an exact integer join up to the decimation action — and every
 pair is checked on integers only, its PSD sums included.  Every
@@ -21,8 +22,8 @@ enumeration.  It holds every prefix of the first delta - t entries, grown
 one entry at a time and pruned on two necessary conditions: every later
 entry is at least the first (true of any lexicographically minimal
 rotation), and the sum of squares cannot exceed the ceiling implied by the
-PSD bound (delta * sum q^2 = kappa^2 + sum of off-peak PSD values < kappa^2 +
-(delta-1) * gamma).  The tails are sorted by lowest entry, sum and sum of
+PSD bound (delta * sum q^2 = lam^2 + sum of off-peak PSD values < lam^2 +
+(delta-1) * lam).  The tails are sorted by lowest entry, sum and sum of
 squares, so two binary searches give each prefix its completions within the
 ceiling as one range, which `bmfm._runs` expands in blocks.  Each block is
 screened in numpy: rotation minimality, the PSD bound on one real FFT, then
@@ -44,7 +45,7 @@ from .errors import InvariantViolation
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors screened together
-_PSD_SLACK = 1e-6  # float margin added to gamma by the PSD screen
+_PSD_SLACK = 1e-6  # float margin added to lambda by the PSD screen
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class CompressedCandidate:
 
 @dataclass(frozen=True)
 class CompressedPair:
-    """Two complementary candidates: PAF(q, g) + PAF(p, g) = delta2*lam, g != 0.
+    """Two complementary candidates: PAF(q, g) + PAF(p, g) = delta2*lam, g != 0,
+    where lam = q.kappa.
 
     q is always the canonical representative of its class.  p is a concrete
     class member, decimated by r relative to its own canonical form p_canon;
@@ -76,7 +78,6 @@ class CompressedPair:
     p: CompressedCandidate
     p_canon: tuple[int, ...]
     r: int
-    lam: int
     s_q: tuple[int, ...]
     s_p: tuple[int, ...]
 
@@ -87,6 +88,10 @@ class CompressedPair:
     @property
     def delta2(self) -> int:
         return self.q.delta2
+
+    @property
+    def lam(self) -> int:
+        return self.q.kappa
 
     @property
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -145,17 +150,16 @@ def _rotation_below(rows: np.ndarray, ref: np.ndarray, base: int) -> np.ndarray:
     return below
 
 
-def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
+def enum_candidates(delta: int, delta2: int, lam: int):
     """Candidate class representatives in ascending canonical order.
 
     Yields one CompressedCandidate per decimation class of vectors with
-    entries in 0..delta2 and sum kappa that pass the off-peak PSD test
-    against gamma.
+    entries in 0..delta2 and sum lam whose off-peak PSD stays below lam.
 
     The frontier fixes entries 0..delta-t-1 (t = min(_TAIL, delta-1)); one
     lookup in the tail tables gives each prefix its completions.  Blocks of
     at most _BATCH vectors are screened: minimal rotation, PSD below
-    gamma + _PSD_SLACK at k = 1..(delta-1)/2 (from numpy's rfft; a real
+    lam + _PSD_SLACK at k = 1..(delta-1)/2 (from numpy's rfft; a real
     vector has PSD(k) = PSD(delta - k)), then class minimality under
     decimation, so only class representatives are held; only their sums of
     squares and half-lag PAFs are computed.
@@ -164,12 +168,12 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
         raise ValueError(f"candidate length must be odd, got {delta}")
     if delta2 < 1:
         raise ValueError(f"entry bound must be positive, got {delta2}")
-    if not 0 <= kappa <= delta * delta2:
-        raise ValueError(f"sum {kappa} unreachable with entries 0..{delta2}")
+    if not 0 <= lam <= delta * delta2:
+        raise ValueError(f"sum {lam} unreachable with entries 0..{delta2}")
 
     half = (delta - 1) // 2
-    gamma_cut = gamma + _PSD_SLACK
-    ssq_max = floor((kappa * kappa + (delta - 1) * gamma_cut) / delta)
+    psd_cut = lam + _PSD_SLACK
+    ssq_max = floor((lam * lam + (delta - 1) * psd_cut) / delta)
     radix = delta2 + 1
     t = min(_TAIL, delta - 1)
     others = _orbit_table(delta)[delta::delta]  # decimations by every unit but the first
@@ -179,7 +183,7 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
     def screen(rows: np.ndarray):
         rows = rows[~_rotation_below(rows, rows, radix)]
         spectrum = np.fft.rfft(rows, axis=1)[:, 1:half + 1]
-        rows = rows[(spectrum.real ** 2 + spectrum.imag ** 2 < gamma_cut).all(axis=1)]
+        rows = rows[(spectrum.real ** 2 + spectrum.imag ** 2 < psd_cut).all(axis=1)]
         images = rows[:, others].reshape(-1, delta)
         outside = _rotation_below(images, np.repeat(rows, len(others), axis=0), radix)
         rows = rows[~outside.reshape(len(rows), len(others)).any(axis=1)]
@@ -194,9 +198,9 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
 
     # the frontier: the prefixes in lexicographic order with their remaining
     # sums and sums of squares, grown one entry at a time up to delta - t
-    first = np.arange(min(delta2, kappa // delta) + 1)
+    first = np.arange(min(delta2, lam // delta) + 1)
     frontier = first.astype(np.min_scalar_type(delta2))[:, None]
-    remaining, ssq = kappa - first, first * first
+    remaining, ssq = lam - first, first * first
     for slots in range(delta - 1, t, -1):
         low = frontier[:, 0].astype(np.int64)
         base, extra = np.divmod(remaining, slots)
@@ -231,7 +235,7 @@ def enum_candidates(delta: int, delta2: int, kappa: int, gamma: float):
         yield CompressedCandidate(
             vector=vec,
             delta2=delta2,
-            kappa=kappa,
+            kappa=lam,
             paf=_full_paf(ssq, half_paf, delta),
         )
 
@@ -253,8 +257,9 @@ def _equiv_decimations(candidate: CompressedCandidate, stab: tuple[int, ...]) ->
     return tuple(s for s in stab if s not in members)
 
 
-def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
-    """All unordered class pairs with off-peak PAF sums equal to delta2*lam.
+def match_pairs(candidates) -> list[CompressedPair]:
+    """All unordered class pairs with off-peak PAF sums equal to delta2*lam,
+    where delta2 and lam (the candidates' sum kappa) are the candidates' own.
 
     Candidates are class representatives, so the join has to work up to the
     decimation action: classes (a, b) pair up when PAF(a, g) + PAF(d_r(b), g)
@@ -273,7 +278,7 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
     if not cands:
         return []
     delta = cands[0].delta
-    target = delta2 * lam
+    target = cands[0].delta2 * cands[0].kappa
     orbits = [_paf_orbit(c.paf) for c in cands]
     # a class shares its PAF stabiliser and multipliers: b's set serves d_r(b)
     equiv = cache(lambda i: _equiv_decimations(cands[i], orbits[i][2]))
@@ -291,7 +296,7 @@ def match_pairs(candidates, lam: int, delta2: int) -> list[CompressedPair]:
                 continue
             _, a_b, stab_b = orbits[j]
             r = min(a_b * w_inv * s % delta for s in stab_b)
-            pairs.append(_build_pair(q, b, r, lam, equiv(i), equiv(j)))
+            pairs.append(_build_pair(q, b, r, equiv(i), equiv(j)))
     pairs.sort(key=lambda pr: pr.key)
     return pairs
 
@@ -300,20 +305,18 @@ def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
     return CompressedCandidate(decimate(c.vector, r), c.delta2, c.kappa, decimate(c.paf, r))
 
 
-def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
-    delta = q.delta
-    delta2 = q.delta2
-    if p_class.delta != delta or p_class.delta2 != delta2 or p_class.kappa != q.kappa:
+def _build_pair(q, p_class, r, s_q, s_p) -> CompressedPair:
+    delta, delta2, lam = q.delta, q.delta2, q.kappa
+    if (p_class.delta, p_class.delta2, p_class.kappa) != (delta, delta2, lam):
         raise ValueError("pair members come from different candidate spaces")
     p = _decimated_candidate(p_class, r)
-    kappa = q.kappa
     target = delta2 * lam
     if any(q.paf[g] + p.paf[g] != target for g in range(1, delta)):
         raise InvariantViolation(
             f"autocorrelations not complementary for pair {q.vector}, {p.vector}"
         )
     ssq_sum = q.paf[0] + p.paf[0]
-    expected = 2 * kappa * kappa - (delta - 1) * delta2 * lam
+    expected = 2 * lam * lam - (delta - 1) * delta2 * lam
     if ssq_sum != expected:
         raise InvariantViolation(
             f"sum of squares {ssq_sum} != {expected} for pair {q.vector}, {p.vector}"
@@ -323,15 +326,7 @@ def _build_pair(q, p_class, r, lam, s_q, s_p) -> CompressedPair:
         raise InvariantViolation(
             f"PSD sums stray from {lam} for pair {q.vector}, {p.vector}"
         )
-    return CompressedPair(
-        q=q,
-        p=p,
-        p_canon=p_class.vector,
-        r=r,
-        lam=lam,
-        s_q=s_q,
-        s_p=s_p,
-    )
+    return CompressedPair(q=q, p=p, p_canon=p_class.vector, r=r, s_q=s_q, s_p=s_p)
 
 
 def expand_pairs(pairs) -> list[CompressedPair]:

@@ -119,14 +119,15 @@ def compressed_census(length: int, delta: int):
     Returns (candidates, pairs, expanded).
     """
     _validate_length(length)
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, got {delta}")
     if length % delta != 0:
         raise ValueError(f"{delta} does not divide {length}")
     delta2 = length // delta
     if gcd(delta, delta2) != 1:
         raise ValueError(f"cofactors {delta}, {delta2} are not coprime")
-    lam = (length + 1) // 2
-    cands = list(enum_candidates(delta, delta2, lam, float(lam)))
-    pairs = match_pairs(cands, lam=lam, delta2=delta2)
+    cands = list(enum_candidates(delta, delta2, (length + 1) // 2))
+    pairs = match_pairs(cands)
     return cands, pairs, expand_pairs(pairs)
 
 
@@ -205,9 +206,9 @@ def _free_lags(ctx: CrtContext) -> np.ndarray:
     return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
 
-def _join(held: np.ndarray, streamed, ell: int, lam: int, lags: np.ndarray):
+def _join(held: np.ndarray, streamed, ell: int, lags: np.ndarray):
     """Yield (u, v) word rows, u from held and v from the streamed chunks,
-    with PAF(u, g) + PAF(v, g) = lam at every lag g in lags.
+    with PAF(u, g) + PAF(v, g) = lam = (ell + 1) / 2 at every lag g in lags.
 
     The held keys lam - PAF(u) are sorted once by print.  A bool table,
     indexed by the top b bits of a print with 2^b >= 8 len(held) and at
@@ -219,7 +220,7 @@ def _join(held: np.ndarray, streamed, ell: int, lam: int, lags: np.ndarray):
     full keys agree, so a collision costs time and never makes or loses a
     pair.  Hits come in streamed order, then held order.
     """
-    want = lam - _paf_keys(held, ell, lags)
+    want = (ell + 1) // 2 - _paf_keys(held, ell, lags)
     prints = _key_prints(want)
     order = np.argsort(prints, kind="stable")
     prints = prints[order]
@@ -295,7 +296,7 @@ def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
         swapped = n_v < n_u
         small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
         for held in _held_slices(small, bits, _HELD):
-            for x, y in _join(held, _leaf_chunks(large, bits), ell, lam, lags):
+            for x, y in _join(held, _leaf_chunks(large, bits), ell, lags):
                 u, v = (y, x) if swapped else (x, y)
                 records.append(canonicalize_lp(
                     _vector(u, ell), _vector(v, ell), lam,
@@ -312,8 +313,6 @@ def _validate_factors(length: int, d1: int, d2: int) -> None:
     _validate_length(length)
     if d1 * d2 != length:
         raise ValueError(f"{d1} * {d2} != {length}")
-    if gcd(d1, d2) != 1:
-        raise ValueError(f"factors {d1}, {d2} are not coprime")
     if d1 < 2 or d2 < 2:
         raise ValueError("factors must both exceed 1")
 

@@ -58,9 +58,8 @@ def proper_divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n) if n % d == 0)
 
 
-def two_dim_dft(a, d1: int, d2: int) -> np.ndarray:
-    """Two-dimensional DFT W_{d1} A W_{d2} of a d1 x d2 array, W_n[k, j] = exp(2 pi i jk / n)."""
+def two_dim_dft(a) -> np.ndarray:
+    """Two-dimensional DFT W_{d1} A W_{d2} of a d1 x d2 array A (d1, d2 from
+    its shape), W_n[k, j] = exp(2 pi i jk / n)."""
     arr = np.asarray(a, dtype=float)
-    if arr.shape != (d1, d2):
-        raise ValueError(f"expected shape ({d1}, {d2}), got {arr.shape}")
-    return d1 * d2 * np.fft.ifft2(arr)
+    return arr.size * np.fft.ifft2(arr)

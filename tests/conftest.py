@@ -92,9 +92,8 @@ def guided_join(pair, instances, ctx, fixed):
         sides.append(leaves(rest, tuple(brow[k:] for brow in ctx.cell_bits), words))
     held = np.concatenate(list(sides[0]))
     assert len(held) == counts[0]
-    lam = (ctx.ell + 1) // 2
     hits = [
         (search._vector(a, ctx.ell), search._vector(b, ctx.ell))
-        for a, b in search._join(held, sides[1], ctx.ell, lam, search._free_lags(ctx))
+        for a, b in search._join(held, sides[1], ctx.ell, search._free_lags(ctx))
     ]
     return tuple(counts), hits

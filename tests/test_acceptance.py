@@ -222,7 +222,7 @@ def test_criterion_5_two_dimensional_dft_conversion():
         assert ctx.z == 3
         z_inv = pow(ctx.z, -1, ctx.ell)
         for v in _spectral_cases():
-            m = two_dim_dft(np.array(theta(v, ctx).rows), d1, d2)
+            m = two_dim_dft(np.array(theta(v, ctx).rows))
             mu = dft(v)
             # the reshaped two-dimensional spectrum is the z-decimation of
             # the one-dimensional one: M[psi(g)] = mu_{g z^{-1}}
@@ -254,7 +254,7 @@ def test_criterion_6_class_overlap_formula():
                 for _, tags in oracle_orbit(v, compression_sizes=(ctx.d1,))
                 if tags[ctx.d1] == tuple(q)
             )
-            assert class_overlap_count(v, q, ctx) == brute
+            assert class_overlap_count(v, ctx) == brute
 
 
 def test_criterion_6_simultaneous_overlap_formula():
@@ -274,7 +274,7 @@ def test_criterion_6_simultaneous_overlap_formula():
                 for _, tags in oracle_orbit(v, compression_sizes=(d1, d2))
                 if tags[d1] == qs[0] and tags[d2] == qs[1]
             )
-            assert simul_overlap_count(v, qs) == brute
+            assert simul_overlap_count(v, (d1, d2)) == brute
 
 
 def test_criterion_6_sum_rule_at_15():
@@ -297,7 +297,7 @@ def test_criterion_6_sum_rule_at_15():
             classes.setdefault(tuple(decimation_canon(v)[0]), v)
         assert total == count_decompressions(q, 5)
         summed = sum(
-            class_overlap_count(v, q, ctx)
+            class_overlap_count(v, ctx)
             for v in classes.values()
         )
         assert summed == total
@@ -319,8 +319,8 @@ def test_criterion_7_sum_of_squares_identity():
     for length, delta in ((15, 3), (15, 5), (21, 3), (21, 7), (55, 5)):
         delta2 = length // delta
         lam = (length + 1) // 2
-        cands = list(enum_candidates(delta, delta2, lam, float(lam)))
-        for pair in match_pairs(cands, lam=lam, delta2=delta2):
+        cands = list(enum_candidates(delta, delta2, lam))
+        for pair in match_pairs(cands):
             ssq = sum(x * x for x in pair.q.vector) + sum(
                 x * x for x in pair.p.vector
             )

@@ -120,7 +120,7 @@ def test_enumerate_with_spectrum_matches_direct_dft():
     inst = MarginalInstance([2, 1, 2], [1, 2, 1, 1])
 
     def check(mat, spec):
-        direct = two_dim_dft(np.array(mat.rows), 3, 4)
+        direct = two_dim_dft(np.array(mat.rows))
         assert np.allclose(spec, direct, atol=1e-9)
 
     assert enumerate_with_spectrum(inst, check) == count(inst)

@@ -129,6 +129,12 @@ def test_pairs_expanded_listing(capsys):
     assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("delta", ["0", "-3"])
+def test_pairs_refuses_a_delta_below_one(delta, capsys):
+    assert main(["pairs", "--length", "15", "--delta", delta]) == 2
+    assert f"delta must be at least 1, got {delta}" in capsys.readouterr().err
+
+
 def test_bmfm_count_and_listing(capsys):
     assert main(["bmfm", "--rows", "1,1", "--cols", "1,1", "--count"]) == 0
     assert capsys.readouterr().out.strip() == "2"

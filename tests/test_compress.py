@@ -15,7 +15,6 @@ from lppairs.compress import (
     simul_overlap_count,
     theta,
     theta_inv,
-    validate_simultaneous,
 )
 from lppairs.cyclic import decimate, shift, units
 from lppairs.errors import InvariantViolation
@@ -100,15 +99,6 @@ def test_theta_checks_length_and_entries():
         theta((0,) * 14, ctx)
 
 
-def test_validate_simultaneous_worked_example():
-    assert validate_simultaneous(V35, [Q1, Q2])
-    assert validate_simultaneous(U35, [P1, P2])
-    # swapping the first two differing entries changes a marginal
-    w = list(V35)
-    w[1], w[2] = w[2], w[1]
-    assert not validate_simultaneous(w, [Q1, Q2])
-
-
 def test_count_decompressions():
     assert count_decompressions((0, 0, 0), 5) == 1
     assert count_decompressions((5, 5, 5), 5) == 1
@@ -138,7 +128,7 @@ def test_class_overlap_formula_matches_brute_force():
     while checked < 20:
         v = random_binary(rng, 15, rng.choice([4, 7, 8]))
         q = compress(v, 3)
-        formula = class_overlap_count(v, q, ctx)
+        formula = class_overlap_count(v, ctx)
         members = oracle_orbit(v, compression_sizes=(3,))
         brute = sum(1 for _, tags in members if tags[3] == tuple(q))
         assert formula == brute
@@ -149,7 +139,7 @@ def test_class_overlap_rejects_bad_density():
     ctx = CrtContext(3, 5)
     v = (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
-        class_overlap_count(v, compress(v, 3), ctx)
+        class_overlap_count(v, ctx)
 
 
 def test_simul_overlap_formula_matches_brute_force():
@@ -157,7 +147,7 @@ def test_simul_overlap_formula_matches_brute_force():
     for _ in range(20):
         v = random_binary(rng, 15, rng.choice([4, 7, 8]))
         qs = [tuple(compress(v, 3)), tuple(compress(v, 5))]
-        formula = simul_overlap_count(v, qs)
+        formula = simul_overlap_count(v, (3, 5))
         members = oracle_orbit(v, compression_sizes=(3, 5))
         brute = sum(
             1 for _, tags in members
@@ -169,12 +159,14 @@ def test_simul_overlap_formula_matches_brute_force():
 def test_simul_overlap_on_worked_example():
     members = oracle_orbit(V35, compression_sizes=(7, 5))
     brute = sum(1 for _, tags in members if tags[7] == Q1 and tags[5] == Q2)
-    assert simul_overlap_count(V35, [Q1, Q2]) == brute == 1
+    assert simul_overlap_count(V35, (7, 5)) == brute == 1
 
 
-def test_simul_overlap_rejects_mismatched_compressions():
-    with pytest.raises(ValueError):
-        simul_overlap_count(V35, [Q1, (1, 2, 3, 4, 8)])
+def test_simul_overlap_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="do not multiply"):
+        simul_overlap_count(V35, (7, 3))
+    with pytest.raises(ValueError, match="not coprime"):
+        simul_overlap_count((1, 1, 0, 1, 0, 0, 0, 0, 0), (3, 3))
 
 
 def test_sum_rule_partitions_decompressions():
@@ -197,7 +189,7 @@ def test_sum_rule_partitions_decompressions():
         classes.setdefault(tuple(decimation_canon(v)[0]), v)
     assert total == count_decompressions(q, 5)
     summed = sum(
-        class_overlap_count(v, q, ctx) for v in classes.values()
+        class_overlap_count(v, ctx) for v in classes.values()
     )
     assert summed == total
 

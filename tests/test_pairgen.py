@@ -32,15 +32,13 @@ def _pair_rows(pairs):
 
 
 def _census(length, delta):
-    delta2 = length // delta
-    lam = (length + 1) // 2
-    cands = list(enum_candidates(delta, delta2, lam, float(lam)))
-    pairs = match_pairs(cands, lam=lam, delta2=delta2)
+    cands = list(enum_candidates(delta, length // delta, (length + 1) // 2))
+    pairs = match_pairs(cands)
     return cands, pairs, expand_pairs(pairs)
 
 
 def test_enum_candidates_are_canonical_and_in_range():
-    cands = list(enum_candidates(5, 3, 8, 8.0))
+    cands = list(enum_candidates(5, 3, 8))
     assert cands
     for c in cands:
         assert sum(c.vector) == 8
@@ -53,7 +51,7 @@ def test_enum_candidates_are_canonical_and_in_range():
 
 def test_enum_candidates_rejects_even_length():
     with pytest.raises(ValueError):
-        list(enum_candidates(4, 3, 6, 6.0))
+        list(enum_candidates(4, 3, 6))
 
 
 def test_small_census_counts():
@@ -132,7 +130,7 @@ def test_expansion_preserves_key_and_complementarity():
 
 
 def test_equiv_decimations_preserve_paf():
-    cands = list(enum_candidates(7, 3, 11, 11.0))
+    cands = list(enum_candidates(7, 3, 11))
     found = 0
     for c in cands:
         for s in _equiv_decimations(c, _paf_orbit(c.paf)[2]):
@@ -144,11 +142,11 @@ def test_equiv_decimations_preserve_paf():
 
 
 def test_pair_off_the_psd_sum_raises():
-    # (0,1,1) with itself complements at 2*1 on every lag and has the sum
-    # of squares 2*kappa^2 - (delta-1)*delta2*lam = 4, but its PSD sums
-    # are 4 - 2 = 2, not lam = 1
-    with pytest.raises(InvariantViolation, match="PSD sums"):
-        match_pairs(list(enum_candidates(3, 2, 2, 12.0)), lam=1, delta2=2)
+    # (1,1,1) with itself complements at 2*3 on every lag and has the sum
+    # of squares 2*lam^2 - (delta-1)*delta2*lam = 6, but its PSD sums are
+    # 6 - 6 = 0, not lam = 3
+    with pytest.raises(InvariantViolation, match="PSD sums stray from 3"):
+        match_pairs(list(enum_candidates(3, 2, 3)))
 
 
 @pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7)])
@@ -158,7 +156,7 @@ def test_match_pairs_equals_brute_force_join(length, delta):
     from lppairs.oracle import _oracle_decimate
 
     delta2, lam = length // delta, (length + 1) // 2
-    cands = sorted(enum_candidates(delta, delta2, lam, float(lam)), key=lambda c: tuple(c.vector))
+    cands = sorted(enum_candidates(delta, delta2, lam), key=lambda c: tuple(c.vector))
     unit_list = [r for r in range(delta) if gcd(r, delta) == 1]
     want = []
     for i, a in enumerate(cands):
@@ -167,7 +165,7 @@ def test_match_pairs_equals_brute_force_join(length, delta):
             valid = [r for r in unit_list if _oracle_decimate(b.paf, r)[1:] == complement]
             if valid:
                 want.append((tuple(a.vector), tuple(b.vector), min(valid)))
-    got = [(tuple(pr.q.vector), pr.p_canon, pr.r) for pr in match_pairs(cands, lam, delta2)]
+    got = [(tuple(pr.q.vector), pr.p_canon, pr.r) for pr in match_pairs(cands)]
     assert want
     assert got == want
     # some classes pair only after re-aligning one side by a decimation
@@ -178,21 +176,20 @@ def test_match_pairs_equals_brute_force_join(length, delta):
 def test_enum_candidates_equal_oracle(length, delta):
     lam = (length + 1) // 2
     want = oracle_candidates(delta, length // delta, lam, float(lam))
-    got = [(tuple(c.vector), c.paf) for c in enum_candidates(delta, length // delta, lam, float(lam))]
+    got = [(tuple(c.vector), c.paf) for c in enum_candidates(delta, length // delta, lam)]
     assert want
     assert got == want
 
 
-@pytest.mark.parametrize("delta,delta2,kappa,gamma", [
-    # 7**25 > 2**63: rotations compare column by column, not as int64 codes
-    (25, 6, 3, 7.0),
-    (25, 6, 3, 9.0),
-    (1, 4, 3, 3.0),
-    (1, 4, 0, 1.0),
+@pytest.mark.parametrize("delta,delta2,lam", [
+    # 8**21 = 2**63: rotations compare column by column, not as int64 codes
+    (21, 7, 5),
+    (1, 4, 3),
+    (1, 4, 0),
 ])
-def test_enum_candidates_equal_oracle_at_the_edges(delta, delta2, kappa, gamma):
-    want = oracle_candidates(delta, delta2, kappa, gamma)
-    got = [(tuple(c.vector), c.paf) for c in enum_candidates(delta, delta2, kappa, gamma)]
+def test_enum_candidates_equal_oracle_at_the_edges(delta, delta2, lam):
+    want = oracle_candidates(delta, delta2, lam, float(lam))
+    got = [(tuple(c.vector), c.paf) for c in enum_candidates(delta, delta2, lam)]
     assert want
     assert got == want
 
@@ -271,7 +268,7 @@ def test_candidate_lists_are_pinned(length, delta):
     lam = (length + 1) // 2
     cands = [
         (tuple(c.vector), c.paf)
-        for c in enum_candidates(delta, length // delta, lam, float(lam))
+        for c in enum_candidates(delta, length // delta, lam)
     ]
     digest = hashlib.sha256(repr(cands).encode()).hexdigest()
     assert (len(cands), digest) == CANDIDATE_DIGESTS[(length, delta)]
@@ -296,7 +293,7 @@ def test_candidate_lists_do_not_depend_on_the_block_size(monkeypatch, batch, len
     lam = (length + 1) // 2
     cands = [
         (tuple(c.vector), c.paf)
-        for c in enum_candidates(delta, length // delta, lam, float(lam))
+        for c in enum_candidates(delta, length // delta, lam)
     ]
     digest = hashlib.sha256(repr(cands).encode()).hexdigest()
     assert (len(cands), digest) == CANDIDATE_DIGESTS[(length, delta)]

@@ -277,9 +277,8 @@ def _job(task, matching, ctx):
 
 
 def _hits(held, streamed, lags, ctx):
-    lam = (ctx.ell + 1) // 2
     return [(search._vector(a, ctx.ell), search._vector(b, ctx.ell))
-            for a, b in search._join(held, streamed, ctx.ell, lam, lags)]
+            for a, b in search._join(held, streamed, ctx.ell, lags)]
 
 
 @pytest.mark.parametrize("length,d1,d2,step", [
@@ -896,9 +895,15 @@ def test_bench_tracing_finds_every_hooked_name(monkeypatch):
     tracing = importlib.import_module("tracing")
     modules = (search, seqio, cli)
     before = [dict(vars(m)) for m in modules]
-    with tracing.instrument(SimpleNamespace(search=search, seqio=seqio, cli=cli), tracing.Trace()):
+    trace = tracing.Trace()
+    with tracing.instrument(SimpleNamespace(search=search, seqio=seqio, cli=cli), trace):
         assert search.run_task is not before[0]["run_task"]
+        # the bench's census checks read these span attributes
+        cands, pairs, _ = search.compressed_census(15, 5)
     assert [dict(vars(m)) for m in modules] == before
+    attrs = {s["name"]: s["attrs"] for s in trace.spans}
+    assert attrs["pairgen.enum_candidates"] == {"n": len(cands), "delta": 5, "length": 15}
+    assert attrs["pairgen.match_pairs"] == {"n": len(pairs)}
 
 
 def test_progress_refuses_a_task_out_of_order():
