@@ -231,6 +231,8 @@ def oracle_orbit(v, compression_sizes=()) -> list[tuple[tuple[int, ...], dict]]:
     if n > MAX_ORBIT_LENGTH:
         raise ValueError(f"oracle_orbit refuses length {n} > {MAX_ORBIT_LENGTH}")
     for size in compression_sizes:
+        if size < 1:
+            raise ValueError(f"compression size must be positive, got {size}")
         if n % size != 0:
             raise ValueError(f"compression size {size} does not divide {n}")
     members = sorted(_oracle_orbit_members(vec))

@@ -26,7 +26,10 @@ PSD bound (delta * sum q^2 = lam^2 + sum of off-peak PSD values < lam^2 +
 (delta-1) * lam).  The tails are sorted by lowest entry, sum and sum of
 squares, so two binary searches give each prefix its completions within the
 ceiling as one range, which `bmfm._runs` expands in blocks.  Each block is
-screened in numpy: rotation minimality, the PSD bound on one real FFT, then
+screened on the PSD bound before any row is built: the DFT is linear, so a
+vector's spectrum is its prefix's plus its tail's, both formed per block
+from the small int tables by one matrix product each.  Only the survivors
+become rows, which are screened in numpy for rotation minimality, then for
 minimality within the decimation class.  Sums of squares and PAFs are
 computed for the class representatives only.
 """
@@ -44,7 +47,7 @@ from .cyclic import _orbit_table, decimate, decimations, multiplier_group, units
 from .errors import InvariantViolation
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
-_BATCH = 4096  # most vectors screened together
+_BATCH = 4096  # most vectors, or (prefix, tail) pairs, screened together
 _PSD_SLACK = 1e-6  # float margin added to lambda by the PSD screen
 
 
@@ -158,11 +161,13 @@ def enum_candidates(delta: int, delta2: int, lam: int):
 
     The frontier fixes entries 0..delta-t-1 (t = min(_TAIL, delta-1)); one
     lookup in the tail tables gives each prefix its completions.  Blocks of
-    at most _BATCH vectors are screened: minimal rotation, PSD below
-    lam + _PSD_SLACK at k = 1..(delta-1)/2 (from numpy's rfft; a real
-    vector has PSD(k) = PSD(delta - k)), then class minimality under
-    decimation, so only class representatives are held; only their sums of
-    squares and half-lag PAFs are computed.
+    at most _BATCH (prefix, tail) pairs are screened on the split spectrum:
+    PSD below lam + _PSD_SLACK at k = 1..(delta-1)/2 (a real vector has
+    PSD(k) = PSD(delta - k)), from the prefix's cos and sin sums plus the
+    tail's at offset delta - t.  The survivors are built as rows and
+    screened, at most _BATCH at a time, for minimal rotation, then for class
+    minimality under decimation, so only class representatives are held;
+    only their sums of squares and half-lag PAFs are computed.
     """
     if delta < 1 or delta % 2 == 0:
         raise ValueError(f"candidate length must be odd, got {delta}")
@@ -181,12 +186,10 @@ def enum_candidates(delta: int, delta2: int, lam: int):
     reps: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
 
     def screen(rows: np.ndarray):
+        rows = rows.astype(np.int64)
         rows = rows[~_rotation_below(rows, rows, radix)]
-        spectrum = np.fft.rfft(rows, axis=1)[:, 1:half + 1]
-        rows = rows[(spectrum.real ** 2 + spectrum.imag ** 2 < psd_cut).all(axis=1)]
-        images = rows[:, others].reshape(-1, delta)
-        outside = _rotation_below(images, np.repeat(rows, len(others), axis=0), radix)
-        rows = rows[~outside.reshape(len(rows), len(others)).any(axis=1)]
+        for image in others:
+            rows = rows[~_rotation_below(rows[:, image], rows, radix)]
         pafs = np.empty((len(rows), half), dtype=np.int64)
         for g in range(1, half + 1):
             pafs[:, g - 1] = (rows * np.roll(rows, -g, axis=1)).sum(axis=1)
@@ -226,9 +229,25 @@ def enum_candidates(delta: int, delta2: int, lam: int):
     lo = np.searchsorted(keys, _tail_key(low, remaining, 0, t, delta2), "left")
     hi = np.searchsorted(keys, _tail_key(low, remaining, budget, t, delta2), "right")
     del remaining, ssq, low, budget  # ~3 MB less peak RSS at delta = 11, delta2 = 7
-    block = np.empty((_BATCH, delta), dtype=np.int64)  # reused: fresh blocks page-fault ~2x as often
+    # the DFT is linear: at k = 1..half a vector's cos and sin sums are its
+    # prefix's plus its tail's at offset delta - t, so the PSD bound is
+    # screened before any row is built; the survivors wait in `kept` until
+    # _BATCH of them can be screened as rows
+    angles = 2 * np.pi / delta * (np.outer(np.arange(1, half + 1), np.arange(delta)) % delta)
+    dft = np.concatenate((np.cos(angles), np.sin(angles)))
+    head_dft, tail_dft = dft[:, :delta - t], dft[:, delta - t:]
+    kept = np.empty((0, delta), dtype=frontier.dtype)
     for parent, row in _runs(lo, hi, _BATCH):
-        screen(np.concatenate((frontier[parent], tails[row]), axis=1, out=block[:len(parent)]))
+        p0 = parent[0]
+        z = tail_dft @ tails.take(row, axis=0).T
+        z += (head_dft @ frontier[p0:parent[-1] + 1].T).take(parent - p0, axis=1)
+        keep = (z[:half] ** 2 + z[half:] ** 2 < psd_cut).all(axis=0)
+        kept = np.concatenate((kept, np.concatenate(
+            (frontier.take(parent[keep], axis=0), tails.take(row[keep], axis=0)), axis=1)))
+        while len(kept) >= _BATCH:
+            screen(kept[:_BATCH])
+            kept = kept[_BATCH:]
+    screen(kept)
 
     reps.sort()
     for vec, ssq, half_paf in reps:

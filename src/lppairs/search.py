@@ -161,9 +161,10 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     (plus a spare top word), rot(x, g) is the low W words of d >> g: for
     g = 64 q + r, words q.. of d shifted down by r, OR-ed with words q+1..
     shifted up by 64 - r.  Bits at or above ell are junk and vanish in the
-    AND with x.  That high part is computed only when some lag needs it:
+    AND with x.  That high part is computed only for the lags that need it:
     with one word (ell < 64) its bits land at 64 - g and above, all junk
-    when every g <= 64 - ell, as for every half lag when ell <= 43.  Rows
+    when g <= 64 - ell, as for every half lag when ell <= 43.  `lags` must
+    be ascending, so the lags that need it are a suffix of them.  Rows
     go in blocks of at most `_KEY_WORDS` words per temporary (6,553 rows
     at ell = 33 on its 10 free lags), so memory stays bounded for any N.
     """
@@ -172,7 +173,7 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     at = (lags // 64)[:, None] + np.arange(w)
     down = (lags % 64).astype(np.uint64)[:, None, None]
     up = 63 - down
-    spill = w > 1 or lags.max(initial=0) > 64 - ell
+    spill = 0 if w > 1 else np.searchsorted(lags, 64 - ell, "right")  # first lag with a high part
     out = np.empty((len(at), n), dtype=np.uint8)
     block = max(1, _KEY_WORDS // at.size)
     for lo in range(0, n, block):
@@ -183,11 +184,11 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
         d[q + 1:q + 1 + w] |= (b >> 1) >> (63 - r)
         rot = d[at]
         rot >>= down
-        if spill:
-            high = d[at + 1]
+        if spill < len(at):
+            high = d[at[spill:] + 1]
             high <<= 1
-            high <<= up
-            rot |= high
+            high <<= up[spill:]
+            rot[spill:] |= high
         rot &= b
         np.bitwise_count(rot).sum(axis=1, dtype=np.uint8, out=out[:, lo:lo + block])
     return out.T

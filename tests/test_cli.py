@@ -312,6 +312,12 @@ def test_oracle_caps_surface_as_usage_errors(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_oracle_orbit_refuses_a_compression_size_below_one(size, capsys):
+    assert main(["oracle", "orbit", "--vector", "1,0,0,0,0,0", "--compress", size]) == 2
+    assert "compression size must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--length", "15", "--factors", "3,5", "--threads", "0"],
     ["search", "--length", "15", "--factors", "3,5", "--threads", "-1"],
