@@ -9,13 +9,12 @@ whatever passes still has to pair on exact integers.  Two candidates
 form a pair when their autocorrelations sum to (delta2 * lambda) at every
 nonzero lag — an exact integer join up to the decimation action — and every
 pair is checked on integers only, its PSD sums included.  Every
-candidate is keyed once by the least off-peak decimation of its PAF and
-bucketed by that key; each candidate's complement is keyed the same way and
-meets its partners in one bucket, and the aligning decimation follows from a
-coset of the partner's PAF stabiliser with no scan over units.  Each pair
-is then expanded by the PSD-preserving decimations of its second member, which
-is what downstream simultaneous decompression needs in order not to miss
-solutions.
+candidate is bucketed once by its own off-peak PAF.  Since PAF(d_r b) =
+d_r PAF(b), a candidate's partners are the bucket entries of the decimation
+images of its complement, and the image that meets a partner gives the
+aligning decimation.  Each pair is then expanded by the PSD-preserving
+decimations of its second member, which is what downstream simultaneous
+decompression needs in order not to miss solutions.
 
 Candidates come from a numpy frontier shaped like the BMFM engine's
 enumeration.  It holds every prefix of the first delta - t entries, grown
@@ -259,21 +258,15 @@ def enum_candidates(delta: int, delta2: int, lam: int):
         )
 
 
-def _paf_orbit(paf) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """(key, a, stab): the least off-peak part over all decimations of paf,
-    the least unit whose decimation reaches it, and the units that fix paf."""
-    units_ = units(len(paf))
-    images = decimations(paf)[:, 1:].tolist()
-    key = min(images)
-    stab = tuple(s for s, image in zip(units_, images) if image == images[0])
-    return tuple(key), units_[images.index(key)], stab
+def _equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
+    """The units s with d_s PAF(c) = PAF(c) that are not multipliers of c.
 
-
-def _equiv_decimations(candidate: CompressedCandidate, stab: tuple[int, ...]) -> tuple[int, ...]:
-    """The units of stab, the PAF's stabiliser, that are not multipliers of
-    the candidate: decimations that keep its PAF (hence PSD) but not its class."""
+    PAF(d_s c) = d_s PAF(c), so these decimations keep the candidate's PAF
+    (hence its PSD) but do not map it to a rotation of itself."""
+    images = decimations(candidate.paf).tolist()
     members = multiplier_group(candidate.vector)
-    return tuple(s for s in stab if s not in members)
+    return tuple(s for s, image in zip(units(candidate.delta), images)
+                 if image == images[0] and s not in members)
 
 
 def match_pairs(candidates) -> list[CompressedPair]:
@@ -281,41 +274,38 @@ def match_pairs(candidates) -> list[CompressedPair]:
     where delta2 and lam (the candidates' sum kappa) are the candidates' own.
 
     Candidates are class representatives, so the join has to work up to the
-    decimation action: classes (a, b) pair up when PAF(a, g) + PAF(d_r(b), g)
+    decimation action: classes (q, b) pair up when PAF(q, g) + PAF(d_r(b), g)
     hits the target for every g != 0 and some unit r, not necessarily r = 1.
-    Each candidate b is bucketed once by the key of its PAF orbit: the least
-    off-peak decimation image, reached first by the unit a_b, with stabiliser
-    Stab_b.  A candidate q pairs with exactly the b >= q in the bucket of its
-    complement W = delta2*lam - PAF(q), whose key is reached first by w; the
-    units aligning b are then the coset a_b * w^-1 * Stab_b, and r is its
-    least member.  Stab also gives each class's PSD-preserving decimations.
-    A class may pair with itself.  The join is exact-integer throughout,
-    pairs are ordered by canonical form, and each is validated against the
-    complementarity, sum-of-squares and PSD-sum identities, all on integers.
+    Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
+    complement W = delta2*lam - PAF(q) and k = r^-1.  Each candidate is
+    bucketed once by its own off-peak PAF; q looks up the phi(delta)
+    decimation images d_k W and pairs with each b >= q it meets, at the
+    least r = k^-1 that meets it.  A class may pair with itself.  The join is
+    exact-integer throughout, pairs are ordered by canonical form, and each
+    is validated against the complementarity, sum-of-squares and PSD-sum
+    identities, all on integers.
     """
     cands = list(candidates)
     if not cands:
         return []
     delta = cands[0].delta
     target = cands[0].delta2 * cands[0].kappa
-    orbits = [_paf_orbit(c.paf) for c in cands]
+    inverses = [pow(k, -1, delta) for k in units(delta)]
     # a class shares its PAF stabiliser and multipliers: b's set serves d_r(b)
-    equiv = cache(lambda i: _equiv_decimations(cands[i], orbits[i][2]))
+    equiv = cache(lambda i: _equiv_decimations(cands[i]))
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, (key, _, _) in enumerate(orbits):
-        buckets.setdefault(key, []).append(i)
+    for i, c in enumerate(cands):
+        buckets.setdefault(c.paf[1:], []).append(i)
 
     pairs: list[CompressedPair] = []
     for i, q in enumerate(cands):
-        key_w, w, _ = _paf_orbit(tuple(target - x for x in q.paf))
-        w_inv = pow(w, -1, delta)
-        for j in buckets.get(key_w, ()):
-            b = cands[j]
-            if b.vector < q.vector:
-                continue
-            _, a_b, stab_b = orbits[j]
-            r = min(a_b * w_inv * s % delta for s in stab_b)
-            pairs.append(_build_pair(q, b, r, equiv(i), equiv(j)))
+        images = decimations((0,) + tuple(target - x for x in q.paf[1:]))[:, 1:]
+        aligned: dict[int, int] = {}  # b's index -> least r
+        for r, image in zip(inverses, images.tolist()):
+            for j in buckets.get(tuple(image), ()):
+                if cands[j].vector >= q.vector:
+                    aligned[j] = min(r, aligned.get(j, r))
+        pairs.extend(_build_pair(q, cands[j], r, equiv(i), equiv(j)) for j, r in aligned.items())
     pairs.sort(key=lambda pr: pr.key)
     return pairs
 

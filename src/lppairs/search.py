@@ -357,7 +357,7 @@ class _Progress:
         self._saved = 0  # records below the checkpoint's offset
         self._offset = 0
 
-    def start(self, resume: bool, length: int, lam: int) -> None:
+    def start(self, resume: bool, length: int) -> None:
         """Load the checkpoint when resuming one; otherwise start clean.
 
         A fresh run removes any old checkpoint and empties the records
@@ -387,7 +387,7 @@ class _Progress:
         with open(sidecar) as fh:
             data = fh.read(cp.partial_offset)
         # read before the cut, so a refused resume leaves both files as they were
-        self.records = seqio.read_records(sidecar, data, length, lam)
+        self.records = seqio.read_records(sidecar, data, length, (length + 1) // 2)
         os.truncate(sidecar, cp.partial_offset)
         self.done = cp.done
         self._saved, self._offset = len(self.records), cp.partial_offset
@@ -476,7 +476,7 @@ def run_search(length: int, d1: int, d2: int,
     fingerprint = _fingerprint(length, d1, d2, expanded1, expanded2)
 
     progress = _Progress(fingerprint, len(tasks), config.checkpoint_path)
-    progress.start(resume, length, lam)
+    progress.start(resume, length)
     pending = tasks[progress.done:]
 
     size = min(_BATCH, -(-len(pending) // config.threads))

@@ -239,6 +239,9 @@ def _old_format(text: str) -> str:
     ("checkpoint", _old_format, "'done'"),
     # once reported as a bare JSON error, without the file and line
     ("records", lambda t: "{" + t, "cp.json.records:1: Expecting property name"),
+    # the fingerprint is intact, so only the task count can refuse it
+    ("checkpoint", lambda t: json.dumps(dict(json.loads(t), n_tasks=json.loads(t)["n_tasks"] + 1)),
+     "task count mismatch"),
 ])
 def test_search_resume_refuses_malformed_run_files(tmp_path, capsys, target, damage, message):
     cp = tmp_path / "cp.json"
@@ -296,6 +299,17 @@ def test_stats_refuses_a_malformed_archive_line(tmp_path, capsys, damage):
     assert f"{archive}:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keep", [0, 1])
+def test_stats_refuses_an_archive_without_a_summary(tmp_path, capsys, keep):
+    # an empty file, and a record line with no summary line after it
+    archive = tmp_path / "a.jsonl"
+    assert main([*SEARCH_15, "--out", str(archive)]) == 0
+    archive.write_text("".join(archive.read_text().splitlines(keepends=True)[:keep]))
+    capsys.readouterr()
+    assert main(["stats", str(archive)]) == 2
+    assert "archive has no summary record" in capsys.readouterr().err
+
+
 def test_oracle_subcommands(capsys):
     assert main(["oracle", "lp", "--length", "3"]) == 0
     assert capsys.readouterr().out.strip().endswith("total: 1")
@@ -324,6 +338,8 @@ def test_oracle_orbit_refuses_a_compression_size_below_one(size, capsys):
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "-3"],
     ["search", "--length", "15", "--factors", "3,5", "--stop-after", "0"],
     ["search", "--length", "15", "--factors", "3,5", "--resume"],  # no --checkpoint
+    ["search", "--length", "15", "--factors", "15,1"],
+    ["search", "--length", "15", "--factors", "1,15"],
 ])
 def test_out_of_range_options_are_usage_errors(argv, capsys):
     assert main(argv) == 2

@@ -10,7 +10,6 @@ from lppairs.errors import InvariantViolation
 from lppairs.oracle import oracle_candidates
 from lppairs.pairgen import (
     _equiv_decimations,
-    _paf_orbit,
     enum_candidates,
     expand_pairs,
     match_pairs,
@@ -133,7 +132,7 @@ def test_equiv_decimations_preserve_paf():
     cands = list(enum_candidates(7, 3, 11))
     found = 0
     for c in cands:
-        for s in _equiv_decimations(c, _paf_orbit(c.paf)[2]):
+        for s in _equiv_decimations(c):
             assert s not in multiplier_group(c.vector)
             image = decimate(c.vector, s)
             assert paf(image) == c.paf
@@ -152,24 +151,35 @@ def test_pair_off_the_psd_sum_raises():
 @pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7)])
 def test_match_pairs_equals_brute_force_join(length, delta):
     # every (a, b) with a <= b over the sorted candidates, aligned by the
-    # least unit r whose decimation of PAF(b) complements PAF(a) off-peak
-    from lppairs.oracle import _oracle_decimate
+    # least unit r whose decimation of PAF(b) complements PAF(a) off-peak,
+    # with each class's units that fix its PAF but not its rotation class
+    from lppairs.oracle import _oracle_decimate, _oracle_rotations
 
     delta2, lam = length // delta, (length + 1) // 2
     cands = sorted(enum_candidates(delta, delta2, lam), key=lambda c: tuple(c.vector))
     unit_list = [r for r in range(delta) if gcd(r, delta) == 1]
+
+    def equiv(c):
+        return tuple(
+            s for s in unit_list
+            if _oracle_decimate(c.paf, s) == c.paf
+            and _oracle_decimate(c.vector, s) not in _oracle_rotations(c.vector)
+        )
+
     want = []
     for i, a in enumerate(cands):
         complement = tuple(delta2 * lam - x for x in a.paf[1:])
         for b in cands[i:]:
             valid = [r for r in unit_list if _oracle_decimate(b.paf, r)[1:] == complement]
             if valid:
-                want.append((tuple(a.vector), tuple(b.vector), min(valid)))
-    got = [(tuple(pr.q.vector), pr.p_canon, pr.r) for pr in match_pairs(cands)]
+                want.append((a.vector, b.vector, min(valid), equiv(a), equiv(b)))
+    got = [(pr.q.vector, pr.p_canon, pr.r, pr.s_q, pr.s_p) for pr in match_pairs(cands)]
     assert want
     assert got == want
-    # some classes pair only after re-aligning one side by a decimation
-    assert any(r != 1 for *_, r in got)
+    # some classes pair only after re-aligning one side by a decimation,
+    # and some have a decimation that keeps the PAF but not the class
+    assert any(r != 1 for _, _, r, _, _ in got)
+    assert any(s_p for *_, s_p in got)
 
 
 @pytest.mark.parametrize("length,delta", [(15, 3), (15, 5), (21, 7), (35, 5), (35, 7)])

@@ -187,6 +187,23 @@ def test_run_task_checks_each_instance_once(monkeypatch):
     assert not spies["feasible"]
 
 
+def test_run_task_skips_a_matching_with_an_empty_instance(monkeypatch):
+    # no census task through length 55 has one, so the task is built by
+    # hand: u (density 11, the complement of {0, 1, 3, 7}) and v = {0, 5}
+    # complement at lam = 8, and the cross instances' sums 11 and 2 differ
+    u = tuple(int(g not in (0, 1, 3, 7)) for g in range(15))
+    v = tuple(int(g in (0, 5)) for g in range(15))
+    task = search.SearchTask(0, (compress(u, 3), compress(v, 3)), (compress(u, 5), compress(v, 5)))
+    assert [count(task.instance(0, 1)), count(task.instance(1, 0))] == [0, 0]
+    seen = []
+    monkeypatch.setattr(search, "_leaf_chunks",
+                        lambda inst, bits: seen.append(inst) or _leaf_chunks(inst, bits))
+    records = run_task(task, CrtContext(3, 5))
+    assert (u, v) in {(r.u, r.v) for r in records}
+    assert {r.instances for r in records} == {((0, 0), (1, 1))}
+    assert set(seen) == {task.instance(0, 0), task.instance(1, 1)}
+
+
 def _sample_instances(length, d1, d2, limit=3000):
     """Instances of a few spread-out tasks, skipping the largest."""
     tasks = _tasks(length, d1, d2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -30,6 +31,20 @@ def test_read_requires_header(tmp_path):
     path = tmp_path / "noheader.txt"
     path.write_text("0,1,1\n")
     with pytest.raises(ValueError, match="1:"):
+        seqio.read_sequences(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# lp-seq v2 length=3\n0,1,1\n", "expected header '# lp-seq v1 length=<n>'"),
+    ("# lp-seq v1 size=3\n0,1,1\n", "header is missing 'length='"),
+    ("# lp-seq v1 length=x\n", "bad length value 'x'"),
+    ("# lp-seq v1 length=0\n", "length must be positive, got 0"),
+    ("", "missing header line"),
+], ids=["magic", "no-length", "length-x", "length-0", "blank"])
+def test_read_refuses_a_malformed_header(tmp_path, text, message):
+    path = tmp_path / "header.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
         seqio.read_sequences(path)
 
 
