@@ -22,7 +22,8 @@ from . import seqio
 from .bmfm import MarginalInstance, count, enumerate_matrices
 from .errors import InvariantViolation
 from .oracle import oracle_bmfm, oracle_feasible_subsets, oracle_lp, oracle_orbit
-from .search import SearchConfig, _validate_length, compressed_census, correlation_energy, run_search
+from .search import (SearchConfig, _refuse_unwritable, _validate_length, compressed_census,
+                     correlation_energy, run_search)
 from .spectral import first_failing_lag, proper_divisors, psd
 from .spectral import paf  # noqa: F401  bench/tracing.py patches this name
 
@@ -96,6 +97,8 @@ def _pair_doc(pair) -> dict:
 
 
 def cmd_pairs(args) -> int:
+    if args.out:  # refused before the census, so a bad path wastes no run
+        _refuse_unwritable(args.out, "output")
     cands, pairs, expanded = compressed_census(args.length, args.delta)
     lines = [json.dumps(_pair_doc(p), separators=(",", ":"))
              for p in (expanded if args.expanded else pairs)]

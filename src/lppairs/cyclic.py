@@ -65,12 +65,6 @@ def _orbit_table(n: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-def decimations(v) -> np.ndarray:
-    """Row i: decimate(v, units(n)[i]), the shift-0 rows of the orbit table."""
-    n = len(v)
-    return np.asarray(v)[_orbit_table(n)[::n]]
-
-
 @lru_cache(maxsize=None)
 def _first_word(n: int, bits: int) -> np.ndarray:
     """(n, rows) uint64: entry [p, row] is the weight that the bits-wide

@@ -8,13 +8,19 @@ against lambda plus one fixed margin, _PSD_SLACK, and can only reject;
 whatever passes still has to pair on exact integers.  Two candidates
 form a pair when their autocorrelations sum to (delta2 * lambda) at every
 nonzero lag — an exact integer join up to the decimation action — and every
-pair is checked on integers only, its PSD sums included.  Every
-candidate is bucketed once by its own off-peak PAF.  Since PAF(d_r b) =
-d_r PAF(b), a candidate's partners are the bucket entries of the decimation
-images of its complement, and the image that meets a partner gives the
-aligning decimation.  Each pair is then expanded by the PSD-preserving
-decimations of its second member, which is what downstream simultaneous
-decompression needs in order not to miss solutions.
+pair is checked on integers only, its PSD sums included.  Since
+PAF(d_r b) = d_r PAF(b), a candidate's partners are the candidates whose
+PAF is a decimation image of its complement, and the image that meets a
+partner gives the aligning decimation.  The join runs as numpy arrays on
+the half lags 1..(delta-1)/2 (a PAF and each of its decimation images are
+symmetric): every candidate's half-lag PAF is packed into one int64 key
+and the keys are sorted once; the images of all complements are one
+gather through the decimation rows of `cyclic._orbit_table`, and their
+keys are looked up in the sorted ones in blocks; a join too small to pay
+for numpy's fixed cost runs in plain Python.  Each pair is then
+expanded by the PSD-preserving decimations of its second member, which is
+what downstream simultaneous decompression needs in order not to miss
+solutions.
 
 Candidates come from a numpy frontier shaped like the BMFM engine's
 enumeration.  It holds every prefix of the first delta - t entries, grown
@@ -35,19 +41,23 @@ computed for the class representatives only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cache
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, compress
 from math import floor
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .bmfm import _runs
-from .cyclic import _orbit_table, decimate, decimations, multiplier_group, units
+from .cyclic import _orbit_table, units
 from .errors import InvariantViolation
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors, or (prefix, tail) pairs, screened together
 _PSD_SLACK = 1e-6  # float margin added to lambda by the PSD screen
+_KEY_BITS = 63  # width of a packed half-lag PAF key in the pair join
+_SMALL_JOIN = 96  # most image lookups (candidates x phi(delta)) made in plain Python
 
 
 @dataclass(frozen=True)
@@ -258,15 +268,186 @@ def enum_candidates(delta: int, delta2: int, lam: int):
         )
 
 
-def _equiv_decimations(candidate: CompressedCandidate) -> tuple[int, ...]:
-    """The units s with d_s PAF(c) = PAF(c) that are not multipliers of c.
+@lru_cache(maxsize=None)
+def _join_tables(delta: int):
+    """(rows, fold, aligned) for the pair join at length delta, t indexing
+    units(delta): rows[t] holds the positions that decimate(v, units[t])
+    reads (the shift-0 `_orbit_table` rows); fold[t] the lags it reads
+    among lags 1..(delta-1)/2 of a symmetric vector such as a PAF, as
+    indices into those half lags; aligned[t] the index of units[t]^-1."""
+    rows = _orbit_table(delta)[::delta]
+    half = rows[:, 1:(delta + 1) // 2]
+    unit_list = units(delta)
+    aligned = np.array([unit_list.index(pow(k, -1, delta)) for k in unit_list])
+    return rows, np.minimum(half, delta - half) - 1, aligned
+
+
+@lru_cache(maxsize=None)
+def _decimators(delta: int) -> dict[int, itemgetter]:
+    """Per unit s: the itemgetter that reads decimate(v, s) off a tuple v
+    (`tuple` at delta = 1, where an itemgetter of one item drops the tuple)."""
+    rows = _join_tables(delta)[0].tolist()
+    return {s: itemgetter(*row) if delta > 1 else tuple for s, row in zip(units(delta), rows)}
+
+
+def _rows(cands, field: str, dtype) -> np.ndarray:
+    """The candidates' `field` tuples stacked as an (N, delta) array."""
+    flat = chain.from_iterable(map(attrgetter(field), cands))
+    return np.fromiter(flat, dtype, len(cands) * len(cands[0].vector)).reshape(len(cands), -1)
+
+
+def _half_lag_join(own: np.ndarray, target: int, delta: int):
+    """((i, j, u), fixed) for the half-lag PAFs own (N, (delta-1)/2).
+
+    (i, j, u) lists every pair of rows i <= j with target - own[i] =
+    d_k own[j] for some unit k, with u the index of the least r = k^-1 in
+    units(delta), sorted by (i, j).  fixed (N, phi) marks the PAF
+    stabiliser: fixed[c, t] says d_k own[c] = own[c], k = units[t].
+
+    Rows are keyed by their first `lags` half lags packed in radix top + 1,
+    top the largest entry of own: as many as fit in _KEY_BITS bits.  The
+    keys of the phi images d_k W of each complement W = target - own[i]
+    are one product with per-unit weights.  Blocks of at most _BATCH of
+    them are looked up in the sorted row keys, each matching range is cut
+    at the end of its run of equal keys, and `_runs` expands the ranges.
+    Each hit is confirmed on the lags that the key leaves out.  A
+    complement with an entry outside 0..top meets no row and is dropped.
+    Sorts are stable ones, which the candidate walk has already loaded:
+    numpy's default sort adds ~0.3 MB of code to the RSS on first use.
+    """
+    n, half = own.shape
+    _, fold, aligned = _join_tables(delta)
+    phi = len(fold)
+    complement = target - own
+    top = int(own.max(initial=0))
+    lags = next(m for m in range(half, -1, -1) if (top + 1) ** m <= 1 << _KEY_BITS)
+    weights = (top + 1) ** np.arange(lags, dtype=np.int64)
+    keys = own[:, :lags] @ weights
+    image_weights = np.zeros((half, phi), dtype=np.int64)  # column t keys d_k, k = units[t]
+    image_weights[fold[:, :lags], np.arange(phi)[:, None]] = weights
+    rest = fold[:, lags:]
+    fixed = (own @ image_weights == keys[:, None]) & (own[:, rest] == own[:, None, lags:]).all(axis=2)
+
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    run_end = sorted_keys.searchsorted(sorted_keys, "right")  # end of each key's run
+    valid = ((complement >= 0) & (complement <= top)).all(axis=1)
+    found = [np.empty(0, dtype=np.int64)]  # hits coded (i * n + j) * phi + u
+    size = max(1, _BATCH // phi)  # rows per block: at most _BATCH image keys
+    for start in range(0, n, size):
+        q = np.flatnonzero(valid[start:start + size]) + start
+        image_keys = (complement[q] @ image_weights).ravel()
+        lo = sorted_keys.searchsorted(image_keys)
+        hi = np.where(sorted_keys.take(lo, mode="clip") == image_keys, run_end.take(lo, mode="clip"), lo)
+        for query, pos in _runs(lo, hi, _BATCH):
+            i, t = np.divmod(query, phi)
+            i, j = q[i], order[pos]
+            hit = (j >= i) & (complement[i[:, None], rest[t]] == own[j, lags:]).all(axis=1)
+            found.append(((i * n + j) * phi + aligned[t])[hit])
+    found = np.concatenate(found)
+    pair, u = np.divmod(found[np.argsort(found, kind="stable")], phi)
+    first = np.ones(len(pair), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    return (*np.divmod(pair[first], n), u[first]), fixed
+
+
+def _equiv_decimations(vectors: np.ndarray, fixed: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row: the units s, ascending, that fix its PAF (fixed[:, t] for
+    s = units[t], the PAF stabiliser) but are not multipliers of the
+    vector.
 
     PAF(d_s c) = d_s PAF(c), so these decimations keep the candidate's PAF
-    (hence its PSD) but do not map it to a rotation of itself."""
-    images = decimations(candidate.paf).tolist()
-    members = multiplier_group(candidate.vector)
-    return tuple(s for s, image in zip(units(candidate.delta), images)
-                 if image == images[0] and s not in members)
+    (hence its PSD) but do not map it to a rotation of itself.  Only the
+    stabiliser's units other than 1 are tested for a rotation."""
+    delta = vectors.shape[1]
+    equiv = fixed.copy()
+    equiv[:, 0] = False  # unit 1 fixes every vector
+    row, unit = np.nonzero(equiv)
+    # position-major (delta, P) rows: the comparisons reduce over whole rows
+    v = np.ascontiguousarray(vectors[row].T)
+    image = v[_join_tables(delta)[0][unit].T, np.arange(len(row))]
+    rotations = v[_orbit_table(delta)[:delta].T]  # [g, j, p]: entry g of shift(v_p, j)
+    equiv[row, unit] = ~np.logical_and.reduce(rotations == image[:, None, :]).any(axis=0)
+    unit_list = units(delta)
+    return [tuple(compress(unit_list, flags)) for flags in equiv.tolist()]
+
+
+def _check_pair(q_vector, p_vector, sums, target: int, lam: int) -> None:
+    """InvariantViolation, naming the pair, unless sums = PAF(q) + PAF(p)
+    meets the complementarity, sum-of-squares and PSD-sum identities."""
+    named = f"pair {q_vector}, {p_vector}"
+    expected = 2 * lam * lam - (len(sums) - 1) * target
+    if any(x != target for x in sums[1:]):
+        raise InvariantViolation(f"autocorrelations not complementary for {named}")
+    if sums[0] != expected:
+        raise InvariantViolation(f"sum of squares {sums[0]} != {expected} for {named}")
+    # PSD(q, k) + PSD(p, k) = sum_g (PAF(q, g) + PAF(p, g)) w^(gk) = ssq_sum - target, k != 0
+    if sums[0] - target != lam:
+        raise InvariantViolation(f"PSD sums stray from {lam} for {named}")
+
+
+def _small_pairs(cands, delta: int, delta2: int, lam: int):
+    """`_array_pairs` in plain Python, for joins of at most _SMALL_JOIN
+    image lookups, where numpy's ~0.1 ms of fixed cost would outweigh the
+    work: candidates are bucketed by their off-peak PAF, and each q looks
+    up the decimation images of its complement (see `match_pairs`)."""
+    target = delta2 * lam
+    decimated, unit_list = _decimators(delta), units(delta)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for b, c in enumerate(cands):
+        buckets.setdefault(c.paf[1:], []).append(b)
+    least: dict[tuple[int, int], int] = {}  # (q index, b index) -> least r
+    inverses = [pow(k, -1, delta) for k in unit_list]
+    for a, q in enumerate(cands):
+        complement = (0,) + tuple(target - x for x in q.paf[1:])
+        for k, r in zip(unit_list, inverses):
+            for b in buckets.get(decimated[k](complement)[1:], ()):
+                if b >= a and r < least.get((a, b), delta):
+                    least[a, b] = r
+    pairs = []
+    for (a, b), r in sorted(least.items()):
+        q, p_class = cands[a], cands[b]
+        p_vector, p_paf = decimated[r](p_class.vector), decimated[r](p_class.paf)
+        _check_pair(q.vector, p_vector, [x + y for x, y in zip(q.paf, p_paf)], target, lam)
+        pairs.append((a, b, r, p_vector, p_paf))
+
+    def equiv(c):  # units other than 1 that fix the PAF but map v to no rotation of v
+        v = c.vector
+        rotations = {v[t:] + v[:t] for t in range(delta)}
+        return tuple(s for s in unit_list[1:]
+                     if decimated[s](c.paf) == c.paf and decimated[s](v) not in rotations)
+
+    involved = {c for a, b, *_ in pairs for c in (a, b)}
+    return pairs, {c: equiv(cands[c]) for c in involved}
+
+
+def _array_pairs(cands, delta: int, delta2: int, lam: int):
+    """The array part of `match_pairs` over sorted candidates: (pairs,
+    equiv), pairs zipping (q index, b index, r, d_r(b), PAF(d_r(b))) and
+    equiv mapping the index of every candidate that pairs to its S set.
+
+    Raises InvariantViolation, naming the first pair that breaks the
+    complementarity, sum-of-squares or PSD-sum identity."""
+    n, target = len(cands), delta2 * lam
+    vectors = _rows(cands, "vector", np.min_scalar_type(delta2))
+    pafs = _rows(cands, "paf", np.int64)  # int32 arithmetic would add ~0.2 MB of RSS on first use
+    (i, j, u), fixed = _half_lag_join(pafs[:, 1:(delta + 1) // 2], target, delta)
+
+    take = _join_tables(delta)[0][u]
+    p_vectors = vectors[j[:, None], take]
+    p_pafs = pafs[j[:, None], take]
+    sums = pafs[i] + p_pafs
+    want = np.array([2 * lam * lam - (delta - 1) * target] + [target] * (delta - 1))
+    # a pair whose sums meet `want` fails the PSD sum iff every pair does
+    bad = np.flatnonzero((sums != want).any(axis=1) | (want[0] - target != lam))
+    if len(bad):
+        k = bad[0]
+        _check_pair(cands[i[k]].vector, tuple(p_vectors[k].tolist()), sums[k].tolist(), target, lam)
+
+    involved = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
+    equiv = dict(zip(involved.tolist(), _equiv_decimations(vectors[involved], fixed[involved])))
+    r = map(units(delta).__getitem__, u.tolist())
+    return zip(i.tolist(), j.tolist(), r, p_vectors.tolist(), p_pafs.tolist()), equiv
 
 
 def match_pairs(candidates) -> list[CompressedPair]:
@@ -277,65 +458,33 @@ def match_pairs(candidates) -> list[CompressedPair]:
     decimation action: classes (q, b) pair up when PAF(q, g) + PAF(d_r(b), g)
     hits the target for every g != 0 and some unit r, not necessarily r = 1.
     Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
-    complement W = delta2*lam - PAF(q) and k = r^-1.  Each candidate is
-    bucketed once by its own off-peak PAF; q looks up the phi(delta)
-    decimation images d_k W and pairs with each b >= q it meets, at the
-    least r = k^-1 that meets it.  A class may pair with itself.  The join is
-    exact-integer throughout, pairs are ordered by canonical form, and each
-    is validated against the complementarity, sum-of-squares and PSD-sum
-    identities, all on integers.
+    complement W = delta2*lam - PAF(q) and k = r^-1.  A PAF is symmetric,
+    and so is each of its decimation images, so the join runs on lags
+    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): every candidate's
+    packed half-lag key is sorted once, and the keys of the phi(delta)
+    images of all complements are looked up in it.  A join of at most
+    _SMALL_JOIN image lookups runs in plain Python (`_small_pairs`)
+    instead.  A pair keeps b >= q and the least r that meets; a class may
+    pair with itself.  The join is exact-integer throughout, a key
+    collision costs time but never makes a pair, and pairs are ordered by
+    canonical form.  Every pair is validated against the
+    complementarity, sum-of-squares and PSD-sum identities, all on
+    integers; the first failing pair is named.
     """
-    cands = list(candidates)
+    cands = sorted(candidates, key=attrgetter("vector"))
     if not cands:
         return []
-    delta = cands[0].delta
-    target = cands[0].delta2 * cands[0].kappa
-    inverses = [pow(k, -1, delta) for k in units(delta)]
-    # a class shares its PAF stabiliser and multipliers: b's set serves d_r(b)
-    equiv = cache(lambda i: _equiv_decimations(cands[i]))
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(cands):
-        buckets.setdefault(c.paf[1:], []).append(i)
-
-    pairs: list[CompressedPair] = []
-    for i, q in enumerate(cands):
-        images = decimations((0,) + tuple(target - x for x in q.paf[1:]))[:, 1:]
-        aligned: dict[int, int] = {}  # b's index -> least r
-        for r, image in zip(inverses, images.tolist()):
-            for j in buckets.get(tuple(image), ()):
-                if cands[j].vector >= q.vector:
-                    aligned[j] = min(r, aligned.get(j, r))
-        pairs.extend(_build_pair(q, cands[j], r, equiv(i), equiv(j)) for j, r in aligned.items())
-    pairs.sort(key=lambda pr: pr.key)
-    return pairs
-
-
-def _decimated_candidate(c: CompressedCandidate, r: int) -> CompressedCandidate:
-    return CompressedCandidate(decimate(c.vector, r), c.delta2, c.kappa, decimate(c.paf, r))
-
-
-def _build_pair(q, p_class, r, s_q, s_p) -> CompressedPair:
-    delta, delta2, lam = q.delta, q.delta2, q.kappa
-    if (p_class.delta, p_class.delta2, p_class.kappa) != (delta, delta2, lam):
+    spaces = {(len(v), d2, k) for v, d2, k in map(attrgetter("vector", "delta2", "kappa"), cands)}
+    if len(spaces) > 1:
         raise ValueError("pair members come from different candidate spaces")
-    p = _decimated_candidate(p_class, r)
-    target = delta2 * lam
-    if any(q.paf[g] + p.paf[g] != target for g in range(1, delta)):
-        raise InvariantViolation(
-            f"autocorrelations not complementary for pair {q.vector}, {p.vector}"
-        )
-    ssq_sum = q.paf[0] + p.paf[0]
-    expected = 2 * lam * lam - (delta - 1) * delta2 * lam
-    if ssq_sum != expected:
-        raise InvariantViolation(
-            f"sum of squares {ssq_sum} != {expected} for pair {q.vector}, {p.vector}"
-        )
-    # PSD(q, k) + PSD(p, k) = sum_g (PAF(q, g) + PAF(p, g)) w^(gk) = ssq_sum - target, k != 0
-    if ssq_sum - target != lam:
-        raise InvariantViolation(
-            f"PSD sums stray from {lam} for pair {q.vector}, {p.vector}"
-        )
-    return CompressedPair(q=q, p=p, p_canon=p_class.vector, r=r, s_q=s_q, s_p=s_p)
+    ((delta, delta2, lam),) = spaces
+    join = _small_pairs if len(cands) * len(units(delta)) <= _SMALL_JOIN else _array_pairs
+    pairs, equiv = join(cands, delta, delta2, lam)
+    return [
+        CompressedPair(cands[a], CompressedCandidate(tuple(vec), delta2, lam, tuple(paf)),
+                       cands[b].vector, r, equiv[a], equiv[b])
+        for a, b, r, vec, paf in pairs
+    ]
 
 
 def expand_pairs(pairs) -> list[CompressedPair]:
@@ -344,13 +493,14 @@ def expand_pairs(pairs) -> list[CompressedPair]:
     Unit 1 fixes p, so it is never in S_p.  Only the second member is
     decimated; the first is reused as-is across variants.  Each s preserves
     the PAF of p exactly, so every variant is itself a valid complementary
-    pair and shares the base pair's class key.
+    pair and shares the base pair's class key.  A variant's member and PAF
+    are read through the decimation row of s by one itemgetter each.
     """
     out: list[CompressedPair] = []
     for pair in pairs:
         out.append(pair)
-        out.extend(
-            replace(pair, p=_decimated_candidate(pair.p, s), r=s * pair.r % pair.delta)
-            for s in pair.s_p
-        )
+        for s in pair.s_p:
+            decimated = _decimators(pair.delta)[s]
+            p = CompressedCandidate(decimated(pair.p.vector), pair.delta2, pair.lam, decimated(pair.p.paf))
+            out.append(CompressedPair(pair.q, p, pair.p_canon, s * pair.r % pair.delta, pair.s_q, pair.s_p))
     return out

@@ -305,6 +305,14 @@ def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
     return records
 
 
+def _refuse_unwritable(path: str, what: str) -> None:
+    """ValueError unless a file can be written at path: refuse a directory,
+    and a path whose directory is missing or not writable."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ValueError(f"{what} {path} is a directory, or its directory is missing or not writable")
+
+
 def _validate_length(length: int) -> None:
     if length < 3 or length % 2 == 0:
         raise ValueError(f"length must be odd and at least 3, got {length}")
@@ -464,9 +472,7 @@ def run_search(length: int, d1: int, d2: int,
     if resume and not config.checkpoint_path:
         raise ValueError("resume needs a checkpoint path (--checkpoint)")
     if config.archive_path:  # refused before the census, so a bad path wastes no run
-        path, folder = config.archive_path, os.path.dirname(config.archive_path) or "."
-        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-            raise ValueError(f"archive {path} is a directory, or its directory is missing or not writable")
+        _refuse_unwritable(config.archive_path, "archive")
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
     lam = (length + 1) // 2

@@ -194,6 +194,26 @@ def test_search_refuses_an_archive_folder_before_the_census(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+@pytest.mark.parametrize("out", ["missing/x.jsonl", "file/x.jsonl", ".", "locked/x.jsonl"])
+def test_pairs_refuses_an_unwritable_out_before_the_census(tmp_path, monkeypatch, capsys, out):
+    # such an --out once failed only after the whole census had run
+    import os
+
+    from lppairs import cli
+
+    (tmp_path / "file").write_text("")
+    (tmp_path / "locked").mkdir()
+    real_access = os.access
+    # root may write to any folder, so a folder without write permission is simulated
+    monkeypatch.setattr(os, "access", lambda path, mode: "locked" not in str(path) and real_access(path, mode))
+    calls = []
+    monkeypatch.setattr(cli, "compressed_census", lambda *a: calls.append(a))
+    assert main(["pairs", "--length", "33", "--delta", "11", "--out", str(tmp_path / out)]) == 2
+    assert "missing or not writable" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "locked"]
+
+
 def test_search_rejects_bad_factorization(capsys):
     assert main(["search", "--length", "15", "--factors", "3,4"]) == 2
     assert main(["search", "--length", "45", "--factors", "3,15"]) == 2

@@ -129,14 +129,25 @@ def test_expansion_preserves_key_and_complementarity():
 
 
 def test_equiv_decimations_preserve_paf():
-    cands = list(enum_candidates(7, 3, 11))
+    # against the definition: the units whose decimation keeps the PAF,
+    # less the multiplier group
+    import numpy as np
+
+    from lppairs.cyclic import units
+    from lppairs.pairgen import _half_lag_join
+
     found = 0
-    for c in cands:
-        for s in _equiv_decimations(c):
-            assert s not in multiplier_group(c.vector)
-            image = decimate(c.vector, s)
-            assert paf(image) == c.paf
-            found += 1
+    for delta, delta2, lam in ((7, 3, 11), (11, 5, 28)):
+        cands = list(enum_candidates(delta, delta2, lam))
+        pafs = np.array([c.paf for c in cands], dtype=np.int32)
+        _, fixed = _half_lag_join(pafs[:, 1:(delta + 1) // 2], delta2 * lam, delta)
+        got = _equiv_decimations(np.array([c.vector for c in cands]), fixed)
+        for c, equiv in zip(cands, got, strict=True):
+            assert equiv == tuple(
+                s for s in units(delta)
+                if paf(decimate(c.vector, s)) == c.paf and s not in multiplier_group(c.vector)
+            )
+            found += len(equiv)
     assert found > 0
 
 
@@ -148,7 +159,41 @@ def test_pair_off_the_psd_sum_raises():
         match_pairs(list(enum_candidates(3, 2, 3)))
 
 
-@pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7)])
+def test_match_pairs_refuses_candidates_of_different_spaces():
+    mixed = list(enum_candidates(5, 3, 8)) + list(enum_candidates(5, 4, 8))
+    with pytest.raises(ValueError, match="different candidate spaces"):
+        match_pairs(mixed)
+
+
+def test_plain_and_array_joins_agree(monkeypatch):
+    # match_pairs makes at most _SMALL_JOIN image lookups in plain Python and
+    # more as arrays: both give the same pairs, and the same first error
+    from lppairs import pairgen
+    from lppairs.pairgen import CompressedCandidate
+
+    def both(cands):
+        out = []
+        for small in (0, 10**9):
+            monkeypatch.setattr(pairgen, "_SMALL_JOIN", small)
+            try:
+                pairs = match_pairs(cands)
+                out.append((pairs, expand_pairs(pairs)))
+            except InvariantViolation as exc:
+                out.append(str(exc))
+        return out
+
+    for length, delta in ((15, 1), (15, 3), (15, 5), (15, 15), (21, 7), (33, 11), (35, 7), (45, 9)):
+        array, plain = both(list(enum_candidates(delta, length // delta, (length + 1) // 2)))
+        assert array == plain and array[0]
+    # made-up PAFs that complement off-peak but not in the sum of squares
+    bad = [CompressedCandidate((0, 0, 3), 3, 3, (9, 0, 0)), CompressedCandidate((1, 1, 1), 3, 3, (5, 9, 9))]
+    assert both(bad) == ["sum of squares 14 != 0 for pair (0, 0, 3), (1, 1, 1)"] * 2
+    assert both(list(enum_candidates(3, 2, 3))) == ["PSD sums stray from 3 for pair (1, 1, 1), (1, 1, 1)"] * 2
+
+
+# (45, 9): the only composite delta in reach; (77, 7): delta2 = 11 puts the
+# largest PAF values of these cases through the packed keys
+@pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7), (45, 9), (77, 7)])
 def test_match_pairs_equals_brute_force_join(length, delta):
     # every (a, b) with a <= b over the sorted candidates, aligned by the
     # least unit r whose decimation of PAF(b) complements PAF(a) off-peak,
@@ -279,6 +324,43 @@ def _pair_digests(pairs, expanded):
 def test_pair_lists_are_pinned(length, delta):
     _, pairs, expanded = _census(length, delta)
     assert _pair_digests(pairs, expanded) == PAIR_DIGESTS[(length, delta)]
+
+
+# keys narrowed to one or two half lags: nearly every lookup hit is then a
+# key collision that only the confirmation on the other lags can reject
+@pytest.mark.parametrize("lags", [1, 2])
+@pytest.mark.parametrize("length,delta", [(33, 11), (45, 9), (55, 11)])
+def test_pair_lists_do_not_depend_on_the_key_width(monkeypatch, lags, length, delta):
+    from lppairs import pairgen
+
+    cands = list(enum_candidates(delta, length // delta, (length + 1) // 2))
+    radix = 1 + max(max(c.paf[1:]) for c in cands)
+    bits = (radix ** lags).bit_length()
+    assert radix ** lags <= 1 << bits < radix ** (lags + 1) and lags < (delta - 1) // 2
+    monkeypatch.setattr(pairgen, "_KEY_BITS", bits)
+    pairs = match_pairs(cands)
+    assert _pair_digests(pairs, expand_pairs(pairs)) == PAIR_DIGESTS[(length, delta)]
+
+
+def test_pair_join_allocates_less_than_the_candidate_walk():
+    # census55's memory peak is its 55/11 candidate walk's; the join and the
+    # expansion of that census must peak below it
+    import tracemalloc
+
+    list(enum_candidates(11, 5, 28))  # per-length tables are built once
+    tracemalloc.start()
+    try:
+        cands = list(enum_candidates(11, 5, 28))
+        walk = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pairs = match_pairs(cands)
+        expanded = expand_pairs(pairs)
+        join = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (len(pairs), len(expanded)) == (1521, 3038)
+    assert join <= walk, (join, walk)
 
 
 @pytest.mark.parametrize("length,delta", sorted(set(CANDIDATE_DIGESTS) - {(77, 11)}))

@@ -141,6 +141,36 @@ def test_factor_order_is_irrelevant():
     assert {r.key for r in a} == {r.key for r in b}
 
 
+# (length, d1, d2) -> (sampled task indices, raw records, sha256 of
+# repr([(task, instances, u, v), ...])) of the d1 x d2 order
+SAMPLED_TASKS = {
+    (35, 5, 7): ([63, 134, 157, 258, 292, 343, 348, 442, 561, 580], 33,
+                 "13a793992d13269690ef236783fb38e1f0fc8c8f14d2b1b6cf5eab91d520f0ad"),
+    (45, 5, 9): ([176, 592, 670, 2110, 2227, 2483, 2774, 3421, 3967, 3997], 15,
+                 "62039c2fa99cbf80978dbd7765160acc1a4c43afaaa39d9a1902fb659794991e"),
+}
+
+
+@pytest.mark.parametrize("length,d1,d2", sorted(SAMPLED_TASKS))
+def test_sampled_tasks_find_the_same_pairs_in_both_factor_orders(length, d1, d2):
+    # past the oracle's reach: task (i, j) of the d1 x d2 search and task
+    # (j, i) of the d2 x d1 search lift the same four compressions, so they
+    # find the same unordered pairs; ten tasks drawn by seed, not by outcome
+    _, _, e1 = compressed_census(length, d1)
+    _, _, e2 = compressed_census(length, d2)
+    forward, backward = build_tasks(e1, e2), build_tasks(e2, e1)
+    chosen = sorted(random.Random(length).sample(range(len(forward)), 10))
+    raw = []
+    for index in chosen:
+        i, j = divmod(index, len(e2))
+        records = run_task(forward[index], CrtContext(d1, d2))
+        reverse = run_task(backward[j * len(e1) + i], CrtContext(d2, d1))
+        assert {frozenset((r.u, r.v)) for r in records} == {frozenset((r.u, r.v)) for r in reverse}
+        raw += [(r.task, r.instances, r.u, r.v) for r in records]
+    digest = hashlib.sha256(repr(raw).encode()).hexdigest()
+    assert (chosen, len(raw), digest) == SAMPLED_TASKS[(length, d1, d2)]
+
+
 def _tasks(length, d1, d2):
     _, _, e1 = compressed_census(length, d1)
     _, _, e2 = compressed_census(length, d2)
