@@ -203,9 +203,13 @@ def _layout(bits, by_rows: bool, sums, step_rows: int, tail_rows: int):
     return steps, _tail(lines[head:], sums[head:], width), width
 
 
+# cached per line: a search's layouts share lines, and these words were most of a layout's build
 @lru_cache(maxsize=None)
-def _cell_words(line: tuple[int, ...], width: int) -> np.ndarray:
-    return np.array([_words(b, width) for b in line], dtype=np.uint64)
+def _subset_words(line: tuple[int, ...], r: int, width: int) -> np.ndarray:
+    """(choice, word): the mask words of each r-subset of the line's cells,
+    in the order of `_subset_table`."""
+    cells = np.array([_words(b, width) for b in line], dtype=np.uint64)
+    return np.bitwise_or.reduce(np.where(_subset_table(len(line), r)[:, :, None] == 1, cells, 0), axis=1)
 
 
 def _product(lines, sums, width: int):
@@ -214,10 +218,8 @@ def _product(lines, sums, width: int):
     table = np.zeros((1, len(lines[0])), dtype=np.min_scalar_type(len(lines)))
     words = np.zeros((1, width), dtype=np.uint64)
     for line, r in zip(lines, sums):
-        sub = _subset_table(len(line), r)
-        sub_words = np.bitwise_or.reduce(np.where(sub[:, :, None] == 1, _cell_words(line, width), 0), axis=1)
-        table = (table[:, None] + sub).reshape(-1, len(line))
-        words = (words[:, None] | sub_words).reshape(-1, width)
+        table = (table[:, None] + _subset_table(len(line), r)).reshape(-1, len(line))
+        words = (words[:, None] | _subset_words(line, r, width)).reshape(-1, width)
     return table, words
 
 

@@ -100,7 +100,10 @@ def decimation_canon(v) -> tuple[tuple[int, ...], tuple[int, int]]:
     n = len(v)
     table = _orbit_table(n)
     a = np.asarray(v)
-    values = np.unique(a)
+    # the distinct values by sort and compare: np.unique imports numpy.ma on
+    # first use, a cost every fresh search worker would pay on its first hit
+    values = np.sort(a)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     ranks = np.searchsorted(values, a)
     bits = max(1, (len(values) - 1).bit_length())
     per = 63 // bits

@@ -28,6 +28,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -50,8 +51,9 @@ class SearchConfig:
 
     Task results are taken in task order for any `threads`, so the
     records sidecar, every checkpoint (the count of leading tasks done,
-    written once per batch of tasks; see `run_search`) and the task a
-    `stop_after` stop ends on do not depend on it."""
+    written once per batch of tasks and on any exit that leaves marked
+    tasks unwritten; see `run_search`) and the task a `stop_after` stop
+    ends on do not depend on it."""
 
     threads: int = 1
     stop_after: int | None = None
@@ -149,6 +151,19 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
 _KEY_WORDS = 1 << 16
 
 
+# cached per lag set: a search keys every chunk of every job on the same lags
+@lru_cache(maxsize=None)
+def _key_plan(ell: int, lags: tuple[int, ...], w: int):
+    """The lag constants of `_paf_keys` for ascending lags and w words per
+    row: the words of d each lag reads, its down and up shifts, and the
+    first lag with a high part."""
+    g = np.array(lags, dtype=np.intp)
+    at = (g // 64)[:, None] + np.arange(w)
+    down = (g % 64).astype(np.uint64)[:, None, None]
+    spill = 0 if w > 1 else int(np.searchsorted(g, 64 - ell, "right"))
+    return at, down, 63 - down, spill
+
+
 def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     """(N, len(lags)) uint8: PAF(v, g) for each g in lags (each 1..(ell-1)/2)
     of each row's vector.
@@ -170,10 +185,7 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     """
     n, w = x.shape
     q, r = divmod(ell, 64)
-    at = (lags // 64)[:, None] + np.arange(w)
-    down = (lags % 64).astype(np.uint64)[:, None, None]
-    up = 63 - down
-    spill = 0 if w > 1 else np.searchsorted(lags, 64 - ell, "right")  # first lag with a high part
+    at, down, up, spill = _key_plan(ell, tuple(lags.tolist()), w)
     out = np.empty((len(at), n), dtype=np.uint8)
     block = max(1, _KEY_WORDS // at.size)
     for lo in range(0, n, block):
@@ -194,10 +206,14 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     return out.T
 
 
+@lru_cache(maxsize=None)  # cached per key width, for the same reason
+def _print_weights(n: int) -> np.ndarray:
+    return np.full(n, _PRINT_BASE, dtype=np.uint64).cumprod()
+
+
 def _key_prints(keys: np.ndarray) -> np.ndarray:
     """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints."""
-    weights = np.full(keys.shape[1], _PRINT_BASE, dtype=np.uint64).cumprod()
-    return keys.astype(np.uint64) @ weights
+    return keys.astype(np.uint64) @ _print_weights(keys.shape[1])
 
 
 def _free_lags(ctx: CrtContext) -> np.ndarray:
@@ -364,6 +380,7 @@ class _Progress:
         self._records_path = str(path) + ".records" if path else None
         self._saved = 0  # records below the checkpoint's offset
         self._offset = 0
+        self._written: int | None = None  # done of the checkpoint on disk, saved or loaded
 
     def start(self, resume: bool, length: int) -> None:
         """Load the checkpoint when resuming one; otherwise start clean.
@@ -397,7 +414,7 @@ class _Progress:
         # read before the cut, so a refused resume leaves both files as they were
         self.records = seqio.read_records(sidecar, data, length, (length + 1) // 2)
         os.truncate(sidecar, cp.partial_offset)
-        self.done = cp.done
+        self.done = self._written = cp.done
         self._saved, self._offset = len(self.records), cp.partial_offset
 
     def mark(self, index: int, new_records) -> None:
@@ -407,13 +424,17 @@ class _Progress:
         self.records.extend(new_records)
 
     def flush(self) -> None:
-        """Append the records not yet written, fsync, save the checkpoint.
+        """Append the records not yet written, fsync, save the checkpoint;
+        do nothing when no task was marked since the checkpoint on disk.
 
         The sidecar is first cut back to the last checkpoint's offset, so
         a flush retried after one that failed midway (an interrupt during
-        the fsync, a full disk) can neither tear nor double a record.
+        the fsync, a full disk) can neither tear nor double a record; a
+        save that raised leaves `_written` as it was, so the retry writes.
+        A skipped flush leaves unsynced at most a resume's cut of the
+        sidecar to the checkpoint's offset, which every resume makes again.
         """
-        if not self.path:
+        if not self.path or self.done == self._written:
             return
         with open(self._records_path, "r+") as fh:
             fh.seek(self._offset)
@@ -429,7 +450,7 @@ class _Progress:
             done=self.done,
             partial_offset=offset,
         ))
-        self._saved, self._offset = len(self.records), offset
+        self._saved, self._offset, self._written = len(self.records), offset, self.done
 
 
 def _finalize(progress: _Progress, lam: int) -> list[LegendrePairRecord]:
@@ -464,8 +485,10 @@ def run_search(length: int, d1: int, d2: int,
     from the pool's batches in submission order or from this process, so
     the done tasks are always a prefix of the task list: `stop_after` is
     checked after every task, and the checkpoint is written once per batch
-    of tasks and once more on any exit (finished, stopped, Ctrl-C, a
-    failing worker), after the batches not yet started are cancelled.
+    of tasks and on any exit (finished, stopped, Ctrl-C, a failing worker)
+    that leaves marked tasks unwritten, after the batches not yet started
+    are cancelled.  A fresh run writes a checkpoint at least once; a
+    resume that runs no task leaves the checkpoint and sidecar as they were.
     Batches that finished after the oldest unfinished one are not kept
     on a failure, Ctrl-C or hard kill, and run again on resume.
     """

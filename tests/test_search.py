@@ -5,7 +5,11 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from collections import Counter
@@ -765,10 +769,37 @@ def test_checkpoint_is_written_once_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(seqio, "save_checkpoint", counted)
     records, summary = run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
-    assert 1 <= len(saves) <= -(-summary["tasks"] // search._BATCH) + 1
+    assert len(saves) == -(-summary["tasks"] // search._BATCH)
     ctx = CrtContext(3, 7)
     raw = sum(len(run_task(t, ctx)) for t in _tasks(21, 3, 7))
     assert len(_sidecar_lines(cp)) == raw > len(records)
+    # resuming the finished run marks no task, so it rewrites nothing
+    sidecar = Path(str(cp) + ".records")
+    before = cp.read_bytes(), sidecar.read_bytes()
+    saves.clear()
+    assert run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)), resume=True)[0] == records
+    assert saves == []
+    assert (cp.read_bytes(), sidecar.read_bytes()) == before
+
+
+def test_a_search_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, a cost each fresh worker of
+    # a run would pay on its first hit; the check needs a fresh interpreter
+    code = textwrap.dedent("""
+        import sys
+        from lppairs.cyclic import decimate, decimation_canon, shift, units
+        from lppairs.search import run_search
+        assert run_search(15, 3, 5)[1]["records"] > 0
+        v = (2, -1, 0, -1, 3, -4, 0)
+        assert decimation_canon(v)[0] == min(
+            shift(decimate(v, k), j) for k in units(7) for j in range(7))
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("option", [
@@ -851,6 +882,13 @@ def test_word_keys_equal_exact_paf(ell):
     for g in range(1, (ell + 1) // 2):
         alone = search._paf_keys(_masks(ints, ell), ell, np.array([g]))
         assert alone[:, 0].tolist() == keys[:, g - 1].tolist()
+    # two more lag sets of one size at this ell, keyed after the ones above,
+    # so constants cached under too coarse a key would give wrong PAFs
+    pafs = [paf(tuple((x >> g) & 1 for g in range(ell))) for x in ints]
+    for first in (1, 2):
+        lags = np.arange(first, first + 2 * ((ell - 1) // 4), 2)
+        got = search._paf_keys(_masks(ints, ell), ell, lags)
+        assert got.tolist() == [[p[g] for g in lags.tolist()] for p in pafs]
 
 
 def test_word_keys_on_free_lags_on_both_sides_of_the_spill_edge():
