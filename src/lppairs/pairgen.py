@@ -16,11 +16,10 @@ the half lags 1..(delta-1)/2 (a PAF and each of its decimation images are
 symmetric): every candidate's half-lag PAF is packed into one int64 key
 and the keys are sorted once; the images of all complements are one
 gather through the decimation rows of `cyclic._orbit_table`, and their
-keys are looked up in the sorted ones in blocks; a join too small to pay
-for numpy's fixed cost runs in plain Python.  Each pair is then
-expanded by the PSD-preserving decimations of its second member, which is
-what downstream simultaneous decompression needs in order not to miss
-solutions.
+keys are looked up in the sorted ones in blocks.  Censuses of every size
+take this one join.  Each pair is then expanded by the PSD-preserving
+decimations of its second member, which is what downstream simultaneous
+decompression needs in order not to miss solutions.
 
 Candidates come from a numpy frontier shaped like the BMFM engine's
 enumeration.  It holds every prefix of the first delta - t entries, grown
@@ -57,7 +56,6 @@ _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors, or (prefix, tail) pairs, screened together
 _PSD_SLACK = 1e-6  # float margin added to lambda by the PSD screen
 _KEY_BITS = 63  # width of a packed half-lag PAF key in the pair join
-_SMALL_JOIN = 96  # most image lookups (candidates x phi(delta)) made in plain Python
 
 
 @dataclass(frozen=True)
@@ -386,48 +384,34 @@ def _check_pair(q_vector, p_vector, sums, target: int, lam: int) -> None:
         raise InvariantViolation(f"PSD sums stray from {lam} for {named}")
 
 
-def _small_pairs(cands, delta: int, delta2: int, lam: int):
-    """`_array_pairs` in plain Python, for joins of at most _SMALL_JOIN
-    image lookups, where numpy's ~0.1 ms of fixed cost would outweigh the
-    work: candidates are bucketed by their off-peak PAF, and each q looks
-    up the decimation images of its complement (see `match_pairs`)."""
-    target = delta2 * lam
-    decimated, unit_list = _decimators(delta), units(delta)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for b, c in enumerate(cands):
-        buckets.setdefault(c.paf[1:], []).append(b)
-    least: dict[tuple[int, int], int] = {}  # (q index, b index) -> least r
-    inverses = [pow(k, -1, delta) for k in unit_list]
-    for a, q in enumerate(cands):
-        complement = (0,) + tuple(target - x for x in q.paf[1:])
-        for k, r in zip(unit_list, inverses):
-            for b in buckets.get(decimated[k](complement)[1:], ()):
-                if b >= a and r < least.get((a, b), delta):
-                    least[a, b] = r
-    pairs = []
-    for (a, b), r in sorted(least.items()):
-        q, p_class = cands[a], cands[b]
-        p_vector, p_paf = decimated[r](p_class.vector), decimated[r](p_class.paf)
-        _check_pair(q.vector, p_vector, [x + y for x, y in zip(q.paf, p_paf)], target, lam)
-        pairs.append((a, b, r, p_vector, p_paf))
+def match_pairs(candidates) -> list[CompressedPair]:
+    """All unordered class pairs with off-peak PAF sums equal to delta2*lam,
+    where delta2 and lam (the candidates' sum kappa) are the candidates' own.
 
-    def equiv(c):  # units other than 1 that fix the PAF but map v to no rotation of v
-        v = c.vector
-        rotations = {v[t:] + v[:t] for t in range(delta)}
-        return tuple(s for s in unit_list[1:]
-                     if decimated[s](c.paf) == c.paf and decimated[s](v) not in rotations)
-
-    involved = {c for a, b, *_ in pairs for c in (a, b)}
-    return pairs, {c: equiv(cands[c]) for c in involved}
-
-
-def _array_pairs(cands, delta: int, delta2: int, lam: int):
-    """The array part of `match_pairs` over sorted candidates: (pairs,
-    equiv), pairs zipping (q index, b index, r, d_r(b), PAF(d_r(b))) and
-    equiv mapping the index of every candidate that pairs to its S set.
-
-    Raises InvariantViolation, naming the first pair that breaks the
-    complementarity, sum-of-squares or PSD-sum identity."""
+    Candidates are class representatives, so the join has to work up to the
+    decimation action: classes (q, b) pair up when PAF(q, g) + PAF(d_r(b), g)
+    hits the target for every g != 0 and some unit r, not necessarily r = 1.
+    Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
+    complement W = delta2*lam - PAF(q) and k = r^-1.  A PAF is symmetric,
+    and so is each of its decimation images, so the join runs on lags
+    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): every candidate's
+    packed half-lag key is sorted once, and the keys of the phi(delta)
+    images of all complements are looked up in it, in blocks.  A pair
+    keeps b >= q and the least r that meets; a class may pair with itself.
+    The join is exact-integer throughout, a key collision costs time but
+    never makes a pair, and pairs are ordered by canonical form.  Every
+    pair is validated against the complementarity, sum-of-squares and
+    PSD-sum identities, all on integers; the first failing pair is named.
+    Each pair's S sets hold the units that fix its members' PAFs but map
+    them to no rotation of themselves (`_equiv_decimations`).
+    """
+    cands = sorted(candidates, key=attrgetter("vector"))
+    if not cands:
+        return []
+    spaces = {(len(v), d2, k) for v, d2, k in map(attrgetter("vector", "delta2", "kappa"), cands)}
+    if len(spaces) > 1:
+        raise ValueError("pair members come from different candidate spaces")
+    ((delta, delta2, lam),) = spaces
     n, target = len(cands), delta2 * lam
     vectors = _rows(cands, "vector", np.min_scalar_type(delta2))
     pafs = _rows(cands, "paf", np.int64)  # int32 arithmetic would add ~0.2 MB of RSS on first use
@@ -446,44 +430,13 @@ def _array_pairs(cands, delta: int, delta2: int, lam: int):
 
     involved = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
     equiv = dict(zip(involved.tolist(), _equiv_decimations(vectors[involved], fixed[involved])))
-    r = map(units(delta).__getitem__, u.tolist())
-    return zip(i.tolist(), j.tolist(), r, p_vectors.tolist(), p_pafs.tolist()), equiv
-
-
-def match_pairs(candidates) -> list[CompressedPair]:
-    """All unordered class pairs with off-peak PAF sums equal to delta2*lam,
-    where delta2 and lam (the candidates' sum kappa) are the candidates' own.
-
-    Candidates are class representatives, so the join has to work up to the
-    decimation action: classes (q, b) pair up when PAF(q, g) + PAF(d_r(b), g)
-    hits the target for every g != 0 and some unit r, not necessarily r = 1.
-    Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
-    complement W = delta2*lam - PAF(q) and k = r^-1.  A PAF is symmetric,
-    and so is each of its decimation images, so the join runs on lags
-    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): every candidate's
-    packed half-lag key is sorted once, and the keys of the phi(delta)
-    images of all complements are looked up in it.  A join of at most
-    _SMALL_JOIN image lookups runs in plain Python (`_small_pairs`)
-    instead.  A pair keeps b >= q and the least r that meets; a class may
-    pair with itself.  The join is exact-integer throughout, a key
-    collision costs time but never makes a pair, and pairs are ordered by
-    canonical form.  Every pair is validated against the
-    complementarity, sum-of-squares and PSD-sum identities, all on
-    integers; the first failing pair is named.
-    """
-    cands = sorted(candidates, key=attrgetter("vector"))
-    if not cands:
-        return []
-    spaces = {(len(v), d2, k) for v, d2, k in map(attrgetter("vector", "delta2", "kappa"), cands)}
-    if len(spaces) > 1:
-        raise ValueError("pair members come from different candidate spaces")
-    ((delta, delta2, lam),) = spaces
-    join = _small_pairs if len(cands) * len(units(delta)) <= _SMALL_JOIN else _array_pairs
-    pairs, equiv = join(cands, delta, delta2, lam)
+    rows = zip(i.tolist(), j.tolist(), map(units(delta).__getitem__, u.tolist()),
+               p_vectors.tolist(), p_pafs.tolist())
+    del vectors, pafs, fixed, take, p_vectors, p_pafs, sums  # 55/11 peaks ~0.7 MB lower, below its walk
     return [
         CompressedPair(cands[a], CompressedCandidate(tuple(vec), delta2, lam, tuple(paf)),
                        cands[b].vector, r, equiv[a], equiv[b])
-        for a, b, r, vec, paf in pairs
+        for a, b, r, vec, paf in rows
     ]
 
 

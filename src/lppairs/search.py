@@ -494,8 +494,11 @@ def run_search(length: int, d1: int, d2: int,
     """
     if resume and not config.checkpoint_path:
         raise ValueError("resume needs a checkpoint path (--checkpoint)")
-    if config.archive_path:  # refused before the census, so a bad path wastes no run
+    # bad paths are refused before the census, so they waste no run
+    if config.archive_path:
         _refuse_unwritable(config.archive_path, "archive")
+    if config.checkpoint_path:
+        _refuse_unwritable(config.checkpoint_path, "checkpoint")
     _validate_factors(length, d1, d2)
     ctx = CrtContext(d1, d2)
     lam = (length + 1) // 2

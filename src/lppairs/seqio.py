@@ -220,7 +220,10 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; ValueError if it is not one `save_checkpoint` could write."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # an empty or truncated file, or not text at all
+        raise ValueError(f"{path}: checkpoint is not JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: checkpoint is not a JSON object")
     if not isinstance(doc.get("fingerprint"), str):

@@ -176,18 +176,23 @@ def test_search_resume_refuses_a_missing_or_short_records_file(tmp_path, damage,
     assert not (tmp_path / "out.jsonl").exists()
 
 
-@pytest.mark.parametrize("archive", ["missing/x.jsonl", "file/x.jsonl", "."])
-def test_search_refuses_an_archive_folder_before_the_census(tmp_path, monkeypatch, capsys, archive):
-    # such an --out once failed only when the archive was written, after
-    # every task had run
+# such an --out once failed only when the archive was written, after every
+# task had run, and such a --checkpoint only after both censuses
+@pytest.mark.parametrize("flag,bad", [
+    *(pytest.param("--out", bad, id=bad) for bad in ("missing/x.jsonl", "file/x.jsonl", ".")),
+    *(pytest.param("--checkpoint", bad, id=f"checkpoint-{bad}")
+      for bad in ("missing/cp.json", "file/cp.json", ".")),
+])
+def test_search_refuses_an_archive_folder_before_the_census(tmp_path, monkeypatch, capsys, flag, bad):
     from lppairs import search
 
     (tmp_path / "file").write_text("")
     calls = []
     for name in ("compressed_census", "run_task"):
         monkeypatch.setattr(search, name, lambda *a, name=name: calls.append(name))
-    cp, out = tmp_path / "cp.json", tmp_path / archive
-    argv = ["search", "--length", "21", "--factors", "3,7", "--checkpoint", str(cp), "--out", str(out)]
+    paths = {"--checkpoint": tmp_path / "cp.json", "--out": tmp_path / "out.jsonl", flag: tmp_path / bad}
+    argv = ["search", "--length", "21", "--factors", "3,7", "--checkpoint", str(paths["--checkpoint"]),
+            "--out", str(paths["--out"])]
     assert main(argv) == 2
     assert "missing or not writable" in capsys.readouterr().err
     assert calls == []

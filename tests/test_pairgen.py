@@ -165,35 +165,25 @@ def test_match_pairs_refuses_candidates_of_different_spaces():
         match_pairs(mixed)
 
 
-def test_plain_and_array_joins_agree(monkeypatch):
-    # match_pairs makes at most _SMALL_JOIN image lookups in plain Python and
-    # more as arrays: both give the same pairs, and the same first error
-    from lppairs import pairgen
+def test_match_pairs_names_the_first_failing_pair():
     from lppairs.pairgen import CompressedCandidate
 
-    def both(cands):
-        out = []
-        for small in (0, 10**9):
-            monkeypatch.setattr(pairgen, "_SMALL_JOIN", small)
-            try:
-                pairs = match_pairs(cands)
-                out.append((pairs, expand_pairs(pairs)))
-            except InvariantViolation as exc:
-                out.append(str(exc))
-        return out
-
-    for length, delta in ((15, 1), (15, 3), (15, 5), (15, 15), (21, 7), (33, 11), (35, 7), (45, 9)):
-        array, plain = both(list(enum_candidates(delta, length // delta, (length + 1) // 2)))
-        assert array == plain and array[0]
     # made-up PAFs that complement off-peak but not in the sum of squares
     bad = [CompressedCandidate((0, 0, 3), 3, 3, (9, 0, 0)), CompressedCandidate((1, 1, 1), 3, 3, (5, 9, 9))]
-    assert both(bad) == ["sum of squares 14 != 0 for pair (0, 0, 3), (1, 1, 1)"] * 2
-    assert both(list(enum_candidates(3, 2, 3))) == ["PSD sums stray from 3 for pair (1, 1, 1), (1, 1, 1)"] * 2
+    with pytest.raises(InvariantViolation) as caught:
+        match_pairs(bad)
+    assert str(caught.value) == "sum of squares 14 != 0 for pair (0, 0, 3), (1, 1, 1)"
+    with pytest.raises(InvariantViolation) as caught:
+        match_pairs(list(enum_candidates(3, 2, 3)))
+    assert str(caught.value) == "PSD sums stray from 3 for pair (1, 1, 1), (1, 1, 1)"
 
 
 # (45, 9): the only composite delta in reach; (77, 7): delta2 = 11 puts the
-# largest PAF values of these cases through the packed keys
-@pytest.mark.parametrize("length,delta", [(15, 5), (21, 7), (33, 11), (35, 7), (45, 9), (77, 7)])
+# largest PAF values of these cases through the packed keys; (15, 1) has no
+# half lags, (15, 15) binary entries, and (15, 3) and (21, 3) one half lag
+@pytest.mark.parametrize("length,delta", [
+    (15, 5), (21, 7), (33, 11), (35, 7), (45, 9), (77, 7), (15, 1), (15, 3), (15, 15), (21, 3),
+])
 def test_match_pairs_equals_brute_force_join(length, delta):
     # every (a, b) with a <= b over the sorted candidates, aligned by the
     # least unit r whose decimation of PAF(b) complements PAF(a) off-peak,
@@ -221,10 +211,36 @@ def test_match_pairs_equals_brute_force_join(length, delta):
     got = [(pr.q.vector, pr.p_canon, pr.r, pr.s_q, pr.s_p) for pr in match_pairs(cands)]
     assert want
     assert got == want
-    # some classes pair only after re-aligning one side by a decimation,
-    # and some have a decimation that keeps the PAF but not the class
-    assert any(r != 1 for _, _, r, _, _ in got)
-    assert any(s_p for *_, s_p in got)
+    if delta >= 5:
+        # some classes pair only after re-aligning one side by a decimation,
+        # and some have a decimation that keeps the PAF but not the class
+        assert any(r != 1 for _, _, r, _, _ in got)
+        assert any(s_p for *_, s_p in got)
+
+
+# _BATCH = 1 and 7 cut the join's blocks of complements and its runs of
+# lookup hits at other places than the default size does
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("length,delta", [(33, 11), (55, 5), (21, 7)])
+def test_pair_lists_do_not_depend_on_the_block_size(monkeypatch, batch, length, delta):
+    from lppairs import pairgen
+
+    cands = list(enum_candidates(delta, length // delta, (length + 1) // 2))
+    want = match_pairs(cands)
+    seen = []  # lookup hits in each block expanded by the join
+
+    def spy(lo, hi, cap):
+        for query, pos in runs(lo, hi, cap):
+            seen.append(len(query))
+            yield query, pos
+
+    runs = pairgen._runs
+    monkeypatch.setattr(pairgen, "_BATCH", batch)
+    monkeypatch.setattr(pairgen, "_runs", spy)
+    pairs = match_pairs(cands)
+    assert pairs == want
+    assert expand_pairs(pairs) == expand_pairs(want)
+    assert 0 < max(seen) <= batch
 
 
 @pytest.mark.parametrize("length,delta", [(15, 3), (15, 5), (21, 7), (35, 5), (35, 7)])

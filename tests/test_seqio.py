@@ -212,3 +212,18 @@ def test_load_checkpoint_refuses_a_non_object(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         seqio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [0, 20])
+def test_load_checkpoint_names_a_checkpoint_that_is_not_json(tmp_path, cut):
+    # an empty or truncated checkpoint once failed with json's bare
+    # "Expecting value", which does not say which file is bad
+    path = tmp_path / "cp.json"
+    seqio.save_checkpoint(path, seqio.Checkpoint("abc123", 11, 4, 512))
+    path.write_bytes(path.read_bytes()[:cut])
+    data = path.read_bytes()
+    with pytest.raises(ValueError) as caught:
+        seqio.load_checkpoint(path)
+    assert str(caught.value).startswith(f"{path}: checkpoint is not JSON")
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["cp.json"]
