@@ -93,32 +93,42 @@ def decimation_canon(v) -> tuple[tuple[int, ...], tuple[int, int]]:
     packs the ranks of 63 // bits consecutive positions, first position
     most significant, so comparing words compares rows lexicographically.
     The first words of all phi(n) * n orbit rows are one sum of rows of
-    the `_first_word` table (the rows of the 1 entries, for a binary v).
-    Only the rows holding the least first word are compared on the later
-    words, when the first one does not cover all n positions.
+    the `_first_word` table.  A 0/1 vector, as every search record is, is
+    its own ranks: it skips the rank pass, and its sum is over the rows of
+    its 1 entries.  When the first word covers all n positions, its least
+    entry, first in (unit, shift) order, is the canonical row; otherwise
+    only the rows holding the least first word are compared on the later
+    words.
     """
     n = len(v)
     table = _orbit_table(n)
     a = np.asarray(v)
-    # the distinct values by sort and compare: np.unique imports numpy.ma on
-    # first use, a cost every fresh search worker would pay on its first hit
-    values = np.sort(a)
-    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    ranks = np.searchsorted(values, a)
-    bits = max(1, (len(values) - 1).bit_length())
+    if set(v) == {0, 1}:
+        ranks, bits, rows = a, 1, np.flatnonzero(a)
+    else:
+        # the distinct values by sort and compare: np.unique imports numpy.ma on
+        # first use, a cost every fresh search worker would pay on its first hit
+        values = np.sort(a)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        ranks = np.searchsorted(values, a)
+        bits = max(1, (len(values) - 1).bit_length())
+        # row p of the table counted rank_p times
+        rows = np.repeat(np.arange(n), ranks)
     per = 63 // bits
-    weights = _first_word(n, bits)
-    # row p of the table counted rank_p times: the first word of every row
-    word = weights[np.repeat(np.arange(n), ranks)].sum(axis=0)
-    # the survivors of each word stay in (unit, shift) order
-    alive = np.flatnonzero(word == word.min())
-    for lo in range(per, n, per):
-        if len(alive) == 1:
-            break
-        digits = ranks[table[alive, lo:lo + per]]
-        word = digits @ (1 << bits * np.arange(digits.shape[1] - 1, -1, -1))
-        alive = alive[word == word.min()]
-    first = int(alive[0])
+    # the first word of every row
+    word = _first_word(n, bits)[rows].sum(axis=0)
+    if n <= per:
+        first = int(word.argmin())
+    else:
+        # the survivors of each word stay in (unit, shift) order
+        alive = np.flatnonzero(word == word.min())
+        for lo in range(per, n, per):
+            if len(alive) == 1:
+                break
+            digits = ranks[table[alive, lo:lo + per]]
+            word = digits @ (1 << bits * np.arange(digits.shape[1] - 1, -1, -1))
+            alive = alive[word == word.min()]
+        first = int(alive[0])
     return tuple(a[table[first]].tolist()), (first % n, units(n)[first // n])
 
 

@@ -28,7 +28,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 import numpy as np
@@ -146,22 +146,42 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-# words in each (lags, W, rows) temporary of _paf_keys: a block's few
-# temporaries of 512 KB stay in a 2 MB L2 cache, where 2 MB ones did not
+# lags x W x rows per block of _paf_keys, so no (lags, rows) temporary holds
+# more words: 512 KB ones stay in a 2 MB L2 cache, where 2 MB ones did not
 _KEY_WORDS = 1 << 16
 
 
 # cached per lag set: a search keys every chunk of every job on the same lags
 @lru_cache(maxsize=None)
 def _key_plan(ell: int, lags: tuple[int, ...], w: int):
-    """The lag constants of `_paf_keys` for ascending lags and w words per
-    row: the words of d each lag reads, its down and up shifts, and the
-    first lag with a high part."""
-    g = np.array(lags, dtype=np.intp)
-    at = (g // 64)[:, None] + np.arange(w)
-    down = (g % 64).astype(np.uint64)[:, None, None]
-    spill = 0 if w > 1 else int(np.searchsorted(g, 64 - ell, "right"))
-    return at, down, 63 - down, spill
+    """The lag groups of `_paf_keys` for ascending lags and w words per row,
+    and the words of d they read.  A group holds the lags of one word
+    offset q = g // 64: q, its slice of the lags, their down shifts g % 64
+    and up shifts 64 - g % 64 as columns, and for each word k of a row the
+    first lag of the slice whose high part is not all junk."""
+    g = np.array(lags, dtype=np.uint64)
+    groups, need = [], set()
+    for q in sorted({lag // 64 for lag in lags}):
+        lo, hi = (int(i) for i in np.searchsorted(g, [64 * q, 64 * q + 64]))
+        down = g[lo:hi, None] % 64
+        # the high part of word k lands at bits 64 (k + 1) - g % 64 and up
+        spill = [int(np.searchsorted(down[:, 0], 64 * w - ell if k == w - 1 else 0, "right"))
+                 for k in range(w)]
+        groups.append((q, slice(lo, hi), down, 64 - down, spill))
+        need |= {q + k for k in range(w)} | {q + k + 1 for k, s in enumerate(spill) if s < hi - lo}
+    return groups, sorted(need)
+
+
+def _doubled_word(b: np.ndarray, ell: int, i: int) -> np.ndarray:
+    """Word i of d = x | x << ell, for the words b (W, rows) of x."""
+    q, r = divmod(ell, 64)
+    w = len(b)
+    parts = [b[i]] if i < w else []
+    if q <= i < q + w:
+        parts.append(b[i - q] << r)
+    if r and q < i <= q + w:
+        parts.append(b[i - q - 1] >> (64 - r))
+    return reduce(np.bitwise_or, parts)
 
 
 def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
@@ -172,37 +192,40 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     PAF(v, g) is popcount(x & rot(x, g)), summed over the words; since
     PAF(v, g) = PAF(v, ell - g), the half lags determine the whole PAF.
 
-    All lags are keyed at once.  With the doubled words d = x | x << ell
-    (plus a spare top word), rot(x, g) is the low W words of d >> g: for
-    g = 64 q + r, words q.. of d shifted down by r, OR-ed with words q+1..
-    shifted up by 64 - r.  Bits at or above ell are junk and vanish in the
-    AND with x.  That high part is computed only for the lags that need it:
-    with one word (ell < 64) its bits land at 64 - g and above, all junk
-    when g <= 64 - ell, as for every half lag when ell <= 43.  `lags` must
-    be ascending, so the lags that need it are a suffix of them.  Rows
-    go in blocks of at most `_KEY_WORDS` words per temporary (6,553 rows
-    at ell = 33 on its 10 free lags), so memory stays bounded for any N.
+    With the doubled words d = x | x << ell, rot(x, g) is the low W words
+    of d >> g: for g = 64 q + r, word k is word q + k of d shifted down by
+    r, OR-ed with word q + k + 1 shifted up by 64 - r.  The lags are
+    grouped by word offset q (one group below ell = 129), so each word k
+    of a group is one broadcast shift of one word of d against the
+    group's shift column, with no gather; it is AND-ed with word k of x
+    and popcounted straight into the uint8 output, or added to it after
+    the first word.  Bits at or above ell are junk and vanish in the AND.
+    The high part is computed only where it is not all junk: never for
+    r = 0, and in the top word only when r > 64 W - ell (with one word,
+    g > 64 - ell, which no half lag meets when ell <= 43).  `lags` must be
+    ascending, so within a group the lags that need it are a suffix.
+    Only the words of d the groups read are formed.  Rows go in blocks of
+    at most `_KEY_WORDS` words of lags x W x rows (6,553 rows at ell = 33
+    on its 10 free lags), so memory stays bounded for any N.
     """
     n, w = x.shape
-    q, r = divmod(ell, 64)
-    at, down, up, spill = _key_plan(ell, tuple(lags.tolist()), w)
-    out = np.empty((len(at), n), dtype=np.uint8)
-    block = max(1, _KEY_WORDS // at.size)
+    groups, need = _key_plan(ell, tuple(lags.tolist()), w)
+    out = np.empty((len(lags), n), dtype=np.uint8)
+    block = max(1, _KEY_WORDS // (len(lags) * w))
     for lo in range(0, n, block):
         b = x[lo:lo + block].T
-        d = np.zeros((q + 1 + w, b.shape[1]), dtype=np.uint64)
-        d[:w] = b
-        d[q:q + w] |= b << r
-        d[q + 1:q + 1 + w] |= (b >> 1) >> (63 - r)
-        rot = d[at]
-        rot >>= down
-        if spill < len(at):
-            high = d[at[spill:] + 1]
-            high <<= 1
-            high <<= up[spill:]
-            rot[spill:] |= high
-        rot &= b
-        np.bitwise_count(rot).sum(axis=1, dtype=np.uint8, out=out[:, lo:lo + block])
+        d = {i: _doubled_word(b, ell, i) for i in need}
+        for q, part, down, up, spill in groups:
+            keys = out[part, lo:lo + block]
+            for k, s in enumerate(spill):
+                rot = d[q + k] >> down
+                if s < len(down):
+                    rot[s:] |= d[q + k + 1] << up[s:]
+                rot &= b[k]
+                if k:
+                    keys += np.bitwise_count(rot)
+                else:
+                    np.bitwise_count(rot, out=keys)
     return out.T
 
 
@@ -212,8 +235,13 @@ def _print_weights(n: int) -> np.ndarray:
 
 
 def _key_prints(keys: np.ndarray) -> np.ndarray:
-    """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints."""
-    return keys.astype(np.uint64) @ _print_weights(keys.shape[1])
+    """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints.
+
+    One einsum, which sums in the weights' uint64 (wrapping mod 2^64), as
+    the integer `@` it replaces did, in fewer passes; an integer einsum
+    calls no BLAS, so it starts no threads.
+    """
+    return np.einsum("ng,g->n", keys, _print_weights(keys.shape[1]))
 
 
 def _free_lags(ctx: CrtContext) -> np.ndarray:

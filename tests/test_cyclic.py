@@ -141,6 +141,19 @@ def test_decimation_canon_decides_after_a_tied_first_word(v, per):
     assert witness[1] == n - 1
 
 
+@pytest.mark.parametrize("n", [3, 15, 33, 63, 65, 77])
+def test_binary_canon_agrees_with_the_rank_path(n):
+    # a 0/1 vector skips the rank pass; doubling its entries sends it down
+    # the rank path, which must find twice its canonical form, same witness
+    rng = random.Random(211 + n)
+    cases = [random_vector(rng, n, 0, 1) for _ in range(20)] + [(0,) * n, (1,) * n]
+    for v in cases:
+        canon, witness = decimation_canon(v)
+        doubled, doubled_witness = decimation_canon(tuple(2 * x for x in v))
+        assert doubled == tuple(2 * x for x in canon)
+        assert doubled_witness == witness
+
+
 def test_multiplier_group_members():
     # brute force over units(n): g is a member when some shift of
     # decimate(v, g) equals v; binary, non-binary (as census candidates

@@ -864,12 +864,37 @@ def test_length_35_search_is_pinned(tmp_path):
     assert digest == "4575a81a412514216148ac6a1ade064b32a9494ed2fd0707cb20146635cf8e5c"
 
 
+def test_length_33_run_files_are_pinned_byte_for_byte(tmp_path):
+    # the archive and the records sidecar of a 2-worker run, as the
+    # search wrote them before its keys, prints and canonical forms were
+    # last reworked: no change to the leaf path may move a byte of either
+    cp, out = tmp_path / "cp.json", tmp_path / "out.jsonl"
+    run_search(33, 3, 11, SearchConfig(threads=2, checkpoint_path=str(cp), archive_path=str(out)))
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "cp.json.records")]
+    assert digests == ["1b0138ea76613d430f5c91ee8e99afbd0f3d716fe9fd79d441f6a32faea9149f",
+                       "d4561440f02da190db6cb8a496cc859559d6d5508cc195c56031464f3cbb4281"]
+
+
+@pytest.mark.parametrize("lags", range(1, 65))
+def test_key_prints_keep_their_formula(lags):
+    # sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 in Python ints, on a
+    # contiguous array and on the transposed (lags, N) buffer that
+    # _paf_keys returns: a sum kept in uint8 or in float64 would differ
+    rng = np.random.default_rng(lags)
+    keys = rng.integers(0, 256, size=(30, lags), dtype=np.uint8)
+    keys[0], keys[1], keys[2, ::2] = 0, 255, 255
+    want = [sum(k * search._PRINT_BASE ** (g + 1) for g, k in enumerate(row)) % 2**64
+            for row in keys.tolist()]
+    for view in (keys, np.ascontiguousarray(keys.T).T):
+        assert search._key_prints(view).tolist() == want
+
+
 def _masks(ints, ell):
     width = -(-ell // 64)
     return np.array([[(x >> (64 * k)) & (2**64 - 1) for k in range(width)] for x in ints], dtype=np.uint64)
 
 
-@pytest.mark.parametrize("ell", [15, 33, 43, 45, 47, 63, 64, 65, 77, 129])
+@pytest.mark.parametrize("ell", [15, 21, 33, 43, 45, 47, 63, 64, 65, 77, 99, 127, 129])
 def test_word_keys_equal_exact_paf(ell):
     rng = random.Random(ell)
     ints = [rng.getrandbits(ell) for _ in range(40)] + [0, 2**ell - 1, 1, 1 << (ell - 1)]
