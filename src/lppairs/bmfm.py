@@ -21,8 +21,8 @@ each partial matrix is finished by one binary search for the choices whose
 counts equal its needs (a one-line tail is the forced last line); `_runs`,
 shared with the candidate walk of `pairgen`, expands the matching ranges
 in chunks.
-Frontiers are expanded depth first in slices, so memory is bounded, and
-leaves come in the lexicographic order of the line choices.
+Frontiers are expanded depth first in slices (memory: see `_leaf_chunks`),
+and leaves come in the lexicographic order of the line choices.
 
 A leaf's mask ORs together the bits of its 1-cells; with CRT cell bits it
 is the reshaped binary vector itself (bit g holds v_g), which is what the
@@ -159,10 +159,13 @@ def _leaf_chunks(inst: MarginalInstance, bits):
 
     A mask ORs together `bits[i][j]` for every 1-cell (i, j), in W
     little-endian 64-bit words; `bits` has the instance's shape.  Every
-    array holds at most `_CHUNK` masks, and memory is bounded by `_CHUNK`
-    partial matrices per step, whatever the instance.  The instance must
-    have a solution: `run_task` enumerates only instances that `count`
-    finds non-empty, and `enumerate_matrices` checks `feasible`.
+    array holds at most `_CHUNK` masks.  Memory is bounded by `_CHUNK`
+    partial matrices per step unless one line alone has more r-subsets:
+    its whole table is then built, and one parent's children at once
+    (C(30, 15) = 1.55e8 rows for 30-cell lines of 15 ones; the search's
+    lines have at most 7 cells through length 77).  The instance must have
+    a solution: `run_task` enumerates only instances that `count` finds
+    non-empty, and `enumerate_matrices` checks `feasible`.
     """
     by_rows = inst.n_rows >= inst.n_cols
     sums, needs = (inst.row_sums, inst.col_sums) if by_rows else (inst.col_sums, inst.row_sums)

@@ -13,13 +13,12 @@ PAF(d_r b) = d_r PAF(b), a candidate's partners are the candidates whose
 PAF is a decimation image of its complement, and the image that meets a
 partner gives the aligning decimation.  The join runs as numpy arrays on
 the half lags 1..(delta-1)/2 (a PAF and each of its decimation images are
-symmetric): every candidate's half-lag PAF is packed into one int64 key
-and the keys are sorted once; the images of all complements are one
-gather through the decimation rows of `cyclic._orbit_table`, and their
-keys are looked up in the sorted ones in blocks.  Censuses of every size
-take this one join.  Each pair is then expanded by the PSD-preserving
-decimations of its second member, which is what downstream simultaneous
-decompression needs in order not to miss solutions.
+symmetric): every candidate's half-lag PAF is keyed by the 64-bit print
+that the leaf join uses too, the keys are sorted once, the prints of the
+decimation images of all complements are looked up in them in blocks, and
+each hit is confirmed on its whole row.  Each pair is then expanded by the
+PSD-preserving decimations of its second member, which is what downstream
+simultaneous decompression needs in order not to miss solutions.
 
 Candidates come from a numpy frontier shaped like the BMFM engine's
 enumeration.  It holds every prefix of the first delta - t entries, grown
@@ -51,11 +50,11 @@ import numpy as np
 from .bmfm import _runs
 from .cyclic import _orbit_table, units
 from .errors import InvariantViolation
+from .spectral import _print_weights
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors, or (prefix, tail) pairs, screened together
 _PSD_SLACK = 1e-6  # float margin added to lambda by the PSD screen
-_KEY_BITS = 63  # width of a packed half-lag PAF key in the pair join
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,6 @@ class CompressedPair:
     @property
     def members(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.q.vector, self.p.vector)
-
-
-def _full_paf(ssq: int, half: tuple[int, ...], delta: int) -> tuple[int, ...]:
-    return (ssq,) + half + half[::-1] if delta > 1 else (ssq,)
 
 
 def _tail_key(low, total, ssq, t: int, delta2: int):
@@ -262,7 +257,7 @@ def enum_candidates(delta: int, delta2: int, lam: int):
             vector=vec,
             delta2=delta2,
             kappa=lam,
-            paf=_full_paf(ssq, half_paf, delta),
+            paf=(ssq,) + half_paf + half_paf[::-1],  # a PAF is symmetric
         )
 
 
@@ -295,36 +290,30 @@ def _rows(cands, field: str, dtype) -> np.ndarray:
 
 
 def _half_lag_join(own: np.ndarray, target: int, delta: int):
-    """((i, j, u), fixed) for the half-lag PAFs own (N, (delta-1)/2).
+    """(i, j, u) for the half-lag PAFs own (N, (delta-1)/2): every pair of
+    rows i <= j with target - own[i] = d_k own[j] for some unit k, with u
+    the index of the least r = k^-1 in units(delta), sorted by (i, j).
 
-    (i, j, u) lists every pair of rows i <= j with target - own[i] =
-    d_k own[j] for some unit k, with u the index of the least r = k^-1 in
-    units(delta), sorted by (i, j).  fixed (N, phi) marks the PAF
-    stabiliser: fixed[c, t] says d_k own[c] = own[c], k = units[t].
-
-    Rows are keyed by their first `lags` half lags packed in radix top + 1,
-    top the largest entry of own: as many as fit in _KEY_BITS bits.  The
-    keys of the phi images d_k W of each complement W = target - own[i]
-    are one product with per-unit weights.  Blocks of at most _BATCH of
-    them are looked up in the sorted row keys, each matching range is cut
-    at the end of its run of equal keys, and `_runs` expands the ranges.
-    Each hit is confirmed on the lags that the key leaves out.  A
-    complement with an entry outside 0..top meets no row and is dropped.
-    Sorts are stable ones, which the candidate walk has already loaded:
-    numpy's default sort adds ~0.3 MB of code to the RSS on first use.
+    Rows are keyed by the 64-bit print of their half lags
+    (`spectral._key_prints`); the phi images d_k W of each complement
+    W = target - own[i] by one uint64 product with the print weights placed
+    by fold.  A complement with an entry outside 0..top (top the largest
+    entry of own) meets no row and is dropped.  Blocks of at most _BATCH
+    image keys are looked up in the sorted row keys, each matching range
+    is cut at the end of its run of equal keys, `_runs` expands the ranges,
+    and each hit is confirmed on its whole half-lag row: a collision costs
+    time, never a pair.  Sorts are stable ones, which the candidate walk
+    has already loaded: numpy's default sort adds ~0.3 MB of RSS on first use.
     """
     n, half = own.shape
     _, fold, aligned = _join_tables(delta)
     phi = len(fold)
     complement = target - own
     top = int(own.max(initial=0))
-    lags = next(m for m in range(half, -1, -1) if (top + 1) ** m <= 1 << _KEY_BITS)
-    weights = (top + 1) ** np.arange(lags, dtype=np.int64)
-    keys = own[:, :lags] @ weights
-    image_weights = np.zeros((half, phi), dtype=np.int64)  # column t keys d_k, k = units[t]
-    image_weights[fold[:, :lags], np.arange(phi)[:, None]] = weights
-    rest = fold[:, lags:]
-    fixed = (own @ image_weights == keys[:, None]) & (own[:, rest] == own[:, None, lags:]).all(axis=2)
+    weights = _print_weights(half)
+    keys = own.astype(np.uint64) @ weights
+    image_weights = np.zeros((half, phi), dtype=np.uint64)  # column t keys d_k, k = units[t]
+    image_weights[fold, np.arange(phi)[:, None]] = weights
 
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -334,40 +323,42 @@ def _half_lag_join(own: np.ndarray, target: int, delta: int):
     size = max(1, _BATCH // phi)  # rows per block: at most _BATCH image keys
     for start in range(0, n, size):
         q = np.flatnonzero(valid[start:start + size]) + start
-        image_keys = (complement[q] @ image_weights).ravel()
+        image_keys = (complement[q].astype(np.uint64) @ image_weights).ravel()
         lo = sorted_keys.searchsorted(image_keys)
         hi = np.where(sorted_keys.take(lo, mode="clip") == image_keys, run_end.take(lo, mode="clip"), lo)
         for query, pos in _runs(lo, hi, _BATCH):
             i, t = np.divmod(query, phi)
             i, j = q[i], order[pos]
-            hit = (j >= i) & (complement[i[:, None], rest[t]] == own[j, lags:]).all(axis=1)
+            hit = (j >= i) & (complement[i[:, None], fold[t]] == own[j]).all(axis=1)
             found.append(((i * n + j) * phi + aligned[t])[hit])
     found = np.concatenate(found)
     pair, u = np.divmod(found[np.argsort(found, kind="stable")], phi)
-    first = np.ones(len(pair), dtype=bool)
-    first[1:] = pair[1:] != pair[:-1]
-    return (*np.divmod(pair[first], n), u[first]), fixed
+    first = np.diff(pair, prepend=-1) != 0  # the least u of each pair
+    return (*np.divmod(pair[first], n), u[first])
 
 
-def _equiv_decimations(vectors: np.ndarray, fixed: np.ndarray) -> list[tuple[int, ...]]:
-    """Per row: the units s, ascending, that fix its PAF (fixed[:, t] for
-    s = units[t], the PAF stabiliser) but are not multipliers of the
-    vector.
+def _equiv_decimations(vectors: np.ndarray, half_pafs: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row: the units s, ascending, that fix its PAF (the stabiliser,
+    read off the half lags half_pafs) but are not multipliers of the vector.
 
     PAF(d_s c) = d_s PAF(c), so these decimations keep the candidate's PAF
     (hence its PSD) but do not map it to a rotation of itself.  Only the
     stabiliser's units other than 1 are tested for a rotation."""
     delta = vectors.shape[1]
-    equiv = fixed.copy()
-    equiv[:, 0] = False  # unit 1 fixes every vector
-    row, unit = np.nonzero(equiv)
-    # position-major (delta, P) rows: the comparisons reduce over whole rows
+    rows, fold, _ = _join_tables(delta)
+    # lag- and position-major rows: the comparisons run over whole rows
+    half = np.ascontiguousarray(half_pafs.T)
+    equiv = np.ones((len(fold), len(vectors)), dtype=bool)  # [t, c]: units[t] fixes PAF(c)
+    for h, lag in enumerate(half):
+        equiv &= half[fold[:, h]] == lag
+    equiv[0] = False  # unit 1 fixes every vector
+    unit, row = np.nonzero(equiv)
     v = np.ascontiguousarray(vectors[row].T)
-    image = v[_join_tables(delta)[0][unit].T, np.arange(len(row))]
+    image = v[rows[unit].T, np.arange(len(row))]
     rotations = v[_orbit_table(delta)[:delta].T]  # [g, j, p]: entry g of shift(v_p, j)
-    equiv[row, unit] = ~np.logical_and.reduce(rotations == image[:, None, :]).any(axis=0)
+    equiv[unit, row] = ~np.logical_and.reduce(rotations == image[:, None, :]).any(axis=0)
     unit_list = units(delta)
-    return [tuple(compress(unit_list, flags)) for flags in equiv.tolist()]
+    return [tuple(compress(unit_list, flags)) for flags in equiv.T.tolist()]
 
 
 def _check_pair(q_vector, p_vector, sums, target: int, lam: int) -> None:
@@ -394,16 +385,16 @@ def match_pairs(candidates) -> list[CompressedPair]:
     Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
     complement W = delta2*lam - PAF(q) and k = r^-1.  A PAF is symmetric,
     and so is each of its decimation images, so the join runs on lags
-    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): every candidate's
-    packed half-lag key is sorted once, and the keys of the phi(delta)
-    images of all complements are looked up in it, in blocks.  A pair
-    keeps b >= q and the least r that meets; a class may pair with itself.
-    The join is exact-integer throughout, a key collision costs time but
-    never makes a pair, and pairs are ordered by canonical form.  Every
-    pair is validated against the complementarity, sum-of-squares and
-    PSD-sum identities, all on integers; the first failing pair is named.
-    Each pair's S sets hold the units that fix its members' PAFs but map
-    them to no rotation of themselves (`_equiv_decimations`).
+    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): the prints of the
+    phi(delta) images of all complements are looked up in the candidates'
+    sorted prints, and each hit is confirmed on its whole half-lag row, so
+    a print collision costs time but never makes or loses a pair.  A pair
+    keeps b >= q and the least r that meets; a class may pair with itself;
+    pairs are ordered by canonical form.  Every pair is validated against
+    the complementarity, sum-of-squares and PSD-sum identities, all on
+    integers; the first failing pair is named.  Each pair's S sets hold the
+    units that fix its members' PAFs but map them to no rotation of
+    themselves (`_equiv_decimations`, on the involved candidates only).
     """
     cands = sorted(candidates, key=attrgetter("vector"))
     if not cands:
@@ -415,7 +406,8 @@ def match_pairs(candidates) -> list[CompressedPair]:
     n, target = len(cands), delta2 * lam
     vectors = _rows(cands, "vector", np.min_scalar_type(delta2))
     pafs = _rows(cands, "paf", np.int64)  # int32 arithmetic would add ~0.2 MB of RSS on first use
-    (i, j, u), fixed = _half_lag_join(pafs[:, 1:(delta + 1) // 2], target, delta)
+    half_pafs = pafs[:, 1:(delta + 1) // 2]
+    i, j, u = _half_lag_join(half_pafs, target, delta)
 
     take = _join_tables(delta)[0][u]
     p_vectors = vectors[j[:, None], take]
@@ -429,10 +421,10 @@ def match_pairs(candidates) -> list[CompressedPair]:
         _check_pair(cands[i[k]].vector, tuple(p_vectors[k].tolist()), sums[k].tolist(), target, lam)
 
     involved = np.flatnonzero(np.bincount(np.concatenate((i, j)), minlength=n))
-    equiv = dict(zip(involved.tolist(), _equiv_decimations(vectors[involved], fixed[involved])))
+    equiv = dict(zip(involved.tolist(), _equiv_decimations(vectors[involved], half_pafs[involved])))
     rows = zip(i.tolist(), j.tolist(), map(units(delta).__getitem__, u.tolist()),
                p_vectors.tolist(), p_pafs.tolist())
-    del vectors, pafs, fixed, take, p_vectors, p_pafs, sums  # 55/11 peaks ~0.7 MB lower, below its walk
+    del vectors, pafs, half_pafs, take, p_vectors, p_pafs, sums  # 55/11 peaks ~0.7 MB lower, below its walk
     return [
         CompressedPair(cands[a], CompressedCandidate(tuple(vec), delta2, lam, tuple(paf)),
                        cands[b].vector, r, equiv[a], equiv[b])

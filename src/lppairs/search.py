@@ -41,7 +41,7 @@ from .cyclic import decimation_canon
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
 from .seqio import LegendrePairRecord
-from .spectral import exact_complementary, paf
+from .spectral import _key_prints, exact_complementary, paf  # the tests patch search._key_prints
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class SearchTask:
 
 # the two cross-matchings of the four instances: (u-instance, v-instance)
 _MATCHINGS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
-_PRINT_BASE = 0x9E3779B97F4A7C15  # odd, so every key weight is odd
 _HELD = 2_000_000  # most masks held at once; a larger side is held in slices
 
 
@@ -227,21 +226,6 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
                 else:
                     np.bitwise_count(rot, out=keys)
     return out.T
-
-
-@lru_cache(maxsize=None)  # cached per key width, for the same reason
-def _print_weights(n: int) -> np.ndarray:
-    return np.full(n, _PRINT_BASE, dtype=np.uint64).cumprod()
-
-
-def _key_prints(keys: np.ndarray) -> np.ndarray:
-    """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints.
-
-    One einsum, which sums in the weights' uint64 (wrapping mod 2^64), as
-    the integer `@` it replaces did, in fewer passes; an integer einsum
-    calls no BLAS, so it starts no threads.
-    """
-    return np.einsum("ng,g->n", keys, _print_weights(keys.shape[1]))
 
 
 def _free_lags(ctx: CrtContext) -> np.ndarray:

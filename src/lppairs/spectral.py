@@ -10,7 +10,11 @@ with `exact_complementary`, so no result is ever accepted on a float.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+_PRINT_BASE = 0x9E3779B97F4A7C15  # odd, so every key weight is odd
 
 
 def dft(v) -> np.ndarray:
@@ -35,6 +39,22 @@ def paf(v) -> tuple[int, ...]:
     if not len(a):
         return ()
     return tuple(np.correlate(np.concatenate((a, a[:-1])), a, "valid").tolist())
+
+
+@lru_cache(maxsize=None)  # cached per key width: a join keys every chunk on the same lags
+def _print_weights(n: int) -> np.ndarray:
+    return np.full(n, _PRINT_BASE, dtype=np.uint64).cumprod()
+
+
+def _key_prints(keys: np.ndarray) -> np.ndarray:
+    """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints.
+
+    The one PAF key of the package: the leaf join's over free lags
+    (`search`), the census pair join's over half lags (`pairgen`).  One
+    einsum, summing in uint64 (mod 2^64) with no BLAS, so no threads.  Keys
+    must be unsigned: numpy sums int64 against uint64 in float64.
+    """
+    return np.einsum("ng,g->n", keys, _print_weights(keys.shape[1]))
 
 
 def exact_complementary(u, v, lam: int) -> bool:

@@ -155,8 +155,9 @@ def test_search_writes_archive_and_stats_reads_it(tmp_path, capsys):
     assert main(["stats", str(archive), "--out", str(csv)]) == 0
     rows = csv.read_text().strip().splitlines()
     assert rows[0] == "energy,count"
-    total = sum(int(r.split(",")[1]) for r in rows[1:])
-    assert total == 2 * summary["records"]
+    counts = [int(r.split(",")[1]) for r in rows[1:]]
+    assert sum(counts) == 2 * summary["records"]
+    assert all(c % 2 == 0 for c in counts)  # both members of a record share their energy
 
 
 @pytest.mark.parametrize("damage", ["missing", "short"])

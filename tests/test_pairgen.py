@@ -130,18 +130,17 @@ def test_expansion_preserves_key_and_complementarity():
 
 def test_equiv_decimations_preserve_paf():
     # against the definition: the units whose decimation keeps the PAF,
-    # less the multiplier group
+    # less the multiplier group; (9, 5, 23) and (7, 11, 39) are the
+    # delta = 9 and delta = 7 candidate spaces of lengths 45 and 77
     import numpy as np
 
     from lppairs.cyclic import units
-    from lppairs.pairgen import _half_lag_join
 
     found = 0
-    for delta, delta2, lam in ((7, 3, 11), (11, 5, 28)):
+    for delta, delta2, lam in ((7, 3, 11), (11, 5, 28), (9, 5, 23), (7, 11, 39)):
         cands = list(enum_candidates(delta, delta2, lam))
-        pafs = np.array([c.paf for c in cands], dtype=np.int32)
-        _, fixed = _half_lag_join(pafs[:, 1:(delta + 1) // 2], delta2 * lam, delta)
-        got = _equiv_decimations(np.array([c.vector for c in cands]), fixed)
+        pafs = np.array([c.paf for c in cands], dtype=np.int64)
+        got = _equiv_decimations(np.array([c.vector for c in cands]), pafs[:, 1:(delta + 1) // 2])
         for c, equiv in zip(cands, got, strict=True):
             assert equiv == tuple(
                 s for s in units(delta)
@@ -342,19 +341,19 @@ def test_pair_lists_are_pinned(length, delta):
     assert _pair_digests(pairs, expanded) == PAIR_DIGESTS[(length, delta)]
 
 
-# keys narrowed to one or two half lags: nearly every lookup hit is then a
-# key collision that only the confirmation on the other lags can reject
+# prints that keep only the first one or two half lags: nearly every lookup
+# hit is then a print collision that only the whole-row confirmation rejects
 @pytest.mark.parametrize("lags", [1, 2])
 @pytest.mark.parametrize("length,delta", [(33, 11), (45, 9), (55, 11)])
-def test_pair_lists_do_not_depend_on_the_key_width(monkeypatch, lags, length, delta):
+def test_print_collisions_never_make_or_lose_a_pair(monkeypatch, lags, length, delta):
+    import numpy as np
+
     from lppairs import pairgen
 
-    cands = list(enum_candidates(delta, length // delta, (length + 1) // 2))
-    radix = 1 + max(max(c.paf[1:]) for c in cands)
-    bits = (radix ** lags).bit_length()
-    assert radix ** lags <= 1 << bits < radix ** (lags + 1) and lags < (delta - 1) // 2
-    monkeypatch.setattr(pairgen, "_KEY_BITS", bits)
-    pairs = match_pairs(cands)
+    real = pairgen._print_weights
+    monkeypatch.setattr(pairgen, "_print_weights", lambda n: np.where(np.arange(n) < lags, real(n), 0))
+    assert lags < (delta - 1) // 2
+    pairs = match_pairs(list(enum_candidates(delta, length // delta, (length + 1) // 2)))
     assert _pair_digests(pairs, expand_pairs(pairs)) == PAIR_DIGESTS[(length, delta)]
 
 

@@ -40,7 +40,7 @@ from lppairs.search import (
     run_search,
     run_task,
 )
-from lppairs.spectral import exact_complementary, paf
+from lppairs.spectral import _PRINT_BASE, _key_prints, exact_complementary, paf
 
 from conftest import guided_join
 
@@ -119,6 +119,7 @@ def test_records_verify_and_are_sorted():
         assert exact_complementary(r.u, r.v, r.lam)
         assert r.rho_u == correlation_energy(r.u)
         assert r.rho_v == correlation_energy(r.v)
+        assert r.rho_u == r.rho_v  # equal densities: (-2 - a_g)^2 terms, cross terms sum to 0
 
 
 def test_pipeline_vectors_are_plain_int_tuples():
@@ -369,7 +370,7 @@ def _brute_hits(held, rows, ctx):
 @pytest.mark.parametrize("prints", [
     None,
     lambda keys: np.zeros(len(keys), dtype=np.uint64),
-    lambda keys: keys.astype(np.uint64).sum(axis=1) % 5 * np.uint64(search._PRINT_BASE),
+    lambda keys: keys.astype(np.uint64).sum(axis=1) % 5 * np.uint64(_PRINT_BASE),
 ], ids=["real-prints", "one-print", "five-prints"])
 def test_presence_table_loses_no_hit(monkeypatch, prints):
     # A length-35 job whose 1,860 held leaves need a 2^14-entry presence
@@ -883,10 +884,10 @@ def test_key_prints_keep_their_formula(lags):
     rng = np.random.default_rng(lags)
     keys = rng.integers(0, 256, size=(30, lags), dtype=np.uint8)
     keys[0], keys[1], keys[2, ::2] = 0, 255, 255
-    want = [sum(k * search._PRINT_BASE ** (g + 1) for g, k in enumerate(row)) % 2**64
+    want = [sum(k * _PRINT_BASE ** (g + 1) for g, k in enumerate(row)) % 2**64
             for row in keys.tolist()]
     for view in (keys, np.ascontiguousarray(keys.T).T):
-        assert search._key_prints(view).tolist() == want
+        assert _key_prints(view).tolist() == want
 
 
 def _masks(ints, ell):
