@@ -24,6 +24,15 @@ in chunks.
 Frontiers are expanded depth first in slices (memory: see `_leaf_chunks`),
 and leaves come in the lexicographic order of the line choices.
 
+A line layout (the lines, their sums and the step and tail sizes) is
+built once per process and cached with its steps and tails, which
+layouts share.  They are built from per-line tables, also cached: each
+r-subset's mask words and its tail key in a given base.  Mask words of a
+product of lines are keyed by suffix: the product over lines[k:] is line
+k's subset words ORed with the cached product over lines[k + 1:], so a
+layout computes only the lines in front of the longest suffix built
+before.  Nothing cached is freed.
+
 A leaf's mask ORs together the bits of its 1-cells; with CRT cell bits it
 is the reshaped binary vector itself (bit g holds v_g), which is what the
 search keys on.  `enumerate_matrices` decodes row-major masks instead.
@@ -50,8 +59,8 @@ class MarginalInstance:
     col_sums: tuple[int, ...]
 
     def __init__(self, row_sums, col_sums):
-        object.__setattr__(self, "row_sums", tuple(int(x) for x in row_sums))
-        object.__setattr__(self, "col_sums", tuple(int(x) for x in col_sums))
+        object.__setattr__(self, "row_sums", tuple(map(int, row_sums)))
+        object.__setattr__(self, "col_sums", tuple(map(int, col_sums)))
 
     @property
     def n_rows(self) -> int:
@@ -63,13 +72,9 @@ class MarginalInstance:
 
 
 def _well_formed(inst: MarginalInstance) -> bool:
-    if inst.n_rows == 0 or inst.n_cols == 0:
-        return False
-    if any(not 0 <= r <= inst.n_cols for r in inst.row_sums):
-        return False
-    if any(not 0 <= c <= inst.n_rows for c in inst.col_sums):
-        return False
-    return sum(inst.row_sums) == sum(inst.col_sums)
+    rows, cols = inst.row_sums, inst.col_sums
+    return (bool(rows) and bool(cols) and min(rows) >= 0 and min(cols) >= 0
+            and max(rows) <= len(cols) and max(cols) <= len(rows) and sum(rows) == sum(cols))
 
 
 def _gale_ryser(q, p) -> bool:
@@ -155,7 +160,7 @@ def _words(x: int, width: int) -> list[int]:
 
 
 def _leaf_chunks(inst: MarginalInstance, bits):
-    """Yield the masks of all solutions as (N, W) uint64 arrays.
+    """The masks of all solutions, as an iterator of (N, W) uint64 arrays.
 
     A mask ORs together `bits[i][j]` for every 1-cell (i, j), in W
     little-endian 64-bit words; `bits` has the instance's shape.  Every
@@ -165,13 +170,21 @@ def _leaf_chunks(inst: MarginalInstance, bits):
     (C(30, 15) = 1.55e8 rows for 30-cell lines of 15 ones; the search's
     lines have at most 7 cells through length 77).  The instance must have
     a solution: `run_task` enumerates only instances that `count` finds
-    non-empty, and `enumerate_matrices` checks `feasible`.
+    non-empty, and `enumerate_matrices` checks `feasible`.  The layout is
+    built (or found in its cache) when this is called.
     """
     by_rows = inst.n_rows >= inst.n_cols
     sums, needs = (inst.row_sums, inst.col_sums) if by_rows else (inst.col_sums, inst.row_sums)
     steps, tail, width = _layout(bits, by_rows, sums, isqrt(_CHUNK), _TAIL)
     need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
-    yield from _expand(steps, tail, np.zeros((1, width), dtype=np.uint64), need)
+    return _expand(steps, tail, np.zeros((1, width), dtype=np.uint64), need)
+
+
+@lru_cache(maxsize=None)
+def _lines(bits, by_rows: bool):
+    """The lines of `bits` (its rows, or its columns) and the mask words W."""
+    width = max(1, -(-max(b.bit_length() for line in bits for b in line) // 64))
+    return (bits if by_rows else tuple(zip(*bits))), width
 
 
 @lru_cache(maxsize=None)
@@ -182,10 +195,11 @@ def _layout(bits, by_rows: bool, sums, step_rows: int, tail_rows: int):
     The tail is the longest suffix of at most `tail_rows` choices whose
     keys fit a uint64 (see `_tail`), but always the last line; the head
     lines go in steps of at most `step_rows` choices, unless one line has
-    more.
+    more.  Cached per process, as are the lines and word count of `bits`
+    (`_lines`) and the steps and tails, which a search's layouts share:
+    at length 33 its 302 layouts have 246 distinct tails and 80 steps.
     """
-    lines = bits if by_rows else tuple(zip(*bits))
-    width = max(1, -(-max(b.bit_length() for line in lines for b in line) // 64))
+    lines, width = _lines(bits, by_rows)
     n = len(lines[0])
     head, rows = len(sums) - 1, comb(n, sums[-1])
     while head:
@@ -206,7 +220,6 @@ def _layout(bits, by_rows: bool, sums, step_rows: int, tail_rows: int):
     return steps, _tail(lines[head:], sums[head:], width), width
 
 
-# cached per line: a search's layouts share lines, and these words were most of a layout's build
 @lru_cache(maxsize=None)
 def _subset_words(line: tuple[int, ...], r: int, width: int) -> np.ndarray:
     """(choice, word): the mask words of each r-subset of the line's cells,
@@ -215,78 +228,125 @@ def _subset_words(line: tuple[int, ...], r: int, width: int) -> np.ndarray:
     return np.bitwise_or.reduce(np.where(_subset_table(len(line), r)[:, :, None] == 1, cells, 0), axis=1)
 
 
-def _product(lines, sums, width: int):
-    """Every choice of one r-subset per line, first line major: the
-    (choice, position) counts of 1-cells and the mask words of each choice."""
-    table = np.zeros((1, len(lines[0])), dtype=np.min_scalar_type(len(lines)))
-    words = np.zeros((1, width), dtype=np.uint64)
-    for line, r in zip(lines, sums):
-        table = (table[:, None] + _subset_table(len(line), r)).reshape(-1, len(line))
-        words = (words[:, None] | _subset_words(line, r, width)).reshape(-1, width)
-    return table, words
+@lru_cache(maxsize=None)
+def _subset_keys(n: int, r: int, base: int) -> np.ndarray:
+    """(choice,): the tail key (see `_tail`) of each r-subset of n cells,
+    in the narrowest dtype that holds every key below base ** n."""
+    dtype = np.min_scalar_type(base ** n - 1)
+    return _subset_table(n, r).astype(dtype) @ np.array([base ** g for g in range(n)], dtype=dtype)
+
+
+_WORDS: dict = {}  # per process: (lines, sums, width) -> `_product`
+
+
+def _product(lines, sums, width: int) -> np.ndarray:
+    """(choice, word): the mask words of every choice of one r-subset per
+    line, first line major.
+
+    Keyed by suffix: the product over lines[k:] is line k's subset words
+    ORed with the product over lines[k + 1:].  The product of every proper
+    suffix is kept in `_WORDS` for the life of the process, so a layout
+    builds only the lines in front of the longest suffix built before.
+    The whole product is not kept: `_step` and `_tail` keep what they
+    return, and a tail's whole product is rarely another's suffix.
+    """
+    k = 1
+    while k < len(lines) and (lines[k:], sums[k:], width) not in _WORDS:
+        k += 1
+    words = _WORDS.get((lines[k:], sums[k:], width), np.zeros((1, width), dtype=np.uint64))
+    for j in range(k - 1, -1, -1):
+        words = (_subset_words(lines[j], sums[j], width)[:, None] | words).reshape(-1, width)
+        if j:
+            _WORDS[lines[j:], sums[j:], width] = words
+    return words
 
 
 @lru_cache(maxsize=None)
 def _step(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
-    """`_product` of consecutive lines, its counts laid out (position, 1, choice)."""
-    table, words = _product(lines, sums, width)
-    return np.ascontiguousarray(table.T[:, None, :]), words
+    """Every choice of one r-subset per line of consecutive lines, first
+    line major: the per-position counts of 1-cells, laid out (position, 1,
+    choice), and the mask words (choice, word) from `_product`."""
+    n = len(lines[0])
+    counts = np.zeros((1, n), dtype=np.min_scalar_type(len(lines)))
+    for r in sums:
+        counts = (counts[:, None] + _subset_table(n, r)).reshape(-1, n)
+    return np.ascontiguousarray(counts.T[:, None, :]), _product(lines, sums, width)
 
 
 @lru_cache(maxsize=None)
 def _tail(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int):
-    """`_product` of the last lines, keyed for lookup by the needs they meet.
+    """Every choice of one r-subset per line of the last lines, keyed for
+    lookup by the needs they meet.
 
     A choice's key is its per-position counts read as digits in base
-    len(lines) + 1 (Python ints where a uint64 would wrap).  Returns the
-    digit weights and the sorted keys with their mask words; the sort is
-    stable, so choices of equal key stay in lexicographic order.
+    len(lines) + 1 (Python ints where a uint64 would wrap): the sum, by
+    broadcasting, of the cached keys of its lines' subsets, with no count
+    table.  Returns the digit weights and the keys sorted, with the mask
+    words from `_product` in the same order; the sort is stable, so
+    choices of equal key stay in lexicographic order.  The keys are
+    sorted in the narrowest dtype that holds them (numpy sorts 16-bit
+    keys stably by radix) and returned in the weights' dtype.
     """
-    table, words = _product(lines, sums, width)
-    base, n = len(lines) + 1, table.shape[1]
-    weights = np.array([base ** g for g in range(n)], dtype=np.uint64 if base ** n <= 1 << 64 else object)
-    keys = table.astype(weights.dtype) @ weights
+    base, n = len(lines) + 1, len(lines[0])
+    keys = _subset_keys(n, sums[-1], base)
+    for r in reversed(sums[:-1]):
+        keys = np.add.outer(_subset_keys(n, r, base), keys).ravel()
     order = np.argsort(keys, kind="stable")
-    return weights, keys[order], words[order]
+    weights = np.array([base ** g for g in range(n)], dtype=np.uint64 if base ** n <= 1 << 64 else object)
+    return weights, keys.take(order).astype(weights.dtype), _product(lines, sums, width).take(order, axis=0)
 
 
 def _runs(lo, hi, cap: int):
     """Index arrays (i, j) for every j in lo[i]..hi[i]-1, i ascending and
-    then j, at most `cap` pairs at a time; a range with hi <= lo is empty."""
+    then j, at most `cap` pairs at a time; a range with hi <= lo is empty.
+
+    One binary search finds the range of every block's first pair; a
+    block takes the ranges from there to the next block's first range,
+    the first and last of them trimmed to the block.
+    """
     span = np.maximum(hi - lo, 0)
-    ends = np.cumsum(span)
-    first = ends - span  # pair index of each range's first j
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, cap):
+    bounds = np.zeros(len(span) + 1, dtype=span.dtype)  # pair index of each range's first j, then the total
+    span.cumsum(out=bounds[1:])
+    shift = lo - bounds[:-1]  # j minus its pair index, per range
+    total = int(bounds[-1])
+    starts = np.arange(0, total, cap)
+    cut = bounds[1:].searchsorted(starts, "right").tolist()  # the range of each block's first pair
+    cut.append(len(span) - 1)
+    for k, start in enumerate(starts.tolist()):
+        a, b = cut[k], cut[k + 1] + 1
         stop = min(start + cap, total)
-        a, b = np.searchsorted(ends, (start, stop - 1), "right")
-        i = np.arange(a, b + 1)
-        take = np.minimum(ends[i], stop) - np.maximum(first[i], start)
-        yield np.repeat(i, take), np.arange(start, stop) + np.repeat(lo[i] - first[i], take)
+        take = span[a:b].copy()  # pairs per range, less what falls outside the block
+        take[0] -= start - bounds[a]
+        take[-1] -= bounds[b] - stop
+        yield np.arange(a, b).repeat(take), np.arange(start, stop) + shift[a:b].repeat(take)
 
 
 def _expand(steps, tail, mask, need):
     """Commit the next step's lines for every partial matrix (mask rows,
-    need columns), a slice of parents at a time, and recurse.  Past the
+    need columns), a slice of parents at a time, depth first.  Past the
     last step, each parent's completions are the tail choices whose key
     equals the key of its need; they come parent by parent, in chunks of
     at most `_CHUNK` leaves."""
-    if not steps:
-        weights, keys, words = tail
-        at = weights @ need.astype(weights.dtype)
-        lo = np.searchsorted(keys, at, "left")
-        hi = np.searchsorted(keys, at, "right")
-        for parent, row in _runs(lo, hi, _CHUNK):
-            yield mask[parent] | words[row]
-        return
-    ((table, words), left), rest = steps[0], steps[1:]
-    per = max(1, _CHUNK // table.shape[2])
-    for lo in range(0, len(mask), per):
+    weights, keys, words = tail
+    stack = [(0, mask, need)]  # frontiers still to expand, the next one last
+    while stack:
+        depth, mask, need = stack.pop()
+        if depth == len(steps):
+            at = weights.dot(need)
+            lo, hi = keys.searchsorted(at, "left"), keys.searchsorted(at, "right")
+            for parent, row in _runs(lo, hi, _CHUNK):
+                yield mask.take(parent, axis=0) | words.take(row, axis=0)
+            continue
+        (table, step_words), left = steps[depth]
+        per = max(1, _CHUNK // table.shape[2])
+        if len(mask) > per:
+            stack += [(depth, mask[lo:lo + per], need[:, lo:lo + per]) for lo in reversed(range(0, len(mask), per))]
+            continue
         # needs are unsigned: one that would go negative wraps past every bound
-        child = need[:, lo:lo + per, None] - table
-        parent, pick = np.nonzero(child.max(axis=0) <= left)
+        child = need[:, :, None] - table
+        parent, pick = (child.max(axis=0) <= left).nonzero()
         if len(parent):
-            yield from _expand(rest, tail, mask[lo + parent] | words[pick], child[:, parent, pick])
+            stack.append((depth + 1, mask.take(parent, axis=0) | step_words.take(pick, axis=0), child[:, parent, pick]))
 
 
 def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:

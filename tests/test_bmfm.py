@@ -1,7 +1,9 @@
 """Binary matrices with fixed marginals: feasibility, counting, enumeration."""
 
 import random
+from itertools import combinations
 from itertools import product as iproduct
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -213,6 +215,84 @@ def test_lines_wider_than_64_cells_key_exactly():
     for mat in found:
         assert tuple(sum(r) for r in mat.rows) == inst.row_sums
         assert tuple(sum(c) for c in zip(*mat.rows)) == inst.col_sums
+
+
+def _direct_product(lines, sums, width):
+    """Per-position 1-cell counts and mask words of every choice of one
+    r-subset per line, first line major, by a plain loop over all choices."""
+    n = len(lines[0])
+    counts, words = [], []
+    for choice in iproduct(*(combinations(range(n), r) for r in sums)):
+        per = [0] * n
+        mask = 0
+        for line, subset in zip(lines, choice):
+            for j in subset:
+                per[j] += 1
+                mask |= line[j]
+        counts.append(per)
+        words.append([(mask >> (64 * k)) & ((1 << 64) - 1) for k in range(width)])
+    return counts, np.array(words, dtype=np.uint64).reshape(-1, width)
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tolist() == want.tolist() if got.dtype == object else got.tobytes() == want.tobytes()
+
+
+def _check_layout(bits, by_rows, sums, step_rows, tail_rows):
+    """`_layout`'s tables equal direct products over the lines it chose."""
+    from lppairs import bmfm
+
+    lines = bits if by_rows else tuple(zip(*bits))
+    width = max(1, -(-max(b.bit_length() for line in lines for b in line) // 64))
+    steps, (weights, keys, words), got_width = bmfm._layout(bits, by_rows, sums, step_rows, tail_rows)
+    assert got_width == width
+    start = 0
+    for (table, step_words), left in steps:
+        stop = len(sums) - left
+        counts, want_words = _direct_product(lines[start:stop], sums[start:stop], width)
+        want = np.array(counts, dtype=np.min_scalar_type(stop - start)).T[:, None, :].copy()
+        _same(table, want)
+        _same(step_words, want_words)
+        start = stop
+    counts, want_words = _direct_product(lines[start:], sums[start:], width)
+    base, n = len(sums) - start + 1, len(lines[0])
+    dtype = np.uint64 if base ** n <= 1 << 64 else object
+    want_keys = [sum(c * base ** g for g, c in enumerate(per)) for per in counts]
+    order = sorted(range(len(want_keys)), key=want_keys.__getitem__)  # stable
+    _same(weights, np.array([base ** g for g in range(n)], dtype=dtype))
+    _same(keys, np.array([want_keys[i] for i in order], dtype=dtype))
+    _same(words, want_words[order])
+
+
+@pytest.mark.parametrize("step_rows,tail_rows", [
+    (isqrt(1 << 14), 1 << 10),  # the defaults, isqrt(_CHUNK) and _TAIL
+    (1, 1 << 10),  # _CHUNK = 1: a step per line
+    (isqrt(1 << 14), 1),  # _TAIL = 1: the last line alone is looked up
+])
+def test_layout_tables_equal_direct_products(step_rows, tail_rows):
+    # the tables come from products cached per suffix and key vectors summed
+    # by broadcasting; many layouts run, so later ones reuse cached suffixes
+    rng = random.Random(406)
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        rows, cols = random_marginals(rng, m, n)
+        # row-major cell bits, and the same bits past bit 63 (two mask words)
+        for offset in (0, 60):
+            bits = tuple(tuple(1 << (offset + i * n + j) for j in range(n)) for i in range(m))
+            by_rows = m >= n
+            _check_layout(bits, by_rows, rows if by_rows else cols, step_rows, tail_rows)
+
+
+def test_layout_tables_of_wide_and_long_lines():
+    # 66-cell lines: the tail keys are Python ints (2 ** 66 > 2 ** 64), and
+    # overlapping cell bits spread over two words are ORed; then 300 such
+    # lines of one r-subset each: the first 299 form one step, whose counts
+    # (299) need a uint16
+    wide = tuple(tuple(1 << ((i * 66 + j) % 128) for j in range(66)) for i in range(300))
+    _check_layout(wide[:66], True, (1,) + (0,) * 64 + (1,), isqrt(1 << 14), 1 << 10)
+    _check_layout(wide[:66], True, (1,) + (0,) * 64 + (1,), 1, 1)
+    _check_layout(wide, True, (66,) * 300, isqrt(1 << 14), 1 << 10)
 
 
 @pytest.mark.parametrize("lo,hi", [

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 
 import pytest
@@ -89,6 +90,22 @@ def test_record_codec_roundtrips_every_raw_record(length, d1, d2, raw):
         line = seqio.record_to_json(record)
         assert seqio.record_from_json(line) == record
         assert seqio.record_to_json(seqio.record_from_json(line)) == line
+
+
+def test_record_line_is_the_sorted_compact_json_object():
+    # the format string must write what json.dumps writes for the record's
+    # fields: keys sorted, no spaces, vectors as digit strings
+    rng = random.Random(410)
+    for _ in range(300):
+        n = rng.randint(1, 80)
+        vectors = {name: tuple(rng.randint(0, 1) for _ in range(n)) for name in ("u", "v", "canon_u", "canon_v")}
+        ints = {name: rng.choice((rng.randint(-3, 3), rng.randint(0, 10 ** 12))) for name in ("lam", "rho_u", "rho_v", "task")}
+        instances = tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(2))
+        record = seqio.LegendrePairRecord(**vectors, **ints, instances=instances)
+        doc = {name: "".join(map(str, bits)) for name, bits in vectors.items()}
+        doc.update({"lambda": record.lam, "rho_u": record.rho_u, "rho_v": record.rho_v, "task": record.task})
+        doc["instances"] = [list(pair) for pair in instances]
+        assert seqio.record_to_json(record) == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def _damaged(line, field, value=None):
