@@ -169,15 +169,42 @@ def _leaf_chunks(inst: MarginalInstance, bits):
     its whole table is then built, and one parent's children at once
     (C(30, 15) = 1.55e8 rows for 30-cell lines of 15 ones; the search's
     lines have at most 7 cells through length 77).  The instance must have
-    a solution: `run_task` enumerates only instances that `count` finds
+    a solution: `run_tasks` enumerates only instances that `count` finds
     non-empty, and `enumerate_matrices` checks `feasible`.  The layout is
     built (or found in its cache) when this is called.
     """
+    return _leaf_stream((inst,), bits)
+
+
+def _layout_key(inst: MarginalInstance):
+    """(by_rows, line sums): instances with equal keys share one line
+    layout, so `_leaf_stream` enumerates them together.  The lines are the
+    rows, or the columns when those are more numerous."""
     by_rows = inst.n_rows >= inst.n_cols
-    sums, needs = (inst.row_sums, inst.col_sums) if by_rows else (inst.col_sums, inst.row_sums)
+    return by_rows, inst.row_sums if by_rows else inst.col_sums
+
+
+def _leaf_stream(insts, bits):
+    """The masks of every solution of several instances of one line layout
+    (`_layout_key`), as one iterator of (N, W) uint64 arrays of at most
+    `_CHUNK` masks: insts[0]'s leaves in `_leaf_chunks` order, then
+    insts[1]'s, and so on, count(inst) of them each, so the stream is cut
+    into instances by their counts and an array may hold the end of one
+    and the start of the next.
+
+    One `_expand` call enumerates them all: its first frontier has one
+    partial matrix per instance, with that instance's needs (the sums
+    across the lines) as its need column, and `_expand` emits leaves
+    parent-major.  An instance may repeat, or have no solution if its sums
+    lie in range (0..lines for the needs); it then adds no leaf.
+    """
+    by_rows, sums = _layout_key(insts[0])
+    if any(_layout_key(inst) != (by_rows, sums) for inst in insts):
+        raise ValueError("the instances do not share one line layout")
     steps, tail, width = _layout(bits, by_rows, sums, isqrt(_CHUNK), _TAIL)
-    need = np.array(needs, dtype=np.min_scalar_type(len(sums)))[:, None]
-    return _expand(steps, tail, np.zeros((1, width), dtype=np.uint64), need)
+    needs = [inst.col_sums if by_rows else inst.row_sums for inst in insts]
+    need = np.array(needs, dtype=np.min_scalar_type(len(sums))).T
+    return _expand(steps, tail, np.zeros((len(insts), width), dtype=np.uint64), need)
 
 
 @lru_cache(maxsize=None)

@@ -7,13 +7,24 @@ uint64 mask words (bit g is v_g of the reshaped vector), and join the two
 sides of each cross-matching by sorting (Fletcher, Gysin and Seberry),
 kept exact.  The keys are taken only over the free lags, the half lags
 g = 1..(l-1)/2 that neither d1 nor d2 divides: the fixed marginals make
-every other lag follow from them (see `run_task`).  The held side's keys
+every other lag follow from them (see `run_tasks`).  The held side's keys
 lam - PAF(u, g) are sorted once by a uint64 print; each streamed print is
 first looked up in a bool table of the held prints' top bits, the few
 that may hit are located by binary search, and a hit counts only when the
 full keys agree.  By the marginals and PAF symmetry a hit is exactly a
 complementary pair; every hit is still confirmed by the exact test before
 it becomes a record.
+
+A job is one cross-matching of a task whose two instances both have
+solutions.  A job is small when its streamed side has at most `_CHUNK`
+(bmfm's chunk size, 16,384) leaves, and the consecutive small jobs of a
+batch of tasks form a group while their held sides total at most
+`_CHUNK` rows.  A group is joined as one: one sorted print table of its
+held rows, each key carrying its row's job, and its streamed rows probed
+in blocks of at most `_CHUNK`; the instances of one side that share a
+line layout are enumerated by one `_leaf_stream`.  Larger jobs are joined
+one at a time.  Every job's records are the same, in the same order, as
+when it is joined alone.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
 forms and sorted, which makes the final archive independent of worker count
@@ -29,12 +40,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from . import seqio
-from .bmfm import MarginalInstance, _leaf_chunks, _unpack, count
+from . import bmfm, seqio
+from .bmfm import MarginalInstance, _layout_key, _leaf_stream, _runs, _unpack, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
 from .compress import CrtContext
 from .cyclic import decimation_canon
@@ -183,9 +196,9 @@ def _doubled_word(b: np.ndarray, ell: int, i: int) -> np.ndarray:
     return reduce(np.bitwise_or, parts)
 
 
-def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
+def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray, out=None) -> np.ndarray:
     """(N, len(lags)) uint8: PAF(v, g) for each g in lags (each 1..(ell-1)/2)
-    of each row's vector.
+    of each row's vector, the transpose of `out` (len(lags), N) when given.
 
     Row i of x holds the uint64 words of a vector whose bit g is v_g.
     PAF(v, g) is popcount(x & rot(x, g)), summed over the words; since
@@ -209,7 +222,8 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray) -> np.ndarray:
     """
     n, w = x.shape
     groups, need = _key_plan(ell, tuple(lags.tolist()), w)
-    out = np.empty((len(lags), n), dtype=np.uint8)
+    if out is None:
+        out = np.empty((len(lags), n), dtype=np.uint8)
     block = max(1, _KEY_WORDS // (len(lags) * w))
     for lo in range(0, n, block):
         b = x[lo:lo + block].T
@@ -235,54 +249,103 @@ def _free_lags(ctx: CrtContext) -> np.ndarray:
     return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
 
-def _join(held: np.ndarray, streamed, ell: int, lags: np.ndarray):
-    """Yield (u, v) word rows, u from held and v from the streamed chunks,
-    with PAF(u, g) + PAF(v, g) = lam = (ell + 1) / 2 at every lag g in lags.
+def _join_keys(rows: np.ndarray, jobs, ell: int, lags: np.ndarray, lam: int = 0) -> np.ndarray:
+    """(N, len(lags)) uint8: each row's PAF(v, g) over the lags, or lam -
+    PAF(u, g) when lam is given; with jobs, one more column holds the low
+    byte of each row's job."""
+    keys = np.empty((len(lags) + (jobs is not None), len(rows)), dtype=np.uint8)
+    paf = keys[:len(lags)]
+    _paf_keys(rows, ell, lags, out=paf)
+    if lam:
+        np.subtract(lam, paf, out=paf)
+    if jobs is not None:
+        keys[-1] = jobs  # wraps past 255: the jobs themselves are compared exactly
+    return keys.T
 
-    The held keys lam - PAF(u) are sorted once by print.  A bool table,
-    indexed by the top b bits of a print with 2^b >= 8 len(held) and at
-    least 2^12, marks the held prints (at most 16 MB for the `_HELD` = 2M
-    rows of a full slice).  One gather per chunk keeps every probe that
-    can hit and at most about one in eight of the others; only those are
-    located with searchsorted.  The rare probes that land on an
-    equal print walk its run of held keys, and a hit counts only when the
-    full keys agree, so a collision costs time and never makes or loses a
-    pair.  Hits come in streamed order, then held order.
+
+def _join(held: np.ndarray, jobs, streamed, ell: int, lags: np.ndarray):
+    """Yield (job, u, v): word rows u from held and v from a streamed
+    block, of one job, with PAF(u, g) + PAF(v, g) = lam = (ell + 1) / 2 at
+    every lag g in lags.
+
+    One join serves a group of jobs: jobs[i] is the job of held row i, and
+    each streamed block is a pair (rows, their jobs); a join of one job
+    passes None for both, and its job is 0.  A row's key is its lam -
+    PAF(u) (held) or PAF(v) (streamed) over the lags, with the low byte of
+    its job as one more column, so rows of two jobs rarely share a print.
+    The held keys are sorted once by print.  A bool table, indexed by the
+    top b bits of a print with 2^b >= 8 len(held) and at least 2^12, marks
+    the held prints (at most 16 MB for the `_HELD` = 2M rows of a full
+    slice).  One gather per block keeps every probe that can hit and at
+    most about one in eight of the others; only those are located with
+    searchsorted.  The rare probes that land on an equal print pair with
+    its run of held rows, and a block's candidates (at most `_CHUNK` at a
+    time) are confirmed by one comparison of their whole keys and jobs,
+    so a collision costs time and never makes or loses a pair, nor pairs
+    two jobs.  Hits come block by block, in streamed and then held order.
     """
-    want = (ell + 1) // 2 - _paf_keys(held, ell, lags)
+    want = _join_keys(held, jobs, ell, lags, (ell + 1) // 2)
     prints = _key_prints(want)
-    order = np.argsort(prints, kind="stable")
+    order = np.argsort(prints)  # the hits are put back in held order
     prints = prints[order]
     drop = 64 - max(12, (8 * len(held) - 1).bit_length())
     present = np.zeros(1 << (64 - drop), dtype=bool)
     present[prints >> drop] = True
-    for chunk in streamed:
-        keys = _paf_keys(chunk, ell, lags)
+    for rows, row_jobs in streamed:
+        keys = _join_keys(rows, row_jobs, ell, lags)
         probe = _key_prints(keys)
         maybe = np.flatnonzero(present[probe >> drop])
         lo = np.searchsorted(prints, probe[maybe], "left")
         found = prints[np.minimum(lo, len(prints) - 1)] == probe[maybe]
+        if not found.any():
+            continue
         hit, lo = maybe[found], lo[found]
         hi = np.searchsorted(prints, probe[hit], "right")
-        for s, start, end in zip(hit, lo, hi):
-            for h in order[start:end]:
-                if np.array_equal(want[h], keys[s]):
-                    yield held[h], chunk[s]
+        pairs = []
+        for i, j in _runs(lo, hi, bmfm._CHUNK):
+            s, h = hit[i], order[j]
+            same = (want[h] == keys[s]).all(axis=1)
+            if jobs is not None:
+                same &= jobs[h] == row_jobs[s]
+            pairs.append((s[same], h[same]))
+        s, h = (np.concatenate(side) for side in zip(*pairs))
+        for k in np.lexsort((h, s)).tolist():
+            yield 0 if jobs is None else int(jobs[h[k]]), held[h[k]], rows[s[k]]
 
 
-def _held_slices(inst: MarginalInstance, bits, cap: int):
-    """The instance's leaves as mask arrays of at most cap rows each."""
+def _slices(chunks, cap: int):
+    """The rows of a stream of arrays, in arrays of exactly cap rows
+    (the last one shorter)."""
     pending, size = [], 0
-    for chunk in _leaf_chunks(inst, bits):
+    for chunk in chunks:
         while len(chunk):
             take = cap - size
             pending.append(chunk[:take])
             size, chunk = size + len(pending[-1]), chunk[take:]
             if size == cap:
-                yield np.concatenate(pending)
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
                 pending, size = [], 0
     if pending:
-        yield np.concatenate(pending)
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
+def _group_leaves(insts, counts, bits, cap: int):
+    """The leaves of the instances, one `_leaf_stream` per line layout, in
+    arrays of exactly cap rows (the last one shorter), each with the index
+    in insts of every row's instance.  counts[k] is count(insts[k])."""
+    layouts: dict = {}
+    for k, inst in enumerate(insts):
+        layouts.setdefault(_layout_key(inst), []).append(k)
+    order = np.array([k for ks in layouts.values() for k in ks])
+    sizes = np.asarray(counts)[order]
+    ends = sizes.cumsum()  # the stream holds the leaves of insts[order[i]] at ends[i] - sizes[i]..ends[i]
+    chunks = chain.from_iterable(_leaf_stream([insts[k] for k in ks], bits) for ks in layouts.values())
+    start = 0
+    for block in _slices(chunks, cap):
+        stop = start + len(block)
+        inside = np.minimum(np.maximum(ends, start), stop) - np.minimum(np.maximum(ends - sizes, start), stop)
+        yield block, order.repeat(inside)
+        start = stop
 
 
 def _vector(words: np.ndarray, ell: int) -> tuple[int, ...]:
@@ -290,16 +353,70 @@ def _vector(words: np.ndarray, ell: int) -> tuple[int, ...]:
     return tuple(_unpack(words, ell).tolist())
 
 
-def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
-    """All Legendre pairs discoverable from one pair combination.
+class _Job(NamedTuple):
+    """One cross-matching of a task whose instances both have solutions:
+    the instance with fewer of them is held, the other streamed."""
 
-    For each of the two cross-matchings, the instance with fewer solutions
-    is held, in slices of at most `_HELD` masks, keyed by lam - PAF(u, g)
-    over the free lags (`_free_lags`); the other instance streams its
-    masks past each slice in chunks and is matched by sorting (see
-    `_join`).  A hit satisfies PAF(u, g) + PAF(v, g) = lam at every
-    nonzero lag; canonicalize_lp confirms it with the exact test before
-    the record is kept.
+    task: int  # position in the batch
+    matching: tuple
+    held: MarginalInstance
+    streamed: MarginalInstance
+    n_held: int
+    n_streamed: int
+    swapped: bool  # the held instance is the matching's v side
+
+
+def _jobs(tasks):
+    for t, task in enumerate(tasks):
+        for matching in _MATCHINGS:
+            inst_u, inst_v = (task.instance(i, j) for i, j in matching)
+            n_u, n_v = count(inst_u), count(inst_v)
+            if n_u and n_v:
+                if n_v < n_u:
+                    yield _Job(t, matching, inst_v, inst_u, n_v, n_u, True)
+                else:
+                    yield _Job(t, matching, inst_u, inst_v, n_u, n_v, False)
+
+
+def _groups(jobs, cap: int):
+    """Runs of consecutive small jobs (at most cap streamed leaves each)
+    whose held sides total at most cap rows, as lists of indices in jobs."""
+    group, size = [], 0
+    for k, job in enumerate(jobs):
+        if job.n_streamed > cap:
+            continue
+        if size + job.n_held > cap:
+            yield group
+            group, size = [], 0
+        group.append(k)
+        size += job.n_held
+    if group:
+        yield group
+
+
+def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
+    """All Legendre pairs discoverable from each pair combination: one
+    record list per task, in task order.
+
+    A task's jobs are its two cross-matchings whose instances both have
+    solutions; the instance with fewer solutions is held, keyed by lam -
+    PAF(u, g) over the free lags (`_free_lags`), and the other instance's
+    leaves stream past it and are matched by sorting (see `_join`).  A hit
+    satisfies PAF(u, g) + PAF(v, g) = lam at every nonzero lag;
+    canonicalize_lp confirms it with the exact test before the record is
+    kept.
+
+    A job is small when it streams at most `_CHUNK` leaves.  Consecutive
+    small jobs of the batch form a group while their held sides total at
+    most `_CHUNK` rows, and a group is one join: its held leaves make one
+    sorted print table, its streamed leaves are keyed and probed in blocks
+    of at most `_CHUNK` rows, and the instances of its held (and of its
+    streamed) sides that share a line layout are enumerated together
+    (`_leaf_stream`).  A larger job is joined alone: held in slices of at
+    most `_HELD` masks, its streamed leaves probed in the chunks they come
+    in.  Each job's hits are kept apart, in streamed and then held order
+    (held slice first), and the records are built job by job, so a task's
+    records do not depend on the batch it runs in.
 
     The free lags suffice.  Write e(g) = PAF(u, g) + PAF(v, g) - lam.  The
     row sums of both instances are the d1-compressions of u and v, a
@@ -311,26 +428,38 @@ def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
     their mirrors ell - g) gives e = 0 at every nonzero lag.
     """
     ell = ctx.ell
-    lam = (ell + 1) // 2
     bits = ctx.cell_bits
     lags = _free_lags(ctx)
-    records: list[LegendrePairRecord] = []
+    jobs = list(_jobs(tasks))
+    hits: list[list] = [[] for _ in jobs]
+    cap = bmfm._CHUNK
+    for k, job in enumerate(jobs):
+        if job.n_streamed > cap:
+            for held in _slices(_leaf_stream((job.held,), bits), _HELD):
+                streamed = ((rows, None) for rows in _leaf_stream((job.streamed,), bits))
+                hits[k] += ((x, y) for _, x, y in _join(held, None, streamed, ell, lags))
+    for group in _groups(jobs, cap):
+        members = [jobs[k] for k in group]
+        [(held, owner)] = _group_leaves([j.held for j in members], [j.n_held for j in members], bits, cap)
+        streamed = _group_leaves([j.streamed for j in members], [j.n_streamed for j in members], bits, cap)
+        for i, x, y in _join(held, owner, streamed, ell, lags):
+            hits[group[i]].append((x, y))
 
-    for matching in _MATCHINGS:
-        inst_u, inst_v = (task.instance(i, j) for i, j in matching)
-        n_u = count(inst_u)
-        n_v = count(inst_v)
-        if n_u == 0 or n_v == 0:
-            continue
-        swapped = n_v < n_u
-        small, large = (inst_v, inst_u) if swapped else (inst_u, inst_v)
-        for held in _held_slices(small, bits, _HELD):
-            for x, y in _join(held, _leaf_chunks(large, bits), ell, lags):
-                u, v = (y, x) if swapped else (x, y)
-                records.append(canonicalize_lp(
-                    _vector(u, ell), _vector(v, ell), lam,
-                    task=task.index, instances=matching))
+    lam = (ell + 1) // 2
+    records: list[list[LegendrePairRecord]] = [[] for _ in tasks]
+    for job, pairs in zip(jobs, hits):
+        for x, y in pairs:
+            u, v = (y, x) if job.swapped else (x, y)
+            records[job.task].append(canonicalize_lp(
+                _vector(u, ell), _vector(v, ell), lam,
+                task=tasks[job.task].index, instances=job.matching))
     return records
+
+
+def run_task(task: SearchTask, ctx: CrtContext) -> list[LegendrePairRecord]:
+    """All Legendre pairs discoverable from one pair combination: a batch
+    of one task for `run_tasks`, which says how."""
+    return run_tasks([task], ctx)[0]
 
 
 def _refuse_unwritable(path: str, what: str) -> None:
@@ -370,7 +499,7 @@ _BATCH = 16
 
 
 def _worker(batch: list[SearchTask], ctx: CrtContext):
-    return [(task.index, run_task(task, ctx)) for task in batch]
+    return [(task.index, records) for task, records in zip(batch, run_tasks(batch, ctx))]
 
 
 class _Progress:

@@ -94,6 +94,21 @@ def guided_join(pair, instances, ctx, fixed):
     assert len(held) == counts[0]
     hits = [
         (search._vector(a, ctx.ell), search._vector(b, ctx.ell))
-        for a, b in search._join(held, sides[1], ctx.ell, search._free_lags(ctx))
+        for a, b in one_job_join(held, sides[1], ctx.ell, search._free_lags(ctx))
     ]
     return tuple(counts), hits
+
+
+def one_job_join(held, chunks, ell, lags):
+    """The (u, v) word rows that `search._join` pairs when every held and
+    streamed row belongs to job 0, as the rows of a one-job group do."""
+    import numpy as np
+
+    from lppairs import search
+
+    def job0(rows):
+        return np.zeros(len(rows), dtype=np.intp)
+
+    for job, u, v in search._join(held, job0(held), ((c, job0(c)) for c in chunks), ell, lags):
+        assert job == 0
+        yield u, v

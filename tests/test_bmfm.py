@@ -195,6 +195,50 @@ def test_multi_line_steps_keep_leaf_order_on_random_marginals(monkeypatch):
         assert len(default) == count(inst)
 
 
+@pytest.mark.parametrize("name", [None, "_CHUNK", "_TAIL"])
+def test_one_stream_of_a_layout_cuts_into_each_instance_leaves(monkeypatch, name):
+    # _leaf_stream enumerates instances of one line layout from one
+    # frontier; cut by count, the stream gives each instance's own leaves in
+    # order: a repeated instance twice, one with no solution (its needs are
+    # in range but one too many) none.  Its instances share the line sums
+    # of a random matrix and take the sums across of its lines shuffled.
+    from lppairs import bmfm
+
+    if name:
+        monkeypatch.setattr(bmfm, name, 1)
+    rng, empty = random.Random(407), 0
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        by_rows = m >= n
+        size = (m, n) if by_rows else (n, m)  # (lines, cells per line)
+        first = [[rng.randint(0, 1) for _ in range(size[1])] for _ in range(size[0])]
+        needs = []
+        for _ in range(rng.randint(1, 4)):
+            lines = [rng.sample(line, len(line)) for line in first]
+            needs.append(tuple(map(sum, zip(*lines))))
+        needs.insert(rng.randint(0, len(needs)), needs[0])
+        sums = tuple(map(sum, first))
+        if min(needs[0]) < size[0]:
+            wrong = list(needs[0])
+            wrong[wrong.index(min(wrong))] += 1
+            needs.insert(rng.randint(0, len(needs)), tuple(wrong))
+        insts = [MarginalInstance(sums, need) if by_rows else MarginalInstance(need, sums) for need in needs]
+        bits = tuple(tuple(1 << (i * n + j) for j in range(n)) for i in range(m))
+        chunks = list(bmfm._leaf_stream(insts, bits))
+        assert all(len(c) <= bmfm._CHUNK for c in chunks)
+        stream = [int(x) for c in chunks for x in c[:, 0]]
+        start = 0
+        for inst in insts:
+            own = [int(x) for c in _leaf_chunks(inst, bits) for x in c[:, 0]] if count(inst) else []
+            assert stream[start:start + len(own)] == own and len(own) == count(inst)
+            start += len(own)
+        assert start == len(stream) and stream
+        empty += min(map(count, insts)) == 0
+    assert empty > 10
+    with pytest.raises(ValueError):
+        bmfm._leaf_stream([MarginalInstance([1, 0], [1, 0]), MarginalInstance([0, 1], [1, 0])], ((1, 2), (4, 8)))
+
+
 def test_a_step_of_many_full_lines_does_not_wrap():
     # 299 lines of one r-subset each form one step; their per-position
     # counts (299) must not wrap in the step table

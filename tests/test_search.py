@@ -42,7 +42,7 @@ from lppairs.search import (
 )
 from lppairs.spectral import _PRINT_BASE, _key_prints, exact_complementary, paf
 
-from conftest import guided_join
+from conftest import guided_join, one_job_join
 
 
 def test_correlation_energy_examples():
@@ -231,8 +231,8 @@ def test_run_task_skips_a_matching_with_an_empty_instance(monkeypatch):
     task = search.SearchTask(0, (compress(u, 3), compress(v, 3)), (compress(u, 5), compress(v, 5)))
     assert [count(task.instance(0, 1)), count(task.instance(1, 0))] == [0, 0]
     seen = []
-    monkeypatch.setattr(search, "_leaf_chunks",
-                        lambda inst, bits: seen.append(inst) or _leaf_chunks(inst, bits))
+    monkeypatch.setattr(search, "_leaf_stream",
+                        lambda insts, bits: seen.extend(insts) or bmfm._leaf_stream(insts, bits))
     records = run_task(task, CrtContext(3, 5))
     assert (u, v) in {(r.u, r.v) for r in records}
     assert {r.instances for r in records} == {((0, 0), (1, 1))}
@@ -330,7 +330,7 @@ def _job(task, matching, ctx):
 
 def _hits(held, streamed, lags, ctx):
     return [(search._vector(a, ctx.ell), search._vector(b, ctx.ell))
-            for a, b in search._join(held, streamed, ctx.ell, lags)]
+            for a, b in one_job_join(held, streamed, ctx.ell, lags)]
 
 
 @pytest.mark.parametrize("length,d1,d2,step", [
@@ -391,6 +391,73 @@ def test_presence_table_loses_no_hit(monkeypatch, prints):
     for side in (held, one):
         chunks = [streamed[:40], streamed[40:]]
         assert _hits(side, chunks, free, ctx) == _brute_hits(side, streamed, ctx)
+
+
+@pytest.mark.parametrize("prints", [None, lambda keys: np.zeros(len(keys), dtype=np.uint64)],
+                         ids=["real-prints", "one-print"])
+def test_jobs_never_pair_across_a_group(monkeypatch, prints):
+    # One join of four length-21 jobs, the first of them twice: as job 0
+    # and as job 256, whose low key byte is job 0's, so only the exact job
+    # comparison keeps their equal keys apart.  The streamed blocks cut
+    # across jobs.  With one print for every row, every held row of the
+    # group is a candidate for every streamed row.
+    ctx = CrtContext(3, 7)
+    jobs = [_job(task, m, ctx) for task in _tasks(21, 3, 7)[:3] for m in search._MATCHINGS]
+    jobs = [(h, np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))) for h, large in filter(None, jobs)]
+    jobs = [job for job in jobs if _brute_hits(*job, ctx)][:4]
+    jobs.append(jobs[0])
+    ids = [0, 1, 2, 3, 256]
+    streamed = [s for _, s in jobs]
+    held = np.concatenate([h for h, _ in jobs])
+    owner = np.repeat(ids, [len(h) for h, _ in jobs])
+    rows = np.concatenate(streamed)
+    row_jobs = np.repeat(ids, list(map(len, streamed)))
+    blocks = [(rows[lo:lo + 23], row_jobs[lo:lo + 23]) for lo in range(0, len(rows), 23)]
+    if prints:
+        monkeypatch.setattr(search, "_key_prints", prints)
+    got = {job: [] for job in ids}
+    for job, u, v in search._join(held, owner, blocks, 21, search._free_lags(ctx)):
+        got[job].append((search._vector(u, 21), search._vector(v, 21)))
+    for job, (h, _), s in zip(ids, jobs, streamed):
+        assert got[job] == _brute_hits(h, s, ctx)
+    assert got[0] and got[0] == got[256]
+
+
+def _task_with_an_empty_matching():
+    # as in test_run_task_skips_a_matching_with_an_empty_instance
+    u = tuple(int(g not in (0, 1, 3, 7)) for g in range(15))
+    v = tuple(int(g in (0, 5)) for g in range(15))
+    return search.SearchTask(99, (compress(u, 3), compress(v, 3)), (compress(u, 5), compress(v, 5)))
+
+
+@pytest.mark.parametrize("length,d1,d2,step,chunk,held", [
+    (15, 3, 5, 1, 8, 2), (21, 3, 7, 1, 40, 8), (33, 3, 11, 9, 512, 100), (33, 11, 3, 9, 512, 100),
+    (35, 5, 7, 36, 4096, 500),
+])
+def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, step, chunk, held):
+    # run_tasks over random partitions of a task list gives each task the
+    # records run_task gives it, in the same order: at the default sizes,
+    # and at sizes where the small jobs of one batch make several groups
+    # and a larger job's held side is sliced
+    ctx, rng = CrtContext(d1, d2), random.Random(length * d1)
+    tasks = _tasks(length, d1, d2)[::step]
+    if length == 15:
+        tasks.insert(3, _task_with_an_empty_matching())
+    for sizes in ({}, {"_CHUNK": chunk, "_HELD": held}):
+        with monkeypatch.context() as m:
+            for name, value in sizes.items():
+                m.setattr(bmfm if name == "_CHUNK" else search, name, value)
+            if sizes:
+                jobs = list(search._jobs(tasks))
+                assert len(list(search._groups(jobs, chunk))) > 1
+                assert any(j.n_streamed > chunk and j.n_held > held for j in jobs)
+            # a held side in slices reorders a job's records, so each size has its own
+            base = [run_task(task, ctx) for task in tasks]
+            assert sum(map(len, base)) > 0
+            for _ in range(3):
+                cuts = sorted(rng.sample(range(1, len(tasks)), rng.randint(0, 4)))
+                parts = [tasks[a:b] for a, b in zip([0, *cuts], [*cuts, len(tasks)])]
+                assert [records for part in parts for records in search.run_tasks(part, ctx)] == base
 
 
 def test_memory_cap_keeps_every_raw_record(monkeypatch):
@@ -654,15 +721,15 @@ def test_two_workers_write_the_same_run_files_as_one(tmp_path, monkeypatch, stop
     # that the second batch finishes first, yet the checkpoint and the
     # records sidecar must follow task order, as in a one-worker run
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the stand-in run_task reaches the pool workers only by fork")
-    real = search.run_task
+        pytest.skip("the stand-in run_tasks reaches the pool workers only by fork")
+    real = search.run_tasks
 
-    def slow(task, *args):
-        if task.index == 0:
+    def slow(batch, *args):
+        if any(task.index == 0 for task in batch):
             time.sleep(0.3)
-        return real(task, *args)
+        return real(batch, *args)
 
-    monkeypatch.setattr(search, "run_task", slow)
+    monkeypatch.setattr(search, "run_tasks", slow)
     files = []
     for threads in (1, 2):
         cp = tmp_path / f"{threads}.json"
@@ -672,27 +739,27 @@ def test_two_workers_write_the_same_run_files_as_one(tmp_path, monkeypatch, stop
 
 
 def test_failing_batch_cancels_the_batches_not_yet_started(tmp_path, monkeypatch):
-    # A real two-worker pool with one task per batch; the stand-in run_task
-    # reaches the workers through fork and logs each call to a file.  Task
+    # A real two-worker pool with one task per batch; the stand-in run_tasks
+    # reaches the workers through fork and logs each task to a file.  Task
     # 0 fails, and every later task waits for a marker that the pool
     # creates only once shutdown has cancelled every batch not yet started,
     # so what runs is fixed when the failure is seen: task 0, the task each
     # worker then holds, and the full call queue (max_workers +
     # EXTRA_QUEUED_CALLS batches, which the pool no longer cancels).
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the stand-in run_task reaches the pool workers only by fork")
+        pytest.skip("the stand-in run_tasks reaches the pool workers only by fork")
     log, marker = tmp_path / "calls", tmp_path / "released"
-    real = search.run_task
+    real = search.run_tasks
     deadline = time.monotonic() + 120  # the waits end by then, so a regression fails, not hangs
 
-    def failing(task, *args):
+    def failing(batch, *args):
         with open(log, "a") as fh:
-            fh.write(f"{task.index}\n")
-        if task.index == 0:
+            fh.writelines(f"{task.index}\n" for task in batch)
+        if any(task.index == 0 for task in batch):
             raise RuntimeError("task 0 failed")
         while not marker.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        return real(task, *args)
+        return real(batch, *args)
 
     pools = []
 
@@ -716,7 +783,7 @@ def test_failing_batch_cancels_the_batches_not_yet_started(tmp_path, monkeypatch
             super().shutdown(wait, cancel_futures=cancel_futures)
 
     monkeypatch.setattr(search, "_BATCH", 1)
-    monkeypatch.setattr(search, "run_task", failing)
+    monkeypatch.setattr(search, "run_tasks", failing)
     monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
     with pytest.raises(RuntimeError, match="task 0 failed"):
         run_search(33, 3, 11, SearchConfig(threads=2))
