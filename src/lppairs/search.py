@@ -244,7 +244,7 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray, out=None) -> np.ndarray
 
 def _free_lags(ctx: CrtContext) -> np.ndarray:
     """The half lags g = 1..(ell-1)/2 that neither d1 nor d2 divides:
-    (d1 - 1)(d2 - 1)/2 of them.  See `run_task` for why they suffice."""
+    (d1 - 1)(d2 - 1)/2 of them.  See `run_tasks` for why they suffice."""
     g = np.arange(1, (ctx.ell + 1) // 2)
     return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
