@@ -337,14 +337,12 @@ def _group_leaves(insts, counts, bits, cap: int):
     for k, inst in enumerate(insts):
         layouts.setdefault(_layout_key(inst), []).append(k)
     order = np.array([k for ks in layouts.values() for k in ks])
-    sizes = np.asarray(counts)[order]
-    ends = sizes.cumsum()  # the stream holds the leaves of insts[order[i]] at ends[i] - sizes[i]..ends[i]
+    bounds = np.concatenate(([0], np.asarray(counts)[order].cumsum()))  # insts[order[i]] has rows bounds[i]..bounds[i + 1]
     chunks = chain.from_iterable(_leaf_stream([insts[k] for k in ks], bits) for ks in layouts.values())
     start = 0
     for block in _slices(chunks, cap):
         stop = start + len(block)
-        inside = np.minimum(np.maximum(ends, start), stop) - np.minimum(np.maximum(ends - sizes, start), stop)
-        yield block, order.repeat(inside)
+        yield block, order.repeat(np.diff(bounds.clip(start, stop)))
         start = stop
 
 
