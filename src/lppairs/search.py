@@ -429,19 +429,22 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     bits = ctx.cell_bits
     lags = _free_lags(ctx)
     jobs = list(_jobs(tasks))
+    # a hit is kept as its two vectors: a row of word arrays would keep its
+    # whole held slice alive until the batch ends
     hits: list[list] = [[] for _ in jobs]
     cap = bmfm._CHUNK
     for k, job in enumerate(jobs):
         if job.n_streamed > cap:
             for held in _slices(_leaf_stream((job.held,), bits), _HELD):
                 streamed = ((rows, None) for rows in _leaf_stream((job.streamed,), bits))
-                hits[k] += ((x, y) for _, x, y in _join(held, None, streamed, ell, lags))
+                for _, x, y in _join(held, None, streamed, ell, lags):
+                    hits[k].append((_vector(x, ell), _vector(y, ell)))
     for group in _groups(jobs, cap):
         members = [jobs[k] for k in group]
         [(held, owner)] = _group_leaves([j.held for j in members], [j.n_held for j in members], bits, cap)
         streamed = _group_leaves([j.streamed for j in members], [j.n_streamed for j in members], bits, cap)
         for i, x, y in _join(held, owner, streamed, ell, lags):
-            hits[group[i]].append((x, y))
+            hits[group[i]].append((_vector(x, ell), _vector(y, ell)))
 
     lam = (ell + 1) // 2
     records: list[list[LegendrePairRecord]] = [[] for _ in tasks]
@@ -449,8 +452,7 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
         for x, y in pairs:
             u, v = (y, x) if job.swapped else (x, y)
             records[job.task].append(canonicalize_lp(
-                _vector(u, ell), _vector(v, ell), lam,
-                task=tasks[job.task].index, instances=job.matching))
+                u, v, lam, task=tasks[job.task].index, instances=job.matching))
     return records
 
 

@@ -468,6 +468,38 @@ def test_memory_cap_keeps_every_raw_record(monkeypatch):
         assert Counter(records) == Counter(run_task(task, ctx))
 
 
+def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
+    # The records of a batch are built after every join, so a hit must not
+    # keep a row of its held slice: a row shares its slice's memory, and
+    # the slices of a large job would stay alive until the batch ends.  When
+    # the first record is built, at most the last slice (still bound in
+    # run_tasks) may be alive, though many slices had hits.
+    import weakref
+
+    ctx = CrtContext(3, 7)
+    monkeypatch.setattr(bmfm, "_CHUNK", 40)
+    monkeypatch.setattr(search, "_HELD", 8)
+    real_slices, real_canon = search._slices, search.canonicalize_lp
+    slices, alive = [], []
+
+    def spy_slices(chunks, cap):
+        for block in real_slices(chunks, cap):
+            if cap == search._HELD:
+                owner = block if block.base is None else block.base
+                slices.append(weakref.ref(owner))
+            yield block
+
+    def spy_canon(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in slices))
+        return real_canon(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_slices", spy_slices)
+    monkeypatch.setattr(search, "canonicalize_lp", spy_canon)
+    records = search.run_tasks(_tasks(21, 3, 7), ctx)
+    assert sum(map(len, records)) > 10 and len(slices) > 10
+    assert alive[0] <= 1
+
+
 def test_memory_cap_splits_without_losing_records(monkeypatch):
     base, _ = run_search(15, 3, 5)
     monkeypatch.setattr(search, "_HELD", 2)
