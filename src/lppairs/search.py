@@ -19,11 +19,12 @@ A job is one cross-matching of a task whose two instances both have
 solutions.  A job is small when its streamed side has at most `_CHUNK`
 (bmfm's chunk size, 16,384) leaves, and the consecutive small jobs of a
 batch of tasks form a group while their held sides total at most
-`_CHUNK` rows.  A group is joined as one: one sorted print table of its
-held rows, each key carrying its row's job, and its streamed rows probed
-in blocks of at most `_CHUNK`; the instances of one side that share a
-line layout are enumerated by one `_leaf_stream`.  Larger jobs are joined
-one at a time.  Every job's records are the same, in the same order, as
+`_CHUNK` rows; a larger job is a group of its own.  A group is joined as
+one: one sorted print table of its held rows, each key carrying its
+row's job, and its streamed rows probed in blocks of at most `_CHUNK`;
+the instances of one side that share a line layout are enumerated by one
+`_leaf_stream`.  A larger job's held side is held in slices of at most
+`_HELD` rows.  Every job's records are the same, in the same order, as
 when it is joined alone.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
@@ -249,34 +250,31 @@ def _free_lags(ctx: CrtContext) -> np.ndarray:
     return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
 
-def _join_keys(rows: np.ndarray, jobs, ell: int, lags: np.ndarray, lam: int = 0) -> np.ndarray:
-    """(N, len(lags)) uint8: each row's PAF(v, g) over the lags, or lam -
-    PAF(u, g) when lam is given; with jobs, one more column holds the low
-    byte of each row's job."""
-    keys = np.empty((len(lags) + (jobs is not None), len(rows)), dtype=np.uint8)
-    paf = keys[:len(lags)]
+def _join_keys(rows: np.ndarray, jobs: np.ndarray, ell: int, lags: np.ndarray, lam: int = 0) -> np.ndarray:
+    """(N, len(lags) + 1) uint8: each row's PAF(v, g) over the lags, or lam -
+    PAF(u, g) when lam is given, then the low byte of each row's job."""
+    keys = np.empty((len(lags) + 1, len(rows)), dtype=np.uint8)
+    paf = keys[:-1]
     _paf_keys(rows, ell, lags, out=paf)
     if lam:
         np.subtract(lam, paf, out=paf)
-    if jobs is not None:
-        keys[-1] = jobs  # wraps past 255: the jobs themselves are compared exactly
+    keys[-1] = jobs  # wraps past 255: the jobs themselves are compared exactly
     return keys.T
 
 
-def _join(held: np.ndarray, jobs, streamed, ell: int, lags: np.ndarray):
+def _join(held: np.ndarray, jobs: np.ndarray, streamed, ell: int, lags: np.ndarray):
     """Yield (job, u, v): word rows u from held and v from a streamed
     block, of one job, with PAF(u, g) + PAF(v, g) = lam = (ell + 1) / 2 at
     every lag g in lags.
 
-    One join serves a group of jobs: jobs[i] is the job of held row i, and
-    each streamed block is a pair (rows, their jobs); a join of one job
-    passes None for both, and its job is 0.  A row's key is its lam -
-    PAF(u) (held) or PAF(v) (streamed) over the lags, with the low byte of
-    its job as one more column, so rows of two jobs rarely share a print.
-    The held keys are sorted once by print.  A bool table, indexed by the
-    top b bits of a print with 2^b >= 8 len(held) and at least 2^12, marks
-    the held prints (at most 16 MB for the `_HELD` = 2M rows of a full
-    slice).  One gather per block keeps every probe that can hit and at
+    One join serves a group of jobs (see `run_tasks`): jobs[i] is the job
+    of held row i, and each streamed block is a pair (rows, their jobs).
+    A row's key is its lam - PAF(u) (held) or PAF(v) (streamed) over the
+    lags, with the low byte of its job as one more column, so rows of two
+    jobs rarely share a print.  The held keys are sorted once by print.  A
+    bool table, indexed by the top b bits of a print with 2^b >= 8
+    len(held) and at least 2^12, marks the held prints (at most 16 MB for
+    the `_HELD` = 2M rows of a full slice).  One gather per block keeps every probe that can hit and at
     most about one in eight of the others; only those are located with
     searchsorted.  The rare probes that land on an equal print pair with
     its run of held rows, and a block's candidates (at most `_CHUNK` at a
@@ -304,13 +302,11 @@ def _join(held: np.ndarray, jobs, streamed, ell: int, lags: np.ndarray):
         pairs = []
         for i, j in _runs(lo, hi, bmfm._CHUNK):
             s, h = hit[i], order[j]
-            same = (want[h] == keys[s]).all(axis=1)
-            if jobs is not None:
-                same &= jobs[h] == row_jobs[s]
+            same = (want[h] == keys[s]).all(axis=1) & (jobs[h] == row_jobs[s])
             pairs.append((s[same], h[same]))
         s, h = (np.concatenate(side) for side in zip(*pairs))
         for k in np.lexsort((h, s)).tolist():
-            yield 0 if jobs is None else int(jobs[h[k]]), held[h[k]], rows[s[k]]
+            yield int(jobs[h[k]]), held[h[k]], rows[s[k]]
 
 
 def _slices(chunks, cap: int):
@@ -336,7 +332,7 @@ def _group_leaves(insts, counts, bits, cap: int):
     layouts: dict = {}
     for k, inst in enumerate(insts):
         layouts.setdefault(_layout_key(inst), []).append(k)
-    order = np.array([k for ks in layouts.values() for k in ks])
+    order = np.array([k for ks in layouts.values() for k in ks], dtype=np.min_scalar_type(len(insts)))
     bounds = np.concatenate(([0], np.asarray(counts)[order].cumsum()))  # insts[order[i]] has rows bounds[i]..bounds[i + 1]
     chunks = chain.from_iterable(_leaf_stream([insts[k] for k in ks], bits) for ks in layouts.values())
     start = 0
@@ -377,17 +373,17 @@ def _jobs(tasks):
 
 
 def _groups(jobs, cap: int):
-    """Runs of consecutive small jobs (at most cap streamed leaves each)
-    whose held sides total at most cap rows, as lists of indices in jobs."""
+    """The jobs in groups, as lists of indices in jobs, in job order: runs
+    of consecutive small jobs (at most cap streamed leaves each) whose held
+    sides total at most cap rows, and each larger job alone."""
     group, size = [], 0
     for k, job in enumerate(jobs):
-        if job.n_streamed > cap:
-            continue
-        if size + job.n_held > cap:
+        rows = job.n_held if job.n_streamed <= cap else cap + 1  # a large job fills its group
+        if group and size + rows > cap:
             yield group
             group, size = [], 0
         group.append(k)
-        size += job.n_held
+        size += rows
     if group:
         yield group
 
@@ -406,15 +402,15 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
 
     A job is small when it streams at most `_CHUNK` leaves.  Consecutive
     small jobs of the batch form a group while their held sides total at
-    most `_CHUNK` rows, and a group is one join: its held leaves make one
-    sorted print table, its streamed leaves are keyed and probed in blocks
-    of at most `_CHUNK` rows, and the instances of its held (and of its
-    streamed) sides that share a line layout are enumerated together
-    (`_leaf_stream`).  A larger job is joined alone: held in slices of at
-    most `_HELD` masks, its streamed leaves probed in the chunks they come
-    in.  Each job's hits are kept apart, in streamed and then held order
-    (held slice first), and the records are built job by job, so a task's
-    records do not depend on the batch it runs in.
+    most `_CHUNK` rows; a larger job is a group of its own (`_groups`).  A
+    group is one join: its held leaves make one sorted print table, its
+    streamed leaves are keyed and probed in blocks of at most `_CHUNK`
+    rows, and the instances of its held (and of its streamed) sides that
+    share a line layout are enumerated together (`_leaf_stream`).  A larger
+    job's held side is held in slices of at most `_HELD` masks, one join
+    per slice.  Each job's hits are kept apart, in streamed and then held
+    order (held slice first), and the records are built job by job, so a
+    task's records do not depend on the batch it runs in.
 
     The free lags suffice.  Write e(g) = PAF(u, g) + PAF(v, g) - lam.  The
     row sums of both instances are the d1-compressions of u and v, a
@@ -433,18 +429,13 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     # whole held slice alive until the batch ends
     hits: list[list] = [[] for _ in jobs]
     cap = bmfm._CHUNK
-    for k, job in enumerate(jobs):
-        if job.n_streamed > cap:
-            for held in _slices(_leaf_stream((job.held,), bits), _HELD):
-                streamed = ((rows, None) for rows in _leaf_stream((job.streamed,), bits))
-                for _, x, y in _join(held, None, streamed, ell, lags):
-                    hits[k].append((_vector(x, ell), _vector(y, ell)))
     for group in _groups(jobs, cap):
         members = [jobs[k] for k in group]
-        [(held, owner)] = _group_leaves([j.held for j in members], [j.n_held for j in members], bits, cap)
-        streamed = _group_leaves([j.streamed for j in members], [j.n_streamed for j in members], bits, cap)
-        for i, x, y in _join(held, owner, streamed, ell, lags):
-            hits[group[i]].append((_vector(x, ell), _vector(y, ell)))
+        held_rows = _HELD if members[0].n_streamed > cap else cap  # only a large job is held in slices
+        for held, owner in _group_leaves([j.held for j in members], [j.n_held for j in members], bits, held_rows):
+            streamed = _group_leaves([j.streamed for j in members], [j.n_streamed for j in members], bits, cap)
+            for i, x, y in _join(held, owner, streamed, ell, lags):
+                hits[group[i]].append((_vector(x, ell), _vector(y, ell)))
 
     lam = (ell + 1) // 2
     records: list[list[LegendrePairRecord]] = [[] for _ in tasks]

@@ -431,8 +431,8 @@ def _task_with_an_empty_matching():
 
 
 @pytest.mark.parametrize("length,d1,d2,step,chunk,held", [
-    (15, 3, 5, 1, 8, 2), (21, 3, 7, 1, 40, 8), (33, 3, 11, 9, 512, 100), (33, 11, 3, 9, 512, 100),
-    (35, 5, 7, 36, 4096, 500),
+    (15, 3, 5, 1, 16, 1), (21, 3, 7, 1, 80, 1), (33, 3, 11, 9, 1024, 100), (33, 11, 3, 9, 1024, 100),
+    (35, 5, 7, 36, 8192, 500),
 ])
 def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, step, chunk, held):
     # run_tasks over random partitions of a task list gives each task the
@@ -443,17 +443,21 @@ def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, ste
     tasks = _tasks(length, d1, d2)[::step]
     if length == 15:
         tasks.insert(3, _task_with_an_empty_matching())
+    default = None
     for sizes in ({}, {"_CHUNK": chunk, "_HELD": held}):
         with monkeypatch.context() as m:
             for name, value in sizes.items():
                 m.setattr(bmfm if name == "_CHUNK" else search, name, value)
             if sizes:
                 jobs = list(search._jobs(tasks))
-                assert len(list(search._groups(jobs, chunk))) > 1
+                assert sum(len(group) > 1 for group in search._groups(jobs, chunk)) > 1
                 assert any(j.n_streamed > chunk and j.n_held > held for j in jobs)
-            # a held side in slices reorders a job's records, so each size has its own
+            # a held side in slices reorders a job's records, so each size
+            # has its own order, but every size gives each task the same records
             base = [run_task(task, ctx) for task in tasks]
             assert sum(map(len, base)) > 0
+            default = default or base
+            assert list(map(Counter, base)) == list(map(Counter, default))
             for _ in range(3):
                 cuts = sorted(rng.sample(range(1, len(tasks)), rng.randint(0, 4)))
                 parts = [tasks[a:b] for a, b in zip([0, *cuts], [*cuts, len(tasks)])]
@@ -461,11 +465,16 @@ def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, ste
 
 
 def test_memory_cap_keeps_every_raw_record(monkeypatch):
+    # with _CHUNK = 16 every job is large, so its held side is sliced
     ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
     base = [run_task(task, ctx) for task in tasks]
+    monkeypatch.setattr(bmfm, "_CHUNK", 16)
     monkeypatch.setattr(search, "_HELD", 1)
+    held, join = [], search._join
+    monkeypatch.setattr(search, "_join", lambda rows, *a: held.append(len(rows)) or join(rows, *a))
     for task, records in zip(tasks, base):
         assert Counter(records) == Counter(run_task(task, ctx))
+    assert max(held) == 1 and len(held) > 2 * len(tasks)
 
 
 def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
@@ -502,6 +511,7 @@ def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
 
 def test_memory_cap_splits_without_losing_records(monkeypatch):
     base, _ = run_search(15, 3, 5)
+    monkeypatch.setattr(bmfm, "_CHUNK", 4)  # every job is large, so its held side is sliced
     monkeypatch.setattr(search, "_HELD", 2)
     capped, _ = run_search(15, 3, 5)
     assert {r.key for r in base} == {r.key for r in capped}
