@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -102,8 +103,13 @@ def correlation_energy(v) -> int:
     """Sum of squared off-peak autocorrelations of the {-1,1} version of v,
     over the first half of the lags: PAF(2v - 1, g) = 4 PAF(v, g) - 4 sum(v) + len(v)."""
     values = paf(v)
-    offset = len(values) - 4 * sum(v)
-    return sum((4 * x + offset) ** 2 for x in values[1:(len(values) + 1) // 2])
+    return _energy(values[1:(len(values) + 1) // 2], len(values), sum(v))
+
+
+def _energy(half, n: int, ones: int) -> int:
+    """correlation_energy of a length-n vector with `ones` ones, from its
+    PAF at the half lags 1..(n-1)/2."""
+    return sum((4 * x + n - 4 * ones) ** 2 for x in half)
 
 
 def canonicalize_lp(u, v, lam: int, task: int = -1,
@@ -111,18 +117,22 @@ def canonicalize_lp(u, v, lam: int, task: int = -1,
     """Build the deduplication record for a verified pair.
 
     The record key is the unordered pair of decimation-class canonical
-    forms; equal keys identify equivalent pairs.
+    forms; equal keys identify equivalent pairs.  Both energies come from
+    PAF(u): the pair is complementary, so PAF(v, g) = lam - PAF(u, g) at
+    every g != 0.
     """
     if not exact_complementary(u, v, lam):
         raise ValueError("not a complementary pair at the stated lambda")
+    n = len(u)
+    half = paf(u)[1:(n + 1) // 2]
     return LegendrePairRecord(
         u=tuple(u),
         v=tuple(v),
         canon_u=decimation_canon(u)[0],
         canon_v=decimation_canon(v)[0],
         lam=lam,
-        rho_u=correlation_energy(u),
-        rho_v=correlation_energy(v),
+        rho_u=_energy(half, n, sum(u)),
+        rho_v=_energy([lam - x for x in half], n, sum(v)),
         task=task,
         instances=tuple((int(a), int(b)) for a, b in instances),
     )
@@ -159,9 +169,28 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
     return tasks
 
 
-# lags x W x rows per block of _paf_keys, so no (lags, rows) temporary holds
-# more words: 512 KB ones stay in a 2 MB L2 cache, where 2 MB ones did not
+# lags x W x rows per block of _paf_keys: a block's rotated words and their
+# high parts fill one per-thread buffer of 2 x 512 KB, which stays mapped and
+# in a 2 MB L2 cache (blocks of 2 MB did not fit it)
 _KEY_WORDS = 1 << 16
+
+# This thread's reused buffers of the leaf path (`_buffer`).  Per thread,
+# because numpy drops the GIL inside the ufuncs that fill them: threads
+# sharing one buffer would overwrite each other's keys.
+_scratch = threading.local()
+
+
+def _buffer(name: str, n: int, dtype) -> np.ndarray:
+    """The first n entries of this thread's buffer `name` (one dtype per
+    name), grown to the largest n asked for and holding whatever its last
+    user left.  A block-sized array made afresh is handed back to the
+    kernel when freed and faulted in page by page at its next use; a kept
+    one stays mapped."""
+    buf = getattr(_scratch, name, None)
+    if buf is None or len(buf) < n:
+        buf = np.empty(n, dtype=dtype)
+        setattr(_scratch, name, buf)
+    return buf[:n]
 
 
 # cached per lag set: a search keys every chunk of every job on the same lags
@@ -219,25 +248,32 @@ def _paf_keys(x: np.ndarray, ell: int, lags: np.ndarray, out=None) -> np.ndarray
     ascending, so within a group the lags that need it are a suffix.
     Only the words of d the groups read are formed.  Rows go in blocks of
     at most `_KEY_WORDS` words of lags x W x rows (6,553 rows at ell = 33
-    on its 10 free lags), so memory stays bounded for any N.
+    on its 10 free lags), so memory stays bounded for any N.  A block's
+    shifted words, their high parts and the popcounts added after the
+    first word go into this thread's buffers (`_buffer`), so a warm call
+    allocates no array of a block's size.
     """
     n, w = x.shape
     groups, need = _key_plan(ell, tuple(lags.tolist()), w)
     if out is None:
         out = np.empty((len(lags), n), dtype=np.uint8)
     block = max(1, _KEY_WORDS // (len(lags) * w))
+    size = len(lags) * min(block, n)
+    words = _buffer("key_words", 2 * size, np.uint64)
+    buffers = words[:size], words[size:], _buffer("key_counts", size, np.uint8)
     for lo in range(0, n, block):
         b = x[lo:lo + block].T
         d = {i: _doubled_word(b, ell, i) for i in need}
         for q, part, down, up, spill in groups:
             keys = out[part, lo:lo + block]
+            rot, high, add = (a[:keys.size].reshape(keys.shape) for a in buffers)
             for k, s in enumerate(spill):
-                rot = d[q + k] >> down
+                np.right_shift(d[q + k], down, out=rot)
                 if s < len(down):
-                    rot[s:] |= d[q + k + 1] << up[s:]
+                    rot[s:] |= np.left_shift(d[q + k + 1], up[s:], out=high[s:])
                 rot &= b[k]
                 if k:
-                    keys += np.bitwise_count(rot)
+                    keys += np.bitwise_count(rot, out=add)
                 else:
                     np.bitwise_count(rot, out=keys)
     return out.T
@@ -250,10 +286,11 @@ def _free_lags(ctx: CrtContext) -> np.ndarray:
     return g[(g % ctx.d1 != 0) & (g % ctx.d2 != 0)]
 
 
-def _join_keys(rows: np.ndarray, jobs: np.ndarray, ell: int, lags: np.ndarray, lam: int = 0) -> np.ndarray:
-    """(N, len(lags) + 1) uint8: each row's PAF(v, g) over the lags, or lam -
-    PAF(u, g) when lam is given, then the low byte of each row's job."""
-    keys = np.empty((len(lags) + 1, len(rows)), dtype=np.uint8)
+def _join_keys(keys: np.ndarray, rows: np.ndarray, jobs: np.ndarray, ell: int, lags: np.ndarray,
+               lam: int = 0) -> np.ndarray:
+    """Fill keys (len(lags) + 1, N) uint8 with each row's PAF(v, g) over the
+    lags, or lam - PAF(u, g) when lam is given, then the low byte of each
+    row's job; return its transpose, one key per row."""
     paf = keys[:-1]
     _paf_keys(rows, ell, lags, out=paf)
     if lam:
@@ -273,40 +310,61 @@ def _join(held: np.ndarray, jobs: np.ndarray, streamed, ell: int, lags: np.ndarr
     lags, with the low byte of its job as one more column, so rows of two
     jobs rarely share a print.  The held keys are sorted once by print.  A
     bool table, indexed by the top b bits of a print with 2^b >= 8
-    len(held) and at least 2^12, marks the held prints (at most 16 MB for
-    the `_HELD` = 2M rows of a full slice).  One gather per block keeps every probe that can hit and at
-    most about one in eight of the others; only those are located with
-    searchsorted.  The rare probes that land on an equal print pair with
-    its run of held rows, and a block's candidates (at most `_CHUNK` at a
-    time) are confirmed by one comparison of their whole keys and jobs,
-    so a collision costs time and never makes or loses a pair, nor pairs
-    two jobs.  Hits come block by block, in streamed and then held order.
+    len(held) and at least 2^12, marks the held prints.  One gather per
+    block keeps every probe that can hit and at most about one in eight of
+    the others; only those are located with searchsorted.  The rare probes
+    that land on an equal print pair with its run of held rows, and a
+    block's candidates (at most `_CHUNK` at a time) are confirmed by one
+    comparison of their whole keys and jobs, so a collision costs time and
+    never makes or loses a pair, nor pairs two jobs.  Hits come block by
+    block, in streamed and then held order.
+
+    A streamed block is keyed and printed into this thread's buffers
+    (`_buffer`).  The table is this thread's too, kept at the largest size
+    a join has needed (16 MB for the `_HELD` = 2M rows of a full slice): a
+    join takes it and clears the part it used when it ends, however it
+    ends, which costs no more than a fresh table's page faults (measured
+    from 2^17 to 2^24 entries).  A join that finds the table taken, or too
+    small, makes its own.  No hit rests on the clearing: an entry left
+    set would only cost a searchsorted.
     """
-    want = _join_keys(held, jobs, ell, lags, (ell + 1) // 2)
+    width = len(lags) + 1
+    want = _join_keys(np.empty((width, len(held)), dtype=np.uint8), held, jobs, ell, lags, (ell + 1) // 2)
     prints = _key_prints(want)
     order = np.argsort(prints)  # the hits are put back in held order
     prints = prints[order]
     drop = 64 - max(12, (8 * len(held) - 1).bit_length())
-    present = np.zeros(1 << (64 - drop), dtype=bool)
-    present[prints >> drop] = True
-    for rows, row_jobs in streamed:
-        keys = _join_keys(rows, row_jobs, ell, lags)
-        probe = _key_prints(keys)
-        maybe = np.flatnonzero(present[probe >> drop])
-        lo = np.searchsorted(prints, probe[maybe], "left")
-        found = prints[np.minimum(lo, len(prints) - 1)] == probe[maybe]
-        if not found.any():
-            continue
-        hit, lo = maybe[found], lo[found]
-        hi = np.searchsorted(prints, probe[hit], "right")
-        pairs = []
-        for i, j in _runs(lo, hi, bmfm._CHUNK):
-            s, h = hit[i], order[j]
-            same = (want[h] == keys[s]).all(axis=1) & (jobs[h] == row_jobs[s])
-            pairs.append((s[same], h[same]))
-        s, h = (np.concatenate(side) for side in zip(*pairs))
-        for k in np.lexsort((h, s)).tolist():
-            yield int(jobs[h[k]]), held[h[k]], rows[s[k]]
+    size = 1 << (64 - drop)
+    table = getattr(_scratch, "present", None)
+    if table is None or len(table) < size:
+        table = np.zeros(size, dtype=bool)
+    _scratch.present = None  # taken: a join run inside this one makes its own
+    present = table[:size]
+    try:
+        present[prints >> drop] = True
+        for rows, row_jobs in streamed:
+            n = len(rows)
+            keys = _join_keys(_buffer("join_keys", width * n, np.uint8).reshape(width, n),
+                              rows, row_jobs, ell, lags)
+            probe = _key_prints(keys, out=_buffer("join_prints", n, np.uint64))
+            maybe = np.flatnonzero(present[np.right_shift(probe, drop, out=_buffer("join_top", n, np.uint64))])
+            lo = np.searchsorted(prints, probe[maybe], "left")
+            found = prints[np.minimum(lo, len(prints) - 1)] == probe[maybe]
+            if not found.any():
+                continue
+            hit, lo = maybe[found], lo[found]
+            hi = np.searchsorted(prints, probe[hit], "right")
+            pairs = []
+            for i, j in _runs(lo, hi, bmfm._CHUNK):
+                s, h = hit[i], order[j]
+                same = (want[h] == keys[s]).all(axis=1) & (jobs[h] == row_jobs[s])
+                pairs.append((s[same], h[same]))
+            s, h = (np.concatenate(side) for side in zip(*pairs))
+            for k in np.lexsort((h, s)).tolist():
+                yield int(jobs[h[k]]), held[h[k]], rows[s[k]]
+    finally:
+        present.fill(False)
+        _scratch.present = table
 
 
 def _slices(chunks, cap: int):

@@ -46,15 +46,16 @@ def _print_weights(n: int) -> np.ndarray:
     return np.full(n, _PRINT_BASE, dtype=np.uint64).cumprod()
 
 
-def _key_prints(keys: np.ndarray) -> np.ndarray:
+def _key_prints(keys: np.ndarray, out=None) -> np.ndarray:
     """sum_g key_g * _PRINT_BASE^(g+1) mod 2^64 per row: equal keys, equal prints.
 
     The one PAF key of the package: the leaf join's over free lags
     (`search`), the census pair join's over half lags (`pairgen`).  One
     einsum, summing in uint64 (mod 2^64) with no BLAS, so no threads.  Keys
-    must be unsigned: numpy sums int64 against uint64 in float64.
+    must be unsigned: numpy sums int64 against uint64 in float64.  The
+    prints go into `out` (N uint64) when it is given.
     """
-    return np.einsum("ng,g->n", keys, _print_weights(keys.shape[1]))
+    return np.einsum("ng,g->n", keys, _print_weights(keys.shape[1]), out=out)
 
 
 def exact_complementary(u, v, lam: int) -> bool:

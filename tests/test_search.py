@@ -369,8 +369,8 @@ def _brute_hits(held, rows, ctx):
 
 @pytest.mark.parametrize("prints", [
     None,
-    lambda keys: np.zeros(len(keys), dtype=np.uint64),
-    lambda keys: keys.astype(np.uint64).sum(axis=1) % 5 * np.uint64(_PRINT_BASE),
+    lambda keys, out=None: np.zeros(len(keys), dtype=np.uint64),
+    lambda keys, out=None: keys.astype(np.uint64).sum(axis=1) % 5 * np.uint64(_PRINT_BASE),
 ], ids=["real-prints", "one-print", "five-prints"])
 def test_presence_table_loses_no_hit(monkeypatch, prints):
     # A length-35 job whose 1,860 held leaves need a 2^14-entry presence
@@ -393,7 +393,7 @@ def test_presence_table_loses_no_hit(monkeypatch, prints):
         assert _hits(side, chunks, free, ctx) == _brute_hits(side, streamed, ctx)
 
 
-@pytest.mark.parametrize("prints", [None, lambda keys: np.zeros(len(keys), dtype=np.uint64)],
+@pytest.mark.parametrize("prints", [None, lambda keys, out=None: np.zeros(len(keys), dtype=np.uint64)],
                          ids=["real-prints", "one-print"])
 def test_jobs_never_pair_across_a_group(monkeypatch, prints):
     # One join of four length-21 jobs, the first of them twice: as job 0
@@ -1053,6 +1053,131 @@ def test_word_keys_cross_a_block_boundary(ell):
     assert keys.shape == (n, (ell - 1) // 2)
     for v, key in zip(bits.tolist(), keys.tolist()):
         assert tuple(key) == paf(v)[1:(ell + 1) // 2]
+
+
+def _random_rows(ell, n, seed):
+    """n random length-ell 0/1 vectors and their rows of mask words."""
+    rng = random.Random(seed)
+    ints = [rng.getrandbits(ell) for _ in range(n)]
+    return [tuple((x >> g) & 1 for g in range(ell)) for x in ints], _masks(ints, ell)
+
+
+@pytest.mark.parametrize("ell,factors", [(33, (3, 11)), (55, (5, 11)), (65, (5, 13)), (77, (7, 11)),
+                                         (129, (3, 43))])
+def test_word_keys_do_not_depend_on_the_block_size(monkeypatch, ell, factors):
+    # W = 1, 1, 2, 2, 3 words per row; blocks of one row, then blocks of
+    # three rows over ten (a short last block), then the default blocks,
+    # with a fresh output and into a used one
+    vectors, rows = _random_rows(ell, 10, ell)
+    for lags in (np.arange(1, (ell + 1) // 2), search._free_lags(CrtContext(*factors))):
+        want = [[paf(v)[g] for g in lags.tolist()] for v in vectors]
+        width = len(lags) * rows.shape[1]
+        for words in (width, 3 * width, search._KEY_WORDS):
+            monkeypatch.setattr(search, "_KEY_WORDS", words)
+            assert search._paf_keys(rows, ell, lags).tolist() == want
+            out = np.full((len(lags), len(rows)), 255, dtype=np.uint8)
+            keys = search._paf_keys(rows, ell, lags, out=out)
+            assert keys.base is out and out.T.tolist() == want
+
+
+def test_threads_key_at_once():
+    # numpy drops the GIL inside the ufuncs that fill the key buffers, so
+    # threads sharing one buffer would get each other's keys; three
+    # threads, more than a 2-core machine runs at once
+    ell, lags = 33, search._free_lags(CrtContext(3, 11))
+    sets = [_random_rows(ell, 6000, seed) for seed in (1, 2, 3)]
+    wants = [[[paf(v)[g] for g in lags.tolist()] for v in vectors] for vectors, _ in sets]
+    start, wrong = threading.Barrier(len(sets), timeout=30), []
+
+    def key(rows, want):
+        start.wait()
+        for _ in range(20):
+            if search._paf_keys(rows, ell, lags).tolist() != want:
+                wrong.append(want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=key, args=(rows, want)) for (_, rows), want in zip(sets, wants)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_two_threads_join_at_once():
+    # each thread's joins take its own buffers and presence table
+    ctx = CrtContext(3, 11)
+    tasks = _tasks(33, 3, 11)[:96]
+    want = search.run_tasks(tasks, ctx)
+    got = {}
+
+    def run(name, batch):
+        got[name] = [r for lo in range(0, len(batch), 16) for r in search.run_tasks(batch[lo:lo + 16], ctx)]
+    threads = [threading.Thread(target=run, args=(k, tasks)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {0: want, 1: want} and sum(map(len, want)) > 0
+
+
+@pytest.mark.parametrize("ell,factors", [(33, (3, 11)), (55, (5, 11))])
+def test_warm_word_keys_allocate_no_block(ell, factors):
+    # a warm call into a given output reuses its thread's buffers: one
+    # block's 2 x 512 KB of rotated words used to be allocated afresh
+    import tracemalloc
+
+    lags = search._free_lags(CrtContext(*factors))
+    rows = np.random.default_rng(ell).integers(0, 2**63, size=(16384, 1), dtype=np.uint64)
+    out = np.empty((len(lags), len(rows)), dtype=np.uint8)
+    search._paf_keys(rows, ell, lags, out=out)
+    tracemalloc.start()
+    try:
+        search._paf_keys(rows, ell, lags, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
+
+
+def test_a_join_clears_its_presence_table():
+    # the table is kept for the thread's next join, so a join must clear
+    # the entries it set, also when it is left early
+    ctx = CrtContext(5, 7)
+    held, large = _job(_tasks(35, 5, 7)[687], search._MATCHINGS[0], ctx)
+    leaves = np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))
+    blocks = [(leaves[lo:lo + 500], np.zeros(len(leaves[lo:lo + 500]), dtype=np.uint8))
+              for lo in range(0, len(leaves), 500)]
+    lags, owner = search._free_lags(ctx), np.zeros(len(held), dtype=np.uint8)
+    complete = list(search._join(held, owner, blocks, 35, lags))
+    assert complete and not search._scratch.present.any()
+    early = search._join(held, owner, blocks, 35, lags)
+    next(early)
+    assert search._scratch.present is None  # taken while the join runs
+    early.close()
+    assert not search._scratch.present.any()
+
+
+def test_a_record_costs_three_pafs(monkeypatch):
+    # the exact check's two, and PAF(u), which gives both energies
+    from lppairs import spectral
+
+    calls = Counter()
+    for module in (search, spectral):
+        real = module.paf
+        monkeypatch.setattr(module, "paf", lambda v, real=real: calls.update([1]) or real(v))
+    records, _ = run_search(21, 3, 7)
+    for r in records:
+        calls.clear()
+        again = canonicalize_lp(r.u, r.v, r.lam)
+        assert calls[1] == 3
+        assert (again.rho_u, again.rho_v) == (r.rho_u, r.rho_v) == (correlation_energy(r.u), correlation_energy(r.v))
+    assert records
 
 
 def test_bundled_77_pair_is_a_hit_of_a_guided_join(lp77):
