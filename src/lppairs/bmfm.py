@@ -18,11 +18,10 @@ lines would.  A step grows while its table has at most isqrt(_CHUNK) rows.
 The tail is the longest suffix of lines with at most _TAIL choices, always
 including the last line; its choices are sorted once by their counts, and
 each partial matrix is finished by one binary search for the choices whose
-counts equal its needs (a one-line tail is the forced last line); `_runs`,
-shared with the candidate walk of `pairgen`, expands the matching ranges
-in chunks.
-Frontiers are expanded depth first in slices (memory: see `_leaf_chunks`),
-and leaves come in the lexicographic order of the line choices.
+counts equal its needs (a one-line tail is the forced last line);
+`spectral._runs` expands the matching ranges in chunks.  Frontiers are
+expanded depth first in slices (memory: see `_leaf_stream`), and leaves
+come in the lexicographic order of the line choices.
 
 A line layout (the lines, their sums and the step and tail sizes) is
 built once per process and cached with its steps and tails, which
@@ -48,7 +47,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .compress import BinaryMatrix
-from .spectral import two_dim_dft
+from .spectral import _runs, two_dim_dft
 
 
 @dataclass(frozen=True)
@@ -159,23 +158,6 @@ def _words(x: int, width: int) -> list[int]:
     return [(x >> (64 * k)) & _WORD for k in range(width)]
 
 
-def _leaf_chunks(inst: MarginalInstance, bits):
-    """The masks of all solutions, as an iterator of (N, W) uint64 arrays.
-
-    A mask ORs together `bits[i][j]` for every 1-cell (i, j), in W
-    little-endian 64-bit words; `bits` has the instance's shape.  Every
-    array holds at most `_CHUNK` masks.  Memory is bounded by `_CHUNK`
-    partial matrices per step unless one line alone has more r-subsets:
-    its whole table is then built, and one parent's children at once
-    (C(30, 15) = 1.55e8 rows for 30-cell lines of 15 ones; the search's
-    lines have at most 7 cells through length 77).  The instance must have
-    a solution: `run_tasks` enumerates only instances that `count` finds
-    non-empty, and `enumerate_matrices` checks `feasible`.  The layout is
-    built (or found in its cache) when this is called.
-    """
-    return _leaf_stream((inst,), bits)
-
-
 def _layout_key(inst: MarginalInstance):
     """(by_rows, line sums): instances with equal keys share one line
     layout, so `_leaf_stream` enumerates them together.  The lines are the
@@ -187,10 +169,17 @@ def _layout_key(inst: MarginalInstance):
 def _leaf_stream(insts, bits):
     """The masks of every solution of several instances of one line layout
     (`_layout_key`), as one iterator of (N, W) uint64 arrays of at most
-    `_CHUNK` masks: insts[0]'s leaves in `_leaf_chunks` order, then
-    insts[1]'s, and so on, count(inst) of them each, so the stream is cut
-    into instances by their counts and an array may hold the end of one
-    and the start of the next.
+    `_CHUNK` masks: insts[0]'s leaves, then insts[1]'s, and so on,
+    count(inst) of them each, so the stream is cut into instances by their
+    counts and an array may hold the end of one and the start of the next.
+
+    A mask ORs together `bits[i][j]` for every 1-cell (i, j), in W
+    little-endian 64-bit words; `bits` has the instances' shape.  Memory
+    is bounded by `_CHUNK` partial matrices per step unless one line alone
+    has more r-subsets: its whole table is then built, and one parent's
+    children at once (C(30, 15) = 1.55e8 rows for 30-cell lines of 15
+    ones; the search's lines have at most 7 cells through length 77).
+    The layout is built (or found in its cache) when this is called.
 
     One `_expand` call enumerates them all: its first frontier has one
     partial matrix per instance, with that instance's needs (the sums
@@ -216,7 +205,7 @@ def _lines(bits, by_rows: bool):
 
 @lru_cache(maxsize=None)
 def _layout(bits, by_rows: bool, sums, step_rows: int, tail_rows: int):
-    """The steps, tail and word count of `_leaf_chunks` for one line layout.
+    """The steps, tail and word count of `_leaf_stream` for one line layout.
 
     The lines are the rows of `bits` (or its columns), filled with `sums`.
     The tail is the longest suffix of at most `tail_rows` choices whose
@@ -323,31 +312,6 @@ def _tail(lines: tuple[tuple[int, ...], ...], sums: tuple[int, ...], width: int)
     return weights, keys.take(order).astype(weights.dtype), _product(lines, sums, width).take(order, axis=0)
 
 
-def _runs(lo, hi, cap: int):
-    """Index arrays (i, j) for every j in lo[i]..hi[i]-1, i ascending and
-    then j, at most `cap` pairs at a time; a range with hi <= lo is empty.
-
-    One binary search finds the range of every block's first pair; a
-    block takes the ranges from there to the next block's first range,
-    the first and last of them trimmed to the block.
-    """
-    span = np.maximum(hi - lo, 0)
-    bounds = np.zeros(len(span) + 1, dtype=span.dtype)  # pair index of each range's first j, then the total
-    span.cumsum(out=bounds[1:])
-    shift = lo - bounds[:-1]  # j minus its pair index, per range
-    total = int(bounds[-1])
-    starts = np.arange(0, total, cap)
-    cut = bounds[1:].searchsorted(starts, "right").tolist()  # the range of each block's first pair
-    cut.append(len(span) - 1)
-    for k, start in enumerate(starts.tolist()):
-        a, b = cut[k], cut[k + 1] + 1
-        stop = min(start + cap, total)
-        take = span[a:b].copy()  # pairs per range, less what falls outside the block
-        take[0] -= start - bounds[a]
-        take[-1] -= bounds[b] - stop
-        yield np.arange(a, b).repeat(take), np.arange(start, stop) + shift[a:b].repeat(take)
-
-
 def _expand(steps, tail, mask, need):
     """Commit the next step's lines for every partial matrix (mask rows,
     need columns), a slice of parents at a time, depth first.  Past the
@@ -397,7 +361,7 @@ def enumerate_matrices(inst: MarginalInstance, visitor) -> int:
         return 0
     m, n = inst.n_rows, inst.n_cols
     visited = 0
-    for chunk in _leaf_chunks(inst, _row_major_bits(m, n)):
+    for chunk in _leaf_stream((inst,), _row_major_bits(m, n)):
         for cells in _unpack(chunk, m * n).reshape(-1, m, n).tolist():
             visited += 1
             if visitor(BinaryMatrix(tuple(map(tuple, cells)))) is False:

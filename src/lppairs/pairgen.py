@@ -13,10 +13,10 @@ PAF(d_r b) = d_r PAF(b), a candidate's partners are the candidates whose
 PAF is a decimation image of its complement, and the image that meets a
 partner gives the aligning decimation.  The join runs as numpy arrays on
 the half lags 1..(delta-1)/2 (a PAF and each of its decimation images are
-symmetric): every candidate's half-lag PAF is keyed by the 64-bit print
-that the leaf join uses too, the keys are sorted once, the prints of the
-decimation images of all complements are looked up in them in blocks, and
-each hit is confirmed on its whole row.  Each pair is then expanded by the
+symmetric): the candidates' half-lag PAFs are the held keys, and the
+decimation images of all complements are probed against them in blocks,
+by `spectral._key_join`, the one exact join on PAF keys, which the leaf
+join of `search` uses too.  Each pair is then expanded by the
 PSD-preserving decimations of its second member, which is what downstream
 simultaneous decompression needs in order not to miss solutions.
 
@@ -28,7 +28,7 @@ rotation), and the sum of squares cannot exceed the ceiling implied by the
 PSD bound (delta * sum q^2 = lam^2 + sum of off-peak PSD values < lam^2 +
 (delta-1) * lam).  The tails are sorted by lowest entry, sum and sum of
 squares, so two binary searches give each prefix its completions within the
-ceiling as one range, which `bmfm._runs` expands in blocks.  Each block is
+ceiling as one range, which `spectral._runs` expands in blocks.  Each block is
 screened on the PSD bound before any row is built: the DFT is linear, so a
 vector's spectrum is its prefix's plus its tail's, both formed per block
 from the small int tables by one matrix product each.  Only the survivors
@@ -47,10 +47,9 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .bmfm import _runs
 from .cyclic import _orbit_table, units
 from .errors import InvariantViolation
-from .spectral import _print_weights
+from .spectral import _key_join, _runs
 
 _TAIL = 5      # trailing entries taken from a tail table instead of walked
 _BATCH = 4096  # most vectors, or (prefix, tail) pairs, screened together
@@ -294,45 +293,28 @@ def _half_lag_join(own: np.ndarray, target: int, delta: int):
     rows i <= j with target - own[i] = d_k own[j] for some unit k, with u
     the index of the least r = k^-1 in units(delta), sorted by (i, j).
 
-    Rows are keyed by the 64-bit print of their half lags
-    (`spectral._key_prints`); the phi images d_k W of each complement
-    W = target - own[i] by one uint64 product with the print weights placed
-    by fold.  A complement with an entry outside 0..top (top the largest
-    entry of own) meets no row and is dropped.  Blocks of at most _BATCH
-    image keys are looked up in the sorted row keys, each matching range
-    is cut at the end of its run of equal keys, `_runs` expands the ranges,
-    and each hit is confirmed on its whole half-lag row: a collision costs
-    time, never a pair.  Sorts are stable ones, which the candidate walk
-    has already loaded: numpy's default sort adds ~0.3 MB of RSS on first use.
+    The rows of own are the held keys of `spectral._key_join`; the probes
+    are the phi images d_k W of each complement W = target - own[i], read
+    through fold, in blocks of at most _BATCH images.  Keys are taken in
+    the narrowest unsigned dtype that holds top, the largest entry of own:
+    a complement with an entry outside 0..top meets no row and is dropped.
     """
     n, half = own.shape
     _, fold, aligned = _join_tables(delta)
     phi = len(fold)
     complement = target - own
     top = int(own.max(initial=0))
-    weights = _print_weights(half)
-    keys = own.astype(np.uint64) @ weights
-    image_weights = np.zeros((half, phi), dtype=np.uint64)  # column t keys d_k, k = units[t]
-    image_weights[fold, np.arange(phi)[:, None]] = weights
-
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    run_end = sorted_keys.searchsorted(sorted_keys, "right")  # end of each key's run
-    valid = ((complement >= 0) & (complement <= top)).all(axis=1)
-    found = [np.empty(0, dtype=np.int64)]  # hits coded (i * n + j) * phi + u
+    dtype = np.min_scalar_type(top)
+    valid = np.flatnonzero(((complement >= 0) & (complement <= top)).all(axis=1))
     size = max(1, _BATCH // phi)  # rows per block: at most _BATCH image keys
-    for start in range(0, n, size):
-        q = np.flatnonzero(valid[start:start + size]) + start
-        image_keys = (complement[q].astype(np.uint64) @ image_weights).ravel()
-        lo = sorted_keys.searchsorted(image_keys)
-        hi = np.where(sorted_keys.take(lo, mode="clip") == image_keys, run_end.take(lo, mode="clip"), lo)
-        for query, pos in _runs(lo, hi, _BATCH):
-            i, t = np.divmod(query, phi)
-            i, j = q[i], order[pos]
-            hit = (j >= i) & (complement[i[:, None], fold[t]] == own[j]).all(axis=1)
-            found.append(((i * n + j) * phi + aligned[t])[hit])
-    found = np.concatenate(found)
-    pair, u = np.divmod(found[np.argsort(found, kind="stable")], phi)
+    blocks = ((complement[q][:, fold].reshape(len(q) * phi, half).astype(dtype), q)
+              for q in np.split(valid, range(size, len(valid), size)))
+    found = [np.empty(0, dtype=np.int64)]  # hits coded (i * n + j) * phi + u
+    for q, s, j in _key_join(own.astype(dtype), blocks, _BATCH):
+        i = q[s // phi]
+        found.append(((i * n + j) * phi + aligned[s % phi])[j >= i])
+    # a stable sort, which the walk has loaded: the default one adds ~0.25 MB of RSS on first use
+    pair, u = np.divmod(np.sort(np.concatenate(found), kind="stable"), phi)
     first = np.diff(pair, prepend=-1) != 0  # the least u of each pair
     return (*np.divmod(pair[first], n), u[first])
 
@@ -385,10 +367,10 @@ def match_pairs(candidates) -> list[CompressedPair]:
     Since PAF(d_r b) = d_r PAF(b), that is d_k W = PAF(b) off-peak for the
     complement W = delta2*lam - PAF(q) and k = r^-1.  A PAF is symmetric,
     and so is each of its decimation images, so the join runs on lags
-    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): the prints of the
-    phi(delta) images of all complements are looked up in the candidates'
-    sorted prints, and each hit is confirmed on its whole half-lag row, so
-    a print collision costs time but never makes or loses a pair.  A pair
+    1..(delta-1)/2 as numpy arrays (`_half_lag_join`): the phi(delta)
+    images of all complements are matched against the candidates'
+    half-lag PAFs by the package's one exact key join, so a print
+    collision costs time but never makes or loses a pair.  A pair
     keeps b >= q and the least r that meets; a class may pair with itself;
     pairs are ordered by canonical form.  Every pair is validated against
     the complementarity, sum-of-squares and PSD-sum identities, all on

@@ -8,12 +8,11 @@ sides of each cross-matching by sorting (Fletcher, Gysin and Seberry),
 kept exact.  The keys are taken only over the free lags, the half lags
 g = 1..(l-1)/2 that neither d1 nor d2 divides: the fixed marginals make
 every other lag follow from them (see `run_tasks`).  The held side's keys
-lam - PAF(u, g) are sorted once by a uint64 print; each streamed print is
-first looked up in a bool table of the held prints' top bits, the few
-that may hit are located by binary search, and a hit counts only when the
-full keys agree.  By the marginals and PAF symmetry a hit is exactly a
-complementary pair; every hit is still confirmed by the exact test before
-it becomes a record.
+lam - PAF(u, g) meet the streamed side's PAF(v, g) in `spectral._key_join`,
+the package's one exact join on PAF keys, which the census pair join uses
+too: a hit counts only when the full keys agree.  By the marginals and PAF
+symmetry a hit is exactly a complementary pair; every hit is still
+confirmed by the exact test before it becomes a record.
 
 A job is one cross-matching of a task whose two instances both have
 solutions.  A job is small when its streamed side has at most `_CHUNK`
@@ -37,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -49,14 +47,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bmfm, seqio
-from .bmfm import MarginalInstance, _layout_key, _leaf_stream, _runs, _unpack, count
+from .bmfm import MarginalInstance, _layout_key, _leaf_stream, _unpack, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
 from .compress import CrtContext
 from .cyclic import decimation_canon
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
 from .seqio import LegendrePairRecord
-from .spectral import _key_prints, exact_complementary, paf  # the tests patch search._key_prints
+from .spectral import _buffer, _key_join, exact_complementary, paf
 
 
 @dataclass(frozen=True)
@@ -174,24 +172,6 @@ def build_tasks(pairs1, pairs2) -> list[SearchTask]:
 # in a 2 MB L2 cache (blocks of 2 MB did not fit it)
 _KEY_WORDS = 1 << 16
 
-# This thread's reused buffers of the leaf path (`_buffer`).  Per thread,
-# because numpy drops the GIL inside the ufuncs that fill them: threads
-# sharing one buffer would overwrite each other's keys.
-_scratch = threading.local()
-
-
-def _buffer(name: str, n: int, dtype) -> np.ndarray:
-    """The first n entries of this thread's buffer `name` (one dtype per
-    name), grown to the largest n asked for and holding whatever its last
-    user left.  A block-sized array made afresh is handed back to the
-    kernel when freed and faulted in page by page at its next use; a kept
-    one stays mapped."""
-    buf = getattr(_scratch, name, None)
-    if buf is None or len(buf) < n:
-        buf = np.empty(n, dtype=dtype)
-        setattr(_scratch, name, buf)
-    return buf[:n]
-
 
 # cached per lag set: a search keys every chunk of every job on the same lags
 @lru_cache(maxsize=None)
@@ -308,63 +288,25 @@ def _join(held: np.ndarray, jobs: np.ndarray, streamed, ell: int, lags: np.ndarr
     of held row i, and each streamed block is a pair (rows, their jobs).
     A row's key is its lam - PAF(u) (held) or PAF(v) (streamed) over the
     lags, with the low byte of its job as one more column, so rows of two
-    jobs rarely share a print.  The held keys are sorted once by print.  A
-    bool table, indexed by the top b bits of a print with 2^b >= 8
-    len(held) and at least 2^12, marks the held prints.  One gather per
-    block keeps every probe that can hit and at most about one in eight of
-    the others; only those are located with searchsorted.  The rare probes
-    that land on an equal print pair with its run of held rows, and a
-    block's candidates (at most `_CHUNK` at a time) are confirmed by one
-    comparison of their whole keys and jobs, so a collision costs time and
-    never makes or loses a pair, nor pairs two jobs.  Hits come block by
-    block, in streamed and then held order.
-
-    A streamed block is keyed and printed into this thread's buffers
-    (`_buffer`).  The table is this thread's too, kept at the largest size
-    a join has needed (16 MB for the `_HELD` = 2M rows of a full slice): a
-    join takes it and clears the part it used when it ends, however it
-    ends, which costs no more than a fresh table's page faults (measured
-    from 2^17 to 2^24 entries).  A join that finds the table taken, or too
-    small, makes its own.  No hit rests on the clearing: an entry left
-    set would only cost a searchsorted.
+    jobs rarely share a print; `spectral._key_join` matches equal keys,
+    expanding at most `_CHUNK` candidate pairs at a time, and a match
+    counts only when its two jobs are equal too, so no two jobs are
+    paired.  Hits come block by block, in streamed and then held order.
+    A streamed block's keys go into this thread's buffer (`_buffer`).
     """
     width = len(lags) + 1
     want = _join_keys(np.empty((width, len(held)), dtype=np.uint8), held, jobs, ell, lags, (ell + 1) // 2)
-    prints = _key_prints(want)
-    order = np.argsort(prints)  # the hits are put back in held order
-    prints = prints[order]
-    drop = 64 - max(12, (8 * len(held) - 1).bit_length())
-    size = 1 << (64 - drop)
-    table = getattr(_scratch, "present", None)
-    if table is None or len(table) < size:
-        table = np.zeros(size, dtype=bool)
-    _scratch.present = None  # taken: a join run inside this one makes its own
-    present = table[:size]
-    try:
-        present[prints >> drop] = True
+
+    def blocks():
         for rows, row_jobs in streamed:
             n = len(rows)
-            keys = _join_keys(_buffer("join_keys", width * n, np.uint8).reshape(width, n),
-                              rows, row_jobs, ell, lags)
-            probe = _key_prints(keys, out=_buffer("join_prints", n, np.uint64))
-            maybe = np.flatnonzero(present[np.right_shift(probe, drop, out=_buffer("join_top", n, np.uint64))])
-            lo = np.searchsorted(prints, probe[maybe], "left")
-            found = prints[np.minimum(lo, len(prints) - 1)] == probe[maybe]
-            if not found.any():
-                continue
-            hit, lo = maybe[found], lo[found]
-            hi = np.searchsorted(prints, probe[hit], "right")
-            pairs = []
-            for i, j in _runs(lo, hi, bmfm._CHUNK):
-                s, h = hit[i], order[j]
-                same = (want[h] == keys[s]).all(axis=1) & (jobs[h] == row_jobs[s])
-                pairs.append((s[same], h[same]))
-            s, h = (np.concatenate(side) for side in zip(*pairs))
-            for k in np.lexsort((h, s)).tolist():
-                yield int(jobs[h[k]]), held[h[k]], rows[s[k]]
-    finally:
-        present.fill(False)
-        _scratch.present = table
+            yield _join_keys(_buffer("join_keys", width * n, np.uint8).reshape(width, n),
+                             rows, row_jobs, ell, lags), (rows, row_jobs)
+
+    for (rows, row_jobs), s, h in _key_join(want, blocks(), bmfm._CHUNK):
+        same = jobs[h] == row_jobs[s]
+        for a, b in zip(h[same].tolist(), s[same].tolist()):
+            yield int(jobs[a]), held[a], rows[b]
 
 
 def _slices(chunks, cap: int):

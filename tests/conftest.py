@@ -71,13 +71,13 @@ def guided_join(pair, instances, ctx, fixed):
     import numpy as np
 
     from lppairs import search
-    from lppairs.bmfm import MarginalInstance, _leaf_chunks, count
+    from lppairs.bmfm import MarginalInstance, _leaf_stream, count
     from lppairs.compress import theta
 
     width = -(-ctx.ell // 64)
 
     def leaves(rest, bits, words):
-        for chunk in _leaf_chunks(rest, bits):
+        for chunk in _leaf_stream((rest,), bits):
             assert chunk.shape[1] == width
             yield chunk | words
 

@@ -10,14 +10,14 @@ import pytest
 
 from lppairs.bmfm import (
     MarginalInstance,
-    _leaf_chunks,
-    _runs,
+    _leaf_stream,
     count,
     enumerate_matrices,
     enumerate_with_spectrum,
     feasible,
     solutions,
 )
+from lppairs.spectral import _runs
 from lppairs.oracle import oracle_bmfm, oracle_bmfm_census, oracle_feasible_subsets
 from lppairs.spectral import two_dim_dft
 
@@ -109,7 +109,7 @@ def test_masks_or_cell_bits_into_base():
     # 64) into every chunk itself
     inst = MarginalInstance([1, 2], [1, 1, 1])
     bits = ((1, 2, 4), (8, 16, 32))
-    masks = [int(x) for chunk in _leaf_chunks(inst, bits) for x in chunk[:, 0] | np.uint64(64)]
+    masks = [int(x) for chunk in _leaf_stream((inst,), bits) for x in chunk[:, 0] | np.uint64(64)]
     assert len(masks) == count(inst)
     expected = [
         64 | sum(bits[i][j] for i in range(2) for j in range(3) if mat.rows[i][j])
@@ -164,9 +164,9 @@ def test_leaf_order_and_chunk_bound_do_not_depend_on_chunk_size(monkeypatch):
         rows, cols = random_marginals(rng, rng.randint(1, 4), rng.randint(2, 7))
         inst = MarginalInstance(rows, cols)
         bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
-        whole = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+        whole = [int(x) for c in bmfm._leaf_stream((inst,), bits) for x in c[:, 0]]
         monkeypatch.setattr(bmfm, "_CHUNK", 4)
-        chunks = list(bmfm._leaf_chunks(inst, bits))
+        chunks = list(bmfm._leaf_stream((inst,), bits))
         monkeypatch.undo()
         assert all(len(c) <= 4 for c in chunks)
         assert [int(x) for c in chunks for x in c[:, 0]] == whole
@@ -186,10 +186,10 @@ def test_multi_line_steps_keep_leaf_order_on_random_marginals(monkeypatch):
         rows, cols = random_marginals(rng, rng.randint(1, 7), rng.randint(1, 6))
         inst = MarginalInstance(rows, cols)
         bits = tuple(tuple(1 << (i * len(cols) + j) for j in range(len(cols))) for i in range(len(rows)))
-        default = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+        default = [int(x) for c in bmfm._leaf_stream((inst,), bits) for x in c[:, 0]]
         for name in ("_CHUNK", "_TAIL"):
             monkeypatch.setattr(bmfm, name, 1)
-            stream = [int(x) for c in bmfm._leaf_chunks(inst, bits) for x in c[:, 0]]
+            stream = [int(x) for c in bmfm._leaf_stream((inst,), bits) for x in c[:, 0]]
             monkeypatch.undo()
             assert stream == default
         assert len(default) == count(inst)
@@ -229,7 +229,7 @@ def test_one_stream_of_a_layout_cuts_into_each_instance_leaves(monkeypatch, name
         stream = [int(x) for c in chunks for x in c[:, 0]]
         start = 0
         for inst in insts:
-            own = [int(x) for c in _leaf_chunks(inst, bits) for x in c[:, 0]] if count(inst) else []
+            own = [int(x) for c in _leaf_stream((inst,), bits) for x in c[:, 0]] if count(inst) else []
             assert stream[start:start + len(own)] == own and len(own) == count(inst)
             start += len(own)
         assert start == len(stream) and stream

@@ -222,7 +222,7 @@ def test_match_pairs_equals_brute_force_join(length, delta):
 @pytest.mark.parametrize("batch", [1, 7])
 @pytest.mark.parametrize("length,delta", [(33, 11), (55, 5), (21, 7)])
 def test_pair_lists_do_not_depend_on_the_block_size(monkeypatch, batch, length, delta):
-    from lppairs import pairgen
+    from lppairs import pairgen, spectral
 
     cands = list(enum_candidates(delta, length // delta, (length + 1) // 2))
     want = match_pairs(cands)
@@ -233,13 +233,13 @@ def test_pair_lists_do_not_depend_on_the_block_size(monkeypatch, batch, length, 
             seen.append(len(query))
             yield query, pos
 
-    runs = pairgen._runs
+    runs = spectral._runs
     monkeypatch.setattr(pairgen, "_BATCH", batch)
-    monkeypatch.setattr(pairgen, "_runs", spy)
+    monkeypatch.setattr(spectral, "_runs", spy)  # the one the key join calls
     pairs = match_pairs(cands)
     assert pairs == want
     assert expand_pairs(pairs) == expand_pairs(want)
-    assert 0 < max(seen) <= batch
+    assert seen and 0 < max(seen) <= batch
 
 
 @pytest.mark.parametrize("length,delta", [(15, 3), (15, 5), (21, 7), (35, 5), (35, 7)])
@@ -341,20 +341,24 @@ def test_pair_lists_are_pinned(length, delta):
     assert _pair_digests(pairs, expanded) == PAIR_DIGESTS[(length, delta)]
 
 
-# prints that keep only the first one or two half lags: nearly every lookup
-# hit is then a print collision that only the whole-row confirmation rejects
-@pytest.mark.parametrize("lags", [1, 2])
-@pytest.mark.parametrize("length,delta", [(33, 11), (45, 9), (55, 11)])
+# prints that keep only the first one or two half lags, or none (every
+# print equal): nearly every lookup hit is then a print collision that only
+# the whole-row confirmation rejects
+@pytest.mark.parametrize("length,delta,lags", [
+    (33, 11, 1), (33, 11, 2), (45, 9, 1), (45, 9, 2), (55, 11, 1), (55, 11, 2), (33, 11, 0),
+])
 def test_print_collisions_never_make_or_lose_a_pair(monkeypatch, lags, length, delta):
     import numpy as np
 
-    from lppairs import pairgen
+    from lppairs import spectral
 
-    real = pairgen._print_weights
-    monkeypatch.setattr(pairgen, "_print_weights", lambda n: np.where(np.arange(n) < lags, real(n), 0))
+    real, calls = spectral._print_weights, []
+    monkeypatch.setattr(spectral, "_print_weights",
+                        lambda n: calls.append(n) or np.where(np.arange(n) < lags, real(n), 0))
     assert lags < (delta - 1) // 2
     pairs = match_pairs(list(enum_candidates(delta, length // delta, (length + 1) // 2)))
     assert _pair_digests(pairs, expand_pairs(pairs)) == PAIR_DIGESTS[(length, delta)]
+    assert calls  # the join read the patched weights
 
 
 def test_pair_join_allocates_less_than_the_candidate_walk():

@@ -20,10 +20,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lppairs import bmfm, search, seqio
+from lppairs import bmfm, search, seqio, spectral
 from lppairs.bmfm import (
     MarginalInstance,
-    _leaf_chunks,
+    _leaf_stream,
     count,
     enumerate_matrices,
     solutions,
@@ -255,7 +255,7 @@ def test_mask_leaves_equal_reshaped_matrices_in_order(length, d1, d2):
     for inst in _sample_instances(length, d1, d2):
         expected = []
         enumerate_matrices(inst, lambda m: expected.append(tuple(theta_inv(m, ctx))))
-        masks = np.concatenate(list(_leaf_chunks(inst, ctx.cell_bits)))
+        masks = np.concatenate(list(_leaf_stream((inst,), ctx.cell_bits)))
         assert len(masks) == len(expected)
         got = [tuple((x >> g) & 1 for g in range(length)) for x in masks[:, 0].tolist()]
         assert got == expected
@@ -280,11 +280,11 @@ def test_multi_line_steps_keep_every_leaf_in_order(monkeypatch, length, d1, d2):
     monkeypatch.setattr(bmfm, "_tail", lambda lines, *a: tails.append(len(lines)) or tail(lines, *a))
     seen = 0
     for inst in _sample_instances(length, d1, d2, limit=1500):
-        default = np.concatenate(list(_leaf_chunks(inst, bits)))
+        default = np.concatenate(list(_leaf_stream((inst,), bits)))
         for name in ("_CHUNK", "_TAIL"):
             before = getattr(bmfm, name)
             monkeypatch.setattr(bmfm, name, 1)
-            assert np.array_equal(np.concatenate(list(_leaf_chunks(inst, bits))), default)
+            assert np.array_equal(np.concatenate(list(_leaf_stream((inst,), bits))), default)
             monkeypatch.setattr(bmfm, name, before)
         assert len(default) == count(inst)
         seen += 1
@@ -310,7 +310,7 @@ def test_every_leaf_stream_is_pinned_in_both_factor_orders(length, d1, d2, leave
     for task in _tasks(length, d1, d2):
         for inst in (task.instance(i, j) for i in (0, 1) for j in (0, 1)):
             counted += count(inst)
-            for chunk in _leaf_chunks(inst, bits):
+            for chunk in _leaf_stream((inst,), bits):
                 digest.update(chunk.astype("<u8").tobytes())
                 total += len(chunk)
     assert total == counted == leaves
@@ -325,7 +325,7 @@ def _job(task, matching, ctx):
     if not (n_u and n_v):
         return None
     small, large = insts if n_u <= n_v else insts[::-1]
-    return np.concatenate(list(_leaf_chunks(small, ctx.cell_bits))), large
+    return np.concatenate(list(_leaf_stream((small,), ctx.cell_bits))), large
 
 
 def _hits(held, streamed, lags, ctx):
@@ -343,8 +343,8 @@ def test_free_lag_join_equals_all_lag_join(length, d1, d2, step):
     for task in _tasks(length, d1, d2)[::step]:
         for job in filter(None, (_job(task, m, ctx) for m in search._MATCHINGS)):
             held, large = job
-            hits = _hits(held, _leaf_chunks(large, ctx.cell_bits), free, ctx)
-            assert hits == _hits(held, _leaf_chunks(large, ctx.cell_bits), half, ctx)
+            hits = _hits(held, _leaf_stream((large,), ctx.cell_bits), free, ctx)
+            assert hits == _hits(held, _leaf_stream((large,), ctx.cell_bits), half, ctx)
             assert all(exact_complementary(u, v, lam) for u, v in hits)
             seen += len(hits)
     assert seen > 0
@@ -367,6 +367,15 @@ def _brute_hits(held, rows, ctx):
     return [(search._vector(held[h], ctx.ell), search._vector(rows[s], ctx.ell)) for s, h in pairs]
 
 
+def _patch_prints(monkeypatch, prints):
+    # the join's prints, when given, through a patch that counts its calls,
+    # so that a patch the join no longer reads fails the test
+    calls = []
+    if prints:
+        monkeypatch.setattr(spectral, "_key_prints", lambda keys, out=None: calls.append(1) or prints(keys))
+    return calls
+
+
 @pytest.mark.parametrize("prints", [
     None,
     lambda keys, out=None: np.zeros(len(keys), dtype=np.uint64),
@@ -378,19 +387,19 @@ def test_presence_table_loses_no_hit(monkeypatch, prints):
     # every leaf of a hit plus 64 others, so the all-colliding join stays small.
     ctx = CrtContext(5, 7)
     held, large = _job(_tasks(35, 5, 7)[687], search._MATCHINGS[0], ctx)
-    leaves = np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))
+    leaves = np.concatenate(list(_leaf_stream((large,), ctx.cell_bits)))
     hits = _brute_hits(held, leaves, ctx)
     partners = {v for _, v in hits}
     rows = {i for i, row in enumerate(leaves) if search._vector(row, 35) in partners}
     streamed = leaves[sorted(rows | set(range(64)))]
     one = held[[[search._vector(row, 35) for row in held].index(hits[0][0])]]
     assert len(held) == 1860 and len(hits) == 52
-    if prints:
-        monkeypatch.setattr(search, "_key_prints", prints)
+    calls = _patch_prints(monkeypatch, prints)
     free = search._free_lags(ctx)
     for side in (held, one):
         chunks = [streamed[:40], streamed[40:]]
         assert _hits(side, chunks, free, ctx) == _brute_hits(side, streamed, ctx)
+    assert bool(calls) == bool(prints)
 
 
 @pytest.mark.parametrize("prints", [None, lambda keys, out=None: np.zeros(len(keys), dtype=np.uint64)],
@@ -403,7 +412,7 @@ def test_jobs_never_pair_across_a_group(monkeypatch, prints):
     # group is a candidate for every streamed row.
     ctx = CrtContext(3, 7)
     jobs = [_job(task, m, ctx) for task in _tasks(21, 3, 7)[:3] for m in search._MATCHINGS]
-    jobs = [(h, np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))) for h, large in filter(None, jobs)]
+    jobs = [(h, np.concatenate(list(_leaf_stream((large,), ctx.cell_bits)))) for h, large in filter(None, jobs)]
     jobs = [job for job in jobs if _brute_hits(*job, ctx)][:4]
     jobs.append(jobs[0])
     ids = [0, 1, 2, 3, 256]
@@ -413,14 +422,14 @@ def test_jobs_never_pair_across_a_group(monkeypatch, prints):
     rows = np.concatenate(streamed)
     row_jobs = np.repeat(ids, list(map(len, streamed)))
     blocks = [(rows[lo:lo + 23], row_jobs[lo:lo + 23]) for lo in range(0, len(rows), 23)]
-    if prints:
-        monkeypatch.setattr(search, "_key_prints", prints)
+    calls = _patch_prints(monkeypatch, prints)
     got = {job: [] for job in ids}
     for job, u, v in search._join(held, owner, blocks, 21, search._free_lags(ctx)):
         got[job].append((search._vector(u, 21), search._vector(v, 21)))
     for job, (h, _), s in zip(ids, jobs, streamed):
         assert got[job] == _brute_hits(h, s, ctx)
     assert got[0] and got[0] == got[256]
+    assert bool(calls) == bool(prints)
 
 
 def _task_with_an_empty_matching():
@@ -1145,22 +1154,38 @@ def test_warm_word_keys_allocate_no_block(ell, factors):
     assert peak < 256 * 1024, peak
 
 
-def test_a_join_clears_its_presence_table():
+def test_a_join_clears_its_presence_table(monkeypatch):
     # the table is kept for the thread's next join, so a join must clear
-    # the entries it set, also when it is left early
+    # the entries it set, also when it is left early; the leaf join and
+    # the census pair join take the same table
+    from lppairs import pairgen
+
     ctx = CrtContext(5, 7)
     held, large = _job(_tasks(35, 5, 7)[687], search._MATCHINGS[0], ctx)
-    leaves = np.concatenate(list(_leaf_chunks(large, ctx.cell_bits)))
+    leaves = np.concatenate(list(_leaf_stream((large,), ctx.cell_bits)))
     blocks = [(leaves[lo:lo + 500], np.zeros(len(leaves[lo:lo + 500]), dtype=np.uint8))
               for lo in range(0, len(leaves), 500)]
     lags, owner = search._free_lags(ctx), np.zeros(len(held), dtype=np.uint8)
     complete = list(search._join(held, owner, blocks, 35, lags))
-    assert complete and not search._scratch.present.any()
+    assert complete and not spectral._scratch.present.any()
     early = search._join(held, owner, blocks, 35, lags)
     next(early)
-    assert search._scratch.present is None  # taken while the join runs
+    assert spectral._scratch.present is None  # taken while the join runs
     early.close()
-    assert not search._scratch.present.any()
+    assert not spectral._scratch.present.any()
+
+    own = np.array([c.paf[1:6] for c in pairgen.enum_candidates(11, 3, 17)])
+    assert len(pairgen._half_lag_join(own, 3 * 17, 11)[0])
+    assert not spectral._scratch.present.any()
+    taken = []
+
+    def stop(*args):  # the census join's first run of hits: leave it there
+        taken.append(spectral._scratch.present is None)
+        raise RuntimeError("left early")
+    monkeypatch.setattr(spectral, "_runs", stop)
+    with pytest.raises(RuntimeError, match="left early"):
+        pairgen._half_lag_join(own, 3 * 17, 11)
+    assert taken == [True] and not spectral._scratch.present.any()
 
 
 def test_a_record_costs_three_pafs(monkeypatch):
