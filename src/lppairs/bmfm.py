@@ -21,7 +21,8 @@ each partial matrix is finished by one binary search for the choices whose
 counts equal its needs (a one-line tail is the forced last line);
 `spectral._runs` expands the matching ranges in chunks.  Frontiers are
 expanded depth first in slices (memory: see `_leaf_stream`), and leaves
-come in the lexicographic order of the line choices.
+come in the lexicographic order of the line choices, which `_leaf_rank`
+gives as a sort key.
 
 A line layout (the lines, their sums and the step and tail sizes) is
 built once per process and cached with its steps and tails, which
@@ -164,6 +165,27 @@ def _layout_key(inst: MarginalInstance):
     rows, or the columns when those are more numerous."""
     by_rows = inst.n_rows >= inst.n_cols
     return by_rows, inst.row_sums if by_rows else inst.col_sums
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _leaf_rank(inst: MarginalInstance, bits):
+    """The sort key of the leaves of inst, as a function of a leaf:
+    `_leaf_stream` yields an instance's leaves in ascending order of it.
+    Each cell's entry of `bits` must be a single bit, and a leaf is given
+    as a sequence whose entry g is 1 when its mask has bit g, else 0 (for
+    the search's cell bits, the lifted vector itself).
+
+    Leaves come in the lexicographic order of their line choices, and a
+    line's r-subsets come in the lexicographic order of their cells, which
+    puts a subset holding the earlier cell first: so the key reads the
+    lines of `_layout_key` in order, and each line's cells, as 1 for a
+    0-cell and 0 for a 1-cell.
+    """
+    lines, _ = _lines(bits, _layout_key(inst)[0])
+    positions = [b.bit_length() - 1 for line in lines for b in line]
+    return lambda leaf: bytes([leaf[g] for g in positions]).translate(_FLIP)
 
 
 def _leaf_stream(insts, bits):

@@ -23,8 +23,19 @@ one: one sorted print table of its held rows, each key carrying its
 row's job, and its streamed rows probed in blocks of at most `_CHUNK`;
 the instances of one side that share a line layout are enumerated by one
 `_leaf_stream`.  A larger job's held side is held in slices of at most
-`_HELD` rows.  Every job's records are the same, in the same order, as
-when it is joined alone.
+`_HELD` rows.  A job's records are sorted by the rank of their streamed,
+then held, leaf (`_Job.order`), the order of one join over its whole held
+side: so they are the same, in the same order, in any group and for any
+slicing.
+
+A search lifts one job per symmetry class.  The group of a Legendre pair
+(a unit of Z_l on both members, a shift of each, swapping them, reversing
+one) maps the hits of a job one to one onto those of every job of its
+class (`_job_classes`).  `run_search` plans the classes once the census is
+done, the workers run each class's first job only, and the parent maps
+the other jobs' records from it, checking each (`_Plan`); so the records,
+the sidecar, the archive and the checkpoint are those of running every
+job.
 
 Results are deduplicated by the unordered pair of decimation-class canonical
 forms and sorted, which makes the final archive independent of worker count
@@ -38,19 +49,20 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import bmfm, seqio
-from .bmfm import MarginalInstance, _layout_key, _leaf_stream, _unpack, count
+from .bmfm import MarginalInstance, _layout_key, _leaf_rank, _leaf_stream, _unpack, count
 from .bmfm import enumerate_with_spectrum  # noqa: F401  bench/tracing.py patches this name
-from .compress import CrtContext
-from .cyclic import decimation_canon
+from .compress import CrtContext, compress
+from .cyclic import _first_word, _orbit_table, decimation_canon, units
 from .errors import InvariantViolation
 from .pairgen import enum_candidates, expand_pairs, match_pairs
 from .seqio import LegendrePairRecord
@@ -80,20 +92,25 @@ class SearchConfig:
             raise ValueError(f"stop_after must be None or at least 1, got {self.stop_after}")
 
 
+# the two cross-matchings of the four instances: (u-instance, v-instance)
+_MATCHINGS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+
+
 @dataclass(frozen=True)
 class SearchTask:
-    """One (delta1-pair, delta2-pair) combination: four marginal instances."""
+    """One (delta1-pair, delta2-pair) combination: four marginal instances,
+    and the cross-matchings of them that `run_tasks` runs (both, unless
+    `run_search` derives the other's records; see `_Plan`)."""
 
     index: int
     members1: tuple[tuple[int, ...], tuple[int, ...]]
     members2: tuple[tuple[int, ...], tuple[int, ...]]
+    matchings: tuple = _MATCHINGS
 
     def instance(self, i: int, j: int) -> MarginalInstance:
         return MarginalInstance(self.members1[i], self.members2[j])
 
 
-# the two cross-matchings of the four instances: (u-instance, v-instance)
-_MATCHINGS = (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 _HELD = 2_000_000  # most masks held at once; a larger side is held in slices
 
 
@@ -359,17 +376,31 @@ class _Job(NamedTuple):
     n_streamed: int
     swapped: bool  # the held instance is the matching's v side
 
+    def order(self, bits):
+        """The sort key of this job's hits, as a function of (u, v): the
+        `_leaf_rank` of the streamed leaf, then of the held leaf.  One join
+        over the whole held side finds the hits in this order (`_join`)."""
+        streamed, held = _leaf_rank(self.streamed, bits), _leaf_rank(self.held, bits)
+        if self.swapped:
+            return lambda u, v: (streamed(u), held(v))
+        return lambda u, v: (streamed(v), held(u))
 
-def _jobs(tasks):
-    for t, task in enumerate(tasks):
-        for matching in _MATCHINGS:
-            inst_u, inst_v = (task.instance(i, j) for i, j in matching)
-            n_u, n_v = count(inst_u), count(inst_v)
-            if n_u and n_v:
-                if n_v < n_u:
-                    yield _Job(t, matching, inst_v, inst_u, n_v, n_u, True)
-                else:
-                    yield _Job(t, matching, inst_u, inst_v, n_u, n_v, False)
+
+def _job(t: int, task: SearchTask, matching):
+    """The job of one cross-matching of tasks[t], or None when one of its
+    instances has no solution."""
+    inst_u, inst_v = (task.instance(i, j) for i, j in matching)
+    n_u, n_v = count(inst_u), count(inst_v)
+    if not (n_u and n_v):
+        return None
+    if n_v < n_u:
+        return _Job(t, matching, inst_v, inst_u, n_v, n_u, True)
+    return _Job(t, matching, inst_u, inst_v, n_u, n_v, False)
+
+
+def _jobs(tasks) -> list[_Job]:
+    """The jobs of the cross-matchings each task runs, in task order."""
+    return [job for t, task in enumerate(tasks) for m in task.matchings if (job := _job(t, task, m))]
 
 
 def _groups(jobs, cap: int):
@@ -408,9 +439,12 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     rows, and the instances of its held (and of its streamed) sides that
     share a line layout are enumerated together (`_leaf_stream`).  A larger
     job's held side is held in slices of at most `_HELD` masks, one join
-    per slice.  Each job's hits are kept apart, in streamed and then held
-    order (held slice first), and the records are built job by job, so a
-    task's records do not depend on the batch it runs in.
+    per slice.  Each job's hits are kept apart and sorted by `_Job.order`
+    (streamed leaf, then held leaf: the order of one join over the whole
+    held side), and the records are built job by job, so a task's records
+    depend neither on the batch it runs in nor on the slices.  A task runs
+    the cross-matchings of `task.matchings`: both, unless `run_search`
+    derives one's records (`_Plan`).
 
     The free lags suffice.  Write e(g) = PAF(u, g) + PAF(v, g) - lam.  The
     row sums of both instances are the d1-compressions of u and v, a
@@ -440,8 +474,11 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     lam = (ell + 1) // 2
     records: list[list[LegendrePairRecord]] = [[] for _ in tasks]
     for job, pairs in zip(jobs, hits):
-        for x, y in pairs:
-            u, v = (y, x) if job.swapped else (x, y)
+        pairs = [(y, x) if job.swapped else (x, y) for x, y in pairs]
+        if len(pairs) > 1:  # a held side in slices finds them slice by slice
+            key = job.order(bits)
+            pairs.sort(key=lambda pair: key(*pair))
+        for u, v in pairs:
             records[job.task].append(canonicalize_lp(
                 u, v, lam, task=tasks[job.task].index, instances=job.matching))
     return records
@@ -482,6 +519,171 @@ def _fingerprint(length, d1, d2, expanded1, expanded2) -> str:
         "pairs2": [list(m) for p in expanded2 for m in p.members],
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _rotation_ranks(vectors, d: int):
+    """For each of the vectors (length d) and each unit k of Z_d, ascending:
+    the rank, among all of these, of the least rotation of its decimation
+    by k, and that rotation's shift (the least on ties); and the number of
+    ranks.
+
+    Each image of `cyclic._orbit_table`, in (unit, shift) order, is read
+    as one integer of bits-wide digits, first position most significant,
+    so the integers compare as the images do: one product with the
+    `cyclic._first_word` table when they fit a uint64, else Python ints
+    from one gather of the orbit table.  The ranks come by sort and
+    compare: np.unique imports numpy.ma (see `cyclic.decimation_canon`).
+    """
+    a = np.array(vectors)
+    bits = max(1, int(a.max()).bit_length())
+    if d * bits <= 63:
+        codes = a.astype(np.uint64) @ _first_word(d, bits)
+    else:
+        codes = a[:, _orbit_table(d)].astype(object) @ [1 << bits * p for p in reversed(range(d))]
+    codes = codes.reshape(len(a), -1, d)
+    least = codes.min(axis=2)
+    values = np.sort(least, axis=None)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return np.searchsorted(values, least), codes.argmin(axis=2), len(values)
+
+
+def _job_classes(tasks, ctx: CrtContext):
+    """The symmetry classes of the jobs of tasks, where job 2 t + m is
+    cross-matching _MATCHINGS[m] of tasks[t] (whether or not its instances
+    have solutions).
+
+    A job is the d1- and d2-compressions (x1, x2) of u and (y1, y2) of v.
+    The group of a Legendre pair (a unit K of Z_ell on both members, a
+    shift of each member, swapping them, decimating one member by -1) maps
+    the hits of a job one to one onto the hits of the job of the images'
+    compressions, as compressing commutes with both shifts and decimations
+    (by K mod d).  By the CRT the unit and the shifts act on each factor
+    apart.  So per factor i the ordered pair (x_i, y_i) has a canonical
+    form: over the units k of Z_{d_i}, the least pair (least rotation of
+    d_k x_i, least rotation of d_k y_i); and a job's class key is the least
+    (form at d1, form at d2) over swapping u and v or not and decimating u
+    by -1 or not.  Pairs are compared through `_rotation_ranks`, with
+    array minima over all jobs at once.
+
+    Returns (rep, swap, unit, shift).  rep[J] is the first job of J's class
+    in job order.  The other three give g_J, a group element taking J to
+    its class key: with (a, b) = (v, u) when swap[J] and (u, v) otherwise,
+    it takes a hit (u, v) of J to (shift(decimate(a, unit[J, 0]), shift[J,
+    0]), shift(decimate(b, unit[J, 1]), shift[J, 1])) (see `cyclic`), a
+    hit of any job of the class that has its key.
+    """
+    n, jobs = len(tasks), np.arange(2 * len(tasks))
+    crt = np.empty((ctx.d1, ctx.d2), dtype=np.int64)
+    crt[tuple(np.array(ctx.index_pairs).T)] = np.arange(ctx.ell)
+    keys, parts = [], []  # per factor: (variant, job) keys; (variant, (units, shifts), job) residues
+    for f, d in enumerate((ctx.d1, ctx.d2)):
+        ids: dict = {}
+        member = np.array([ids.setdefault(m, len(ids)) for t in tasks for m in (t.members1, t.members2)[f]],
+                          dtype=np.intp).reshape(n, 2)
+        rank, shift, size = _rotation_ranks(list(ids), d)
+        x, y = (member[:, [m[side][f] for m in _MATCHINGS]].ravel() for side in (0, 1))
+        unit = np.array(units(d))
+        same, neg = np.arange(len(unit)), np.searchsorted(unit, -unit % d)  # the column of k, of -k
+        key, part = [], []
+        for swap in (False, True):
+            for reverse in (False, True):  # u decimated by -1
+                a, b = (y, x) if swap else (x, y)
+                column_u = neg if reverse else same
+                ca, cb = (same, column_u) if swap else (column_u, same)
+                pair = rank[a][:, ca] * size + rank[b][:, cb]
+                k = pair.argmin(axis=1)
+                key.append(pair[jobs, k])
+                part.append((unit[ca[k]], unit[cb[k]], shift[a, ca[k]], shift[b, cb[k]]))
+        keys.append(np.array(key))
+        parts.append(np.array(part))
+    first, second = keys
+    # the variant of the least (first, second): swap is its high bit
+    best = np.where(first == first.min(axis=0), second, second.max() + 1).argmin(axis=0)
+    first, second = first[best, jobs], second[best, jobs]
+    order = np.lexsort((second, first))  # stable: a class's jobs stay in job order
+    first, second = first[order], second[order]
+    new = np.concatenate(([True], (first[1:] != first[:-1]) | (second[1:] != second[:-1])))
+    rep = np.empty_like(order)
+    rep[order] = order[new.nonzero()[0]][new.cumsum() - 1]
+    one, two = (p[best, :, jobs] for p in parts)  # (job, 4)
+    return rep, best >= 2, crt[one[:, :2], two[:, :2]], crt[one[:, 2:], two[:, 2:]]
+
+
+class _Plan:
+    """One job per symmetry class is lifted; the others' records are mapped
+    from it (see `_job_classes`).
+
+    `lifted` gives a task that runs only the jobs that are the first of
+    their class.  `records` builds a task's records, cross-matching by
+    cross-matching: a representative job's are the ones run_task found; a
+    derived job J's are its representative R's records mapped through h =
+    g_J^-1 g_R, a permutation of each member's positions, with the canonical
+    forms and energies carried over (swapped when h swaps u and v: both are
+    invariant under the group).  Every mapped pair is checked to be
+    complementary and to have J's four compressions, or InvariantViolation
+    is raised.  R comes before J, so its records were marked earlier in
+    this run, or are among `records`, those of the tasks a resumed
+    checkpoint counts as done.  A job's records are sorted by `_Job.order`,
+    as `run_tasks` sorts them.
+    """
+
+    def __init__(self, tasks, ctx: CrtContext, records):
+        self.tasks, self.ctx = tasks, ctx
+        # as lists: a derived job reads a few entries each, as Python ints
+        self.rep, self.swap, self.unit, self.shift = (a.tolist() for a in _job_classes(tasks, ctx))
+        self.found: dict[int, list] = {}  # a representative job's records
+        for r in records:
+            self.found.setdefault(2 * r.task + _MATCHINGS.index(r.instances), []).append(r)
+
+    def lifted(self, task: SearchTask) -> SearchTask:
+        jobs = range(2 * task.index, 2 * task.index + 2)
+        matchings = tuple(m for m, j in zip(_MATCHINGS, jobs) if self.rep[j] == j)
+        return task if matchings == task.matchings else replace(task, matchings=matchings)
+
+    def records(self, index: int, run) -> list[LegendrePairRecord]:
+        task, out = self.tasks[index], []
+        for m, matching in enumerate(_MATCHINGS):
+            job, rep = 2 * index + m, self.rep[2 * index + m]
+            if job == rep:
+                self.found[job] = [r for r in run if r.instances == matching]
+                out += self.found[job]
+            else:
+                out += self._derive(job, rep, task, matching)
+        return out
+
+    def _derive(self, job: int, rep: int, task: SearchTask, matching) -> list[LegendrePairRecord]:
+        source = self.found.get(rep, [])
+        if not source:
+            return []
+        ell, d1, d2 = self.ctx.ell, self.ctx.d1, self.ctx.d2
+        # position g of side s of the class key is position unit^-1 (g -
+        # shift) of side s of a job's pair (a, b): so position h of J's side
+        # s is position unit_J h + shift_J of the key, which is position
+        # unit_R^-1 (unit_J h + shift_J - shift_R) of R's side s
+        read = []
+        for s in (0, 1):
+            inv = pow(self.unit[rep][s], -1, ell)
+            a, c = inv * self.unit[job][s], inv * (self.shift[job][s] - self.shift[rep][s])
+            read.append(itemgetter(*[(a * h + c) % ell for h in range(ell)]))
+        flip = self.swap[job] != self.swap[rep]  # h swaps u and v
+        read_u, read_v = read[::-1] if self.swap[job] else read
+        want = tuple(tuple(map(int, members[i]))  # (x1, x2, y1, y2)
+                     for side in matching for members, i in zip((task.members1, task.members2), side))
+        records = []
+        for r in source:
+            u, v = read_u(r.v if flip else r.u), read_v(r.u if flip else r.v)
+            if (compress(u, d1), compress(u, d2), compress(v, d1), compress(v, d2)) != want \
+                    or not exact_complementary(u, v, r.lam):
+                raise InvariantViolation(
+                    f"job {matching} of task {task.index}: a hit of task {rep // 2}'s job "
+                    f"{_MATCHINGS[rep % 2]} maps to {(u, v)}, which is not one of its hits")
+            (cu, ru), (cv, rv) = ((r.canon_v, r.rho_v), (r.canon_u, r.rho_u)) if flip else \
+                ((r.canon_u, r.rho_u), (r.canon_v, r.rho_v))
+            records.append(LegendrePairRecord(u, v, cu, cv, r.lam, ru, rv, task.index, matching))
+        if len(records) > 1:
+            key = _job(0, task, matching).order(self.ctx.cell_bits)
+            records.sort(key=lambda r: key(r.u, r.v))
+        return records
 
 
 # Tasks per worker call and per checkpoint write: a batch is one IPC round
@@ -623,6 +825,14 @@ def run_search(length: int, d1: int, d2: int,
     resume that runs no task leaves the checkpoint and sidecar as they were.
     Batches that finished after the oldest unfinished one are not kept
     on a failure, Ctrl-C or hard kill, and run again on resume.
+
+    When tasks are pending, the jobs are first planned into symmetry
+    classes (`_Plan`): the pending tasks run only the first job of each
+    class, and as this loop takes a task's results it maps the task's
+    other jobs' records from their classes' first jobs, found earlier in
+    this run or read back from the sidecar.  Each task's records, and so
+    every file written, are those run_task gives the task with both
+    cross-matchings.
     """
     if resume and not config.checkpoint_path:
         raise ValueError("resume needs a checkpoint path (--checkpoint)")
@@ -642,6 +852,9 @@ def run_search(length: int, d1: int, d2: int,
     progress = _Progress(fingerprint, len(tasks), config.checkpoint_path)
     progress.start(resume, length)
     pending = tasks[progress.done:]
+    if pending:
+        plan = _Plan(tasks, ctx, progress.records)
+        pending = [plan.lifted(t) for t in pending]
 
     size = min(_BATCH, -(-len(pending) // config.threads))
     with ExitStack() as stack:
@@ -655,7 +868,7 @@ def run_search(length: int, d1: int, d2: int,
         else:
             results = ((t.index, run_task(t, ctx)) for t in pending)
         for n, (index, new_records) in enumerate(results, 1):
-            progress.mark(index, new_records)
+            progress.mark(index, plan.records(index, new_records))
             if config.stop_after is not None and len(progress.records) >= config.stop_after:
                 break
             if n % size == 0:

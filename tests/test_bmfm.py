@@ -10,7 +10,9 @@ import pytest
 
 from lppairs.bmfm import (
     MarginalInstance,
+    _leaf_rank,
     _leaf_stream,
+    _unpack,
     count,
     enumerate_matrices,
     enumerate_with_spectrum,
@@ -237,6 +239,33 @@ def test_one_stream_of_a_layout_cuts_into_each_instance_leaves(monkeypatch, name
     assert empty > 10
     with pytest.raises(ValueError):
         bmfm._leaf_stream([MarginalInstance([1, 0], [1, 0]), MarginalInstance([0, 1], [1, 0])], ((1, 2), (4, 8)))
+
+
+@pytest.mark.parametrize("name", [None, "_CHUNK", "_TAIL"])
+def test_leaf_stream_yields_leaves_in_ascending_rank(monkeypatch, name):
+    # the search sorts each job's hits by _leaf_rank, and a job run whole
+    # finds them in stream order: on the marginals of random matrices, with
+    # lines of both orientations and cell bits in one mask word or scattered
+    # over two, the stream must ascend in rank.  _CHUNK = 1 commits one line
+    # per step and _TAIL = 1 makes the tail the last line alone.
+    from lppairs import bmfm
+
+    if name:
+        monkeypatch.setattr(bmfm, name, 1)
+    rng, seen = random.Random(409), set()
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cells = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        inst = MarginalInstance(tuple(map(sum, cells)), tuple(map(sum, zip(*cells))))
+        spots = rng.sample(range(rng.choice((m * n, 128))), m * n)
+        bits = tuple(tuple(1 << spots[i * n + j] for j in range(n)) for i in range(m))
+        chunks = list(_leaf_stream((inst,), bits))
+        leaves = [_unpack(row, 128).tolist() for c in chunks for row in c]
+        ranks = list(map(_leaf_rank(inst, bits), leaves))
+        assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks) == count(inst)
+        if len(ranks) > 1:
+            seen.add((m >= n, chunks[0].shape[1]))
+    assert seen == {(True, 2), (False, 2), (True, 1), (False, 1)}
 
 
 def test_a_step_of_many_full_lines_does_not_wrap():

@@ -461,12 +461,13 @@ def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, ste
                 jobs = list(search._jobs(tasks))
                 assert sum(len(group) > 1 for group in search._groups(jobs, chunk)) > 1
                 assert any(j.n_streamed > chunk and j.n_held > held for j in jobs)
-            # a held side in slices reorders a job's records, so each size
-            # has its own order, but every size gives each task the same records
+            # a held side in slices finds a job's hits slice by slice, but
+            # each job's records are sorted by rank: every size gives each
+            # task the same records in the same order
             base = [run_task(task, ctx) for task in tasks]
             assert sum(map(len, base)) > 0
             default = default or base
-            assert list(map(Counter, base)) == list(map(Counter, default))
+            assert base == default
             for _ in range(3):
                 cuts = sorted(rng.sample(range(1, len(tasks)), rng.randint(0, 4)))
                 parts = [tasks[a:b] for a, b in zip([0, *cuts], [*cuts, len(tasks)])]
@@ -518,12 +519,183 @@ def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
     assert alive[0] <= 1
 
 
-def test_memory_cap_splits_without_losing_records(monkeypatch):
-    base, _ = run_search(15, 3, 5)
-    monkeypatch.setattr(bmfm, "_CHUNK", 4)  # every job is large, so its held side is sliced
-    monkeypatch.setattr(search, "_HELD", 2)
-    capped, _ = run_search(15, 3, 5)
-    assert {r.key for r in base} == {r.key for r in capped}
+def test_memory_cap_splits_without_losing_records(tmp_path, monkeypatch):
+    # held sides in slices of 2 find a job's hits slice by slice; sorted by
+    # rank, they give the same records sidecar and archive, byte for byte
+    files = []
+    for capped in (False, True):
+        with monkeypatch.context() as m:
+            if capped:
+                m.setattr(bmfm, "_CHUNK", 4)  # every job is large, so its held side is sliced
+                m.setattr(search, "_HELD", 2)
+            cp, out = tmp_path / f"{capped}.json", tmp_path / f"{capped}.jsonl"
+            run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(out)))
+            files.append((out.read_bytes(), Path(str(cp) + ".records").read_bytes()))
+    assert files[0] == files[1]
+
+
+def _hit_jobs(tasks, ctx, records=None):
+    """The jobs (2 t + m) with records when every job is run, with their
+    record counts (from records, when given), and the classes of
+    _job_classes."""
+    records = records or [r for t in tasks for r in run_task(t, ctx)]
+    found = Counter(2 * r.task + search._MATCHINGS.index(r.instances) for r in records)
+    return found, search._job_classes(tasks, ctx)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("length,factors,derived,flipped", [
+    (15, (3, 5), 25, 0), (15, (5, 3), 25, 4), (21, (3, 7), 15, 0), (33, (3, 11), 385, 0), (33, (11, 3), 385, 0),
+])
+def test_derived_records_equal_the_records_of_every_job(tmp_path, length, factors, threads, derived, flipped):
+    # run_search lifts one job per symmetry class and maps the others'
+    # records from it: its sidecar must equal what running every job of
+    # every task writes, byte for byte.  derived counts the records mapped,
+    # flipped those mapped by an element that swaps u and v
+    cp = tmp_path / "cp.json"
+    run_search(length, *factors, SearchConfig(threads=threads, checkpoint_path=str(cp)))
+    ctx, tasks = CrtContext(*factors), _tasks(length, *factors)
+    every = [r for t in tasks for r in run_task(t, ctx)]
+    assert _sidecar_lines(cp) == [seqio.record_to_json(r) for r in every]
+    found, (rep, swap, _, _) = _hit_jobs(tasks, ctx, every)
+    mapped = [j for j in found if rep[j] != j]
+    assert sum(found[j] for j in mapped) == derived
+    assert sum(found[j] for j in mapped if swap[j] != swap[rep[j]]) == flipped
+
+
+def test_job_classes_equal_a_direct_canonical_form():
+    # the class key of every length-33 job, from the group's definition in
+    # plain Python: the least (form at d1, form at d2) over swapping u and v
+    # and decimating u by -1, a form being the least (rotation, rotation)
+    # over the units of Z_d
+    from lppairs.cyclic import units
+
+    def least_rotation(x):
+        return min(x[j:] + x[:j] for j in range(len(x)))
+
+    def form(x, y):
+        return min((least_rotation(decimate(x, k)), least_rotation(decimate(y, k))) for k in units(len(x)))
+
+    ctx, tasks = CrtContext(3, 11), _tasks(33, 3, 11)
+    keys = []
+    for task in tasks:
+        for (iu, ju), (iv, jv) in search._MATCHINGS:
+            x = (task.members1[iu], task.members2[ju])
+            y = (task.members1[iv], task.members2[jv])
+            rx = tuple(decimate(z, -1) for z in x)
+            keys.append(min(tuple(form(a, b) for a, b in zip(*pair)) for pair in ((x, y), (rx, y), (y, x), (y, rx))))
+    first = {}
+    want = [first.setdefault(key, j) for j, key in enumerate(keys)]
+    rep = search._job_classes(tasks, ctx)[0]
+    assert rep.tolist() == want and len(first) == 436
+
+
+def test_rotation_ranks_of_vectors_too_long_for_one_word():
+    # 37 positions of 2-bit digits do not fit a uint64 code: the ranks
+    # come from Python ints, and must order the least rotations as tuples
+    from lppairs.cyclic import units
+
+    rng = random.Random(37)
+    vectors = [tuple(rng.randint(0, 3) for _ in range(37)) for _ in range(6)]
+    vectors.append(shift(decimate(vectors[0], 5), 3))
+    rank, rot, size = search._rotation_ranks(vectors, 37)
+    least = [[min(shift(decimate(v, k), -j) for j in range(37)) for k in units(37)] for v in vectors]
+    order = sorted({x for row in least for x in row})
+    assert size == len(order) and rank.tolist() == [[order.index(x) for x in row] for row in least]
+    for v, row, shifts in zip(vectors, least, rot.tolist()):
+        assert [shift(decimate(v, k), j) for k, j in zip(units(37), shifts)] == row
+    assert sorted(rank[0]) == sorted(rank[-1])
+
+
+def test_a_wrong_derived_mapping_is_refused(monkeypatch):
+    # one derived job's shift of u moved by 1: its mapped hits lose its
+    # compressions, and the run stops before any record is marked
+    ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
+    found, (rep, *_) = _hit_jobs(tasks, ctx)
+    job = min(j for j in found if rep[j] != j)
+    real = search._job_classes
+
+    def corrupt(*args):
+        rep, swap, unit, shift = real(*args)
+        shift = shift.copy()
+        shift[job, 0] += 1
+        return rep, swap, unit, shift
+
+    monkeypatch.setattr(search, "_job_classes", corrupt)
+    with pytest.raises(search.InvariantViolation, match="not one of its hits"):
+        run_search(21, 3, 7)
+
+
+def test_a_mapped_pair_that_is_not_complementary_is_refused(monkeypatch):
+    # a representative's record whose u has a 2 x 2 switch of cells keeps
+    # u's compressions but is no hit: the pair mapped from it keeps the
+    # derived job's compressions too, and the exact check must refuse it
+    from dataclasses import replace
+
+    ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
+    found, (rep, *_) = _hit_jobs(tasks, ctx)
+    source = int(rep[min(j for j in found if rep[j] != j)])
+    cell = {psi: g for g, psi in enumerate(ctx.index_pairs)}
+
+    def switch(u):
+        for (i, j), (k, m) in ((a, b) for a in cell for b in cell if a[0] < b[0] and a[1] != b[1]):
+            one, zero = (cell[i, j], cell[k, m]), (cell[i, m], cell[k, j])
+            if all(u[g] for g in one) and not any(u[g] for g in zero):
+                return tuple(1 - x if g in one + zero else x for g, x in enumerate(u))
+
+    real = search.run_task
+
+    def switched(task, ctx):
+        records = real(task, ctx)
+        for k, r in enumerate(records):
+            if 2 * r.task + search._MATCHINGS.index(r.instances) == source:
+                u = switch(r.u)
+                assert compress(u, 3) == compress(r.u, 3) and compress(u, 7) == compress(r.u, 7)
+                assert not exact_complementary(u, r.v, r.lam)
+                records[k] = replace(r, u=u)
+                break
+        return records
+
+    monkeypatch.setattr(search, "run_task", switched)
+    with pytest.raises(search.InvariantViolation, match="not one of its hits"):
+        run_search(21, 3, 7)
+
+
+def test_resume_maps_records_of_tasks_before_the_checkpoint(tmp_path, monkeypatch):
+    # interrupted in task 2, the run keeps tasks 0 and 1; on resume, job 4
+    # (task 2) is mapped from job 2 (task 1), whose records the resumed
+    # run reads back from the sidecar
+    clean, cp = tmp_path / "clean.json", tmp_path / "cp.json"
+    run_search(21, 3, 7, SearchConfig(checkpoint_path=str(clean), archive_path=str(tmp_path / "clean.jsonl")))
+    ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
+    found, (rep, *_) = _hit_jobs(tasks, ctx)
+    assert [j for j in found if j >= 4 and rep[j] < 4 and found[rep[j]]]
+    real = search.run_task
+
+    def interrupted(task, ctx):
+        if task.index == 2:
+            raise KeyboardInterrupt
+        return real(task, ctx)
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "run_task", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
+    assert seqio.load_checkpoint(cp).done == 2
+    run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp), archive_path=str(tmp_path / "resumed.jsonl")),
+               resume=True)
+    assert _sidecar_lines(cp) == _sidecar_lines(clean)
+    assert filecmp.cmp(tmp_path / "clean.jsonl", tmp_path / "resumed.jsonl", shallow=False)
+
+
+def test_resuming_a_finished_run_plans_nothing(tmp_path, monkeypatch):
+    cp, calls = tmp_path / "cp.json", []
+    real = search._job_classes
+    monkeypatch.setattr(search, "_job_classes", lambda *a: calls.append(1) or real(*a))
+    records, _ = run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)))
+    assert calls == [1]
+    assert run_search(21, 3, 7, SearchConfig(checkpoint_path=str(cp)), resume=True)[0] == records
+    assert calls == [1]
 
 
 def test_archives_are_identical_across_worker_counts(tmp_path):
