@@ -15,18 +15,17 @@ symmetry a hit is exactly a complementary pair; every hit is still
 confirmed by the exact test before it becomes a record.
 
 A job is one cross-matching of a task whose two instances both have
-solutions.  A job is small when its streamed side has at most `_CHUNK`
-(bmfm's chunk size, 16,384) leaves, and the consecutive small jobs of a
-batch of tasks form a group while their held sides total at most
-`_CHUNK` rows; a larger job is a group of its own.  A group is joined as
-one: one sorted print table of its held rows, each key carrying its
-row's job, and its streamed rows probed in blocks of at most `_CHUNK`;
-the instances of one side that share a line layout are enumerated by one
-`_leaf_stream`.  A larger job's held side is held in slices of at most
-`_HELD` rows.  A job's records are sorted by the rank of their streamed,
-then held, leaf (`_Job.order`), the order of one join over its whole held
-side: so they are the same, in the same order, in any group and for any
-slicing.
+solutions.  The consecutive jobs of a batch of tasks form a group while
+their held sides total at most `_CHUNK` (bmfm's chunk size, 16,384) rows,
+however many leaves they stream; a job that holds more is a group of its
+own.  A group is joined as one: one sorted print table of its held rows,
+each key carrying its row's job, and its streamed rows probed in blocks
+of at most `_CHUNK`; the instances of one side that share a line layout
+are enumerated by one `_leaf_stream`.  A group's held side is held in
+slices of at most `_HELD` rows.  A job's records are sorted by the rank
+of their streamed, then held, leaf (`_Job.order`), the order of one join
+over its whole held side: so they are the same, in the same order, in
+any group and for any slicing.
 
 A search lifts one job per symmetry class.  The group of a Legendre pair
 (a unit of Z_l on both members, a shift of each, swapping them, reversing
@@ -405,16 +404,15 @@ def _jobs(tasks) -> list[_Job]:
 
 def _groups(jobs, cap: int):
     """The jobs in groups, as lists of indices in jobs, in job order: runs
-    of consecutive small jobs (at most cap streamed leaves each) whose held
-    sides total at most cap rows, and each larger job alone."""
+    of consecutive jobs whose held sides total at most cap rows, and each
+    job that holds more alone."""
     group, size = [], 0
     for k, job in enumerate(jobs):
-        rows = job.n_held if job.n_streamed <= cap else cap + 1  # a large job fills its group
-        if group and size + rows > cap:
+        if group and size + job.n_held > cap:
             yield group
             group, size = [], 0
         group.append(k)
-        size += rows
+        size += job.n_held
     if group:
         yield group
 
@@ -431,20 +429,20 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     canonicalize_lp confirms it with the exact test before the record is
     kept.
 
-    A job is small when it streams at most `_CHUNK` leaves.  Consecutive
-    small jobs of the batch form a group while their held sides total at
-    most `_CHUNK` rows; a larger job is a group of its own (`_groups`).  A
-    group is one join: its held leaves make one sorted print table, its
-    streamed leaves are keyed and probed in blocks of at most `_CHUNK`
-    rows, and the instances of its held (and of its streamed) sides that
-    share a line layout are enumerated together (`_leaf_stream`).  A larger
-    job's held side is held in slices of at most `_HELD` masks, one join
-    per slice.  Each job's hits are kept apart and sorted by `_Job.order`
-    (streamed leaf, then held leaf: the order of one join over the whole
-    held side), and the records are built job by job, so a task's records
-    depend neither on the batch it runs in nor on the slices.  A task runs
-    the cross-matchings of `task.matchings`: both, unless `run_search`
-    derives one's records (`_Plan`).
+    Consecutive jobs of the batch form a group while their held sides
+    total at most `_CHUNK` rows, whatever they stream; a job that holds
+    more is a group of its own (`_groups`).  A group is one join: its held
+    leaves make one sorted print table, its streamed leaves are keyed and
+    probed in blocks of at most `_CHUNK` rows, and the instances of its
+    held (and of its streamed) sides that share a line layout are
+    enumerated together (`_leaf_stream`).  A group's held side is held in
+    slices of at most `_HELD` masks, one join per slice.  Each job's hits
+    are kept apart and sorted by `_Job.order` (streamed leaf, then held
+    leaf: the order of one join over the whole held side), and the
+    records are built job by job, so a task's records depend neither on
+    the batch it runs in nor on the slices.  A task runs the
+    cross-matchings of `task.matchings`: both, unless `run_search` derives
+    one's records (`_Plan`).
 
     The free lags suffice.  Write e(g) = PAF(u, g) + PAF(v, g) - lam.  The
     row sums of both instances are the d1-compressions of u and v, a
@@ -465,8 +463,7 @@ def run_tasks(tasks, ctx: CrtContext) -> list[list[LegendrePairRecord]]:
     cap = bmfm._CHUNK
     for group in _groups(jobs, cap):
         members = [jobs[k] for k in group]
-        held_rows = _HELD if members[0].n_streamed > cap else cap  # only a large job is held in slices
-        for held, owner in _group_leaves([j.held for j in members], [j.n_held for j in members], bits, held_rows):
+        for held, owner in _group_leaves([j.held for j in members], [j.n_held for j in members], bits, _HELD):
             streamed = _group_leaves([j.streamed for j in members], [j.n_streamed for j in members], bits, cap)
             for i, x, y in _join(held, owner, streamed, ell, lags):
                 hits[group[i]].append((_vector(x, ell), _vector(y, ell)))

@@ -446,8 +446,8 @@ def _task_with_an_empty_matching():
 def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, step, chunk, held):
     # run_tasks over random partitions of a task list gives each task the
     # records run_task gives it, in the same order: at the default sizes,
-    # and at sizes where the small jobs of one batch make several groups
-    # and a larger job's held side is sliced
+    # and at sizes where the jobs of one batch make several groups and a
+    # group's held side is sliced
     ctx, rng = CrtContext(d1, d2), random.Random(length * d1)
     tasks = _tasks(length, d1, d2)[::step]
     if length == 15:
@@ -474,8 +474,28 @@ def test_any_batch_split_gives_the_same_records(monkeypatch, length, d1, d2, ste
                 assert [records for part in parts for records in search.run_tasks(part, ctx)] == base
 
 
+def test_groups_are_sized_by_held_rows_alone():
+    # Held rows alone size a group, whatever its jobs stream: at length 35
+    # some jobs stream more than _CHUNK leaves yet hold few rows, and they
+    # join beside their neighbours.  A group closes only when the next job
+    # would take it past cap held rows, so a job that holds more than cap
+    # rows is a group of its own (none does at _CHUNK; at 256 most do).
+    tasks = _tasks(35, 5, 7)
+    jobs = search._jobs(tasks)
+    assert (len(tasks), len(jobs)) == (720, 1440)
+    for cap in (bmfm._CHUNK, 256):
+        groups = list(search._groups(jobs, cap))
+        assert [k for group in groups for k in group] == list(range(len(jobs)))
+        for group, after in zip(groups, groups[1:] + [None]):
+            rows = sum(jobs[k].n_held for k in group)
+            assert len(group) == 1 or rows <= cap
+            assert after is None or rows + jobs[after[0]].n_held > cap
+    groups = search._groups(jobs, bmfm._CHUNK)
+    assert any(len(group) > 1 and any(jobs[k].n_streamed > bmfm._CHUNK for k in group) for group in groups)
+
+
 def test_memory_cap_keeps_every_raw_record(monkeypatch):
-    # with _CHUNK = 16 every job is large, so its held side is sliced
+    # with _HELD = 1 every group's held side is sliced a row at a time
     ctx, tasks = CrtContext(3, 7), _tasks(21, 3, 7)
     base = [run_task(task, ctx) for task in tasks]
     monkeypatch.setattr(bmfm, "_CHUNK", 16)
@@ -490,9 +510,11 @@ def test_memory_cap_keeps_every_raw_record(monkeypatch):
 def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
     # The records of a batch are built after every join, so a hit must not
     # keep a row of its held slice: a row shares its slice's memory, and
-    # the slices of a large job would stay alive until the batch ends.  When
+    # the slices of a held side would stay alive until the batch ends.  When
     # the first record is built, at most the last slice (still bound in
-    # run_tasks) may be alive, though many slices had hits.
+    # run_tasks) may be alive, though many slices had hits.  Several slices
+    # may be views of one enumerated chunk, so live arrays are counted, not
+    # views.
     import weakref
 
     ctx = CrtContext(3, 7)
@@ -509,7 +531,8 @@ def test_a_batch_frees_each_held_slice_before_its_records(monkeypatch):
             yield block
 
     def spy_canon(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in slices))
+        live = [owner for ref in slices if (owner := ref()) is not None]
+        alive.append(len({id(owner) for owner in live}))
         return real_canon(*args, **kwargs)
 
     monkeypatch.setattr(search, "_slices", spy_slices)
@@ -526,7 +549,7 @@ def test_memory_cap_splits_without_losing_records(tmp_path, monkeypatch):
     for capped in (False, True):
         with monkeypatch.context() as m:
             if capped:
-                m.setattr(bmfm, "_CHUNK", 4)  # every job is large, so its held side is sliced
+                m.setattr(bmfm, "_CHUNK", 4)  # groups of at most 4 held rows, sliced in 2s
                 m.setattr(search, "_HELD", 2)
             cp, out = tmp_path / f"{capped}.json", tmp_path / f"{capped}.jsonl"
             run_search(15, 3, 5, SearchConfig(checkpoint_path=str(cp), archive_path=str(out)))
